@@ -59,6 +59,7 @@ from .channels import (
 )
 from .distances import (
     MEASURES,
+    AscentResult,
     DistanceEstimate,
     OptimizerConfig,
     dense_oracle,
@@ -66,6 +67,7 @@ from .distances import (
     diamond_norm_channel,
     distance,
     evaluate_witness,
+    maximize,
     postselected_diamond_distance,
     postselected_trace_distance,
     renormalized_distance,

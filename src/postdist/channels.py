@@ -28,7 +28,6 @@ from .linalg import (
     hermitianize,
     is_hermitian,
     operator_norm,
-    partial_trace,
     tensor,
 )
 

@@ -108,6 +108,8 @@ def _cmd_dist(args) -> int:
             "value": est.value,
             "converged": est.converged,
             "restarts_used": est.restarts_used,
+            "iterations": est.iterations,
+            "evaluations": est.evaluations,
             "witness": _witness_json(est.witness),
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -4,7 +4,8 @@
 Distance measures between channels, standard and postselected.
 
 Every supremum-type measure is estimated by a seeded multi-start local
-optimizer and therefore is a lower bound on the true value; callers that need
+optimizer (gradient ascent on closed-form gradients, see `maximize`) and
+therefore is a lower bound on the true value; callers that need
 sound inequality checks must keep such estimates on the small side of a
 comparison or transfer witnesses (see theorems module).  The renormalized
 ("hat") measures optimize the nonlinear objective
@@ -20,6 +21,7 @@ renormalized counterpart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.linalg as npl
@@ -44,7 +46,6 @@ STABILIZED_DIM_CAP = 4
 ORACLE_UNSTABILIZED_DIM_CAP = 3
 ORACLE_STABILIZED_DIM_CAP = 3
 
-GRADIENT_STEP = 1e-6
 _SEED_MASK = (1 << 63) - 1
 
 
@@ -65,7 +66,8 @@ class DistanceEstimate:
     Optimizer output.  `value` is exactly the measure's objective evaluated at
     `witness` (so it is reproducible), and a lower bound on the supremum.
     `converged` records whether the two best restarts agreed within the value
-    tolerance.
+    tolerance.  `iterations` and `evaluations` are the ascent's deterministic
+    work counters (see `AscentResult`).
     """
 
     measure: str
@@ -73,6 +75,8 @@ class DistanceEstimate:
     witness: object
     restarts_used: int
     converged: bool
+    iterations: int
+    evaluations: int
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +88,49 @@ def _complex_rows(x: np.ndarray, dim: int) -> np.ndarray:
     return x[:, :dim] + 1j * x[:, dim:]
 
 
-def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     norms = npl.norm(v, axis=1)
     bad = norms < 1e-12
     safe = np.where(bad, 1.0, norms)
-    return v / safe[:, None], bad
+    return v / safe[:, None], safe, bad
+
+
+def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u, _, bad = _unit_rows(v)
+    return u, bad
+
+
+def unit_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    Decode real parameter rows [Re z | Im z] (length 2*dim) into unit vectors
+    u = z/|z|.  Returns (u, |z|, bad), where `bad` marks rows with |z| below
+    1e-12 (their |z| is reported as 1).
+    """
+    return _unit_rows(_complex_rows(x, dim))
+
+
+def unit_rows_gradient(
+    grad: np.ndarray, u: np.ndarray, norms: np.ndarray, bad: np.ndarray
+) -> np.ndarray:
+    """
+    Chain rule through u = z/|z|: for a complex gradient G of f(u) (so that
+    df = Re <G, du>) returns the real gradient with respect to [Re z | Im z],
+    g = (G - Re<u, G> u) / |z| stacked as [Re g | Im g].  Rows marked `bad`
+    get a zero gradient, so the ascent stops there.
+    """
+    radial = (u.conj() * grad).sum(axis=1).real
+    g = (grad - radial[:, None] * u) / norms[:, None]
+    g[bad] = 0.0
+    return np.concatenate([g.real, g.imag], axis=1)
+
+
+def herm_sign(x: np.ndarray) -> np.ndarray:
+    """
+    sign(X) = V sign(Lambda) V^H for a batch of Hermitian matrices: the
+    gradient of the trace norm at X (one subgradient when X is singular).
+    """
+    w, v = npl.eigh(x)
+    return (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 def _herm_trace_norms(x: np.ndarray) -> np.ndarray:
@@ -224,6 +266,122 @@ def _objective_hat_diamond(chan_a: Channel, chan_b: Channel):
 
 
 # ---------------------------------------------------------------------------
+# closed-form gradients of the objectives
+# ---------------------------------------------------------------------------
+#
+# Each factory returns grad(x), the gradient of its objective with respect to
+# the real parameters at every row of x.  The trace norm is differentiated
+# through its sign factor (Hermitian differences) or its polar factor (dtr);
+# the pure-input measures share one routine, with the input u held as a
+# (dim_in, anc) matrix: anc = 1 for dtrD, the ancilla for the stabilized
+# measures, and the Ginibre factor's second index for hat-tr (which traces
+# the ancilla out of the outputs).
+
+
+def _outputs(images: np.ndarray, joint: bool) -> np.ndarray:
+    # sum_e y_e y_e^H for images y = K_e u of shape (m, e, dim_out, anc),
+    # on dim_out (x) anc when `joint`, else with the ancilla traced out.
+    m, e, o, a = images.shape
+    if joint:
+        flat = images.reshape(m, e, o * a)
+        return flat.transpose(0, 2, 1) @ flat.conj()
+    flat = images.transpose(0, 2, 1, 3).reshape(m, o, e * a)
+    return flat @ flat.conj().transpose(0, 2, 1)
+
+
+def _pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: bool):
+    # (sum_e K_e^H S K_e u, tr(S sum_e y_e y_e^H)) from the images y = K_e u.
+    m, e, o, a = images.shape
+    if joint:
+        s_images = (sign[:, None] @ images.reshape(m, e, o * a, 1)).reshape(m, e, o, a)
+    else:
+        s_images = sign[:, None] @ images
+    pulled = (stack.conj().transpose(0, 2, 1) @ s_images).sum(axis=1)
+    return pulled, (images.conj() * s_images).real.sum(axis=(1, 2, 3))
+
+
+def _gradient_pure(
+    chan_a: Channel, chan_b: Channel, anc: int, joint: bool, renormalize: bool
+):
+    ka, kb = _kraus_stacks(chan_a, chan_b)
+    ea, eb = chan_a.effect, chan_b.effect
+    d = chan_a.dim_in
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        u, norms, bad = unit_rows(x, d * anc)
+        u3 = u.reshape(-1, d, anc)
+        ya, yb = ka @ u3[:, None], kb @ u3[:, None]
+        out_a, out_b = _outputs(ya, joint), _outputs(yb, joint)
+        if renormalize:
+            tr_a = np.trace(out_a, axis1=1, axis2=2).real
+            tr_b = np.trace(out_b, axis1=1, axis2=2).real
+            bad = bad | (tr_a < 1e-30) | (tr_b < 1e-30)
+            tr_a = np.where(tr_a < 1e-30, 1.0, tr_a)[:, None, None]
+            tr_b = np.where(tr_b < 1e-30, 1.0, tr_b)[:, None, None]
+            out_a, out_b = out_a / tr_a, out_b / tr_b
+        sign = herm_sign(out_a - out_b)
+        pa, sa = _pullback(ka, ya, sign, joint)
+        pb, sb = _pullback(kb, yb, sign, joint)
+        if renormalize:
+            # Quotient rule for || P/p - Q/q ||_1 with p = <u, E_a u>, q = <u, E_b u>.
+            pa = (pa - (sa[:, None, None] / tr_a) * (ea @ u3)) / tr_a
+            pb = (pb - (sb[:, None, None] / tr_b) * (eb @ u3)) / tr_b
+        g = 2.0 * (pa - pb)
+        return unit_rows_gradient(g.reshape(-1, d * anc), u, norms, bad)
+
+    return grad
+
+
+def _gradient_dtrD(chan_a: Channel, chan_b: Channel):
+    return _gradient_pure(chan_a, chan_b, 1, joint=False, renormalize=False)
+
+
+def _gradient_diamond(chan_a: Channel, chan_b: Channel):
+    return _gradient_pure(chan_a, chan_b, chan_a.dim_in, joint=True, renormalize=False)
+
+
+def _gradient_hat_tr(chan_a: Channel, chan_b: Channel):
+    return _gradient_pure(chan_a, chan_b, chan_a.dim_in, joint=False, renormalize=True)
+
+
+def _gradient_hat_diamond(chan_a: Channel, chan_b: Channel):
+    return _gradient_pure(chan_a, chan_b, chan_a.dim_in, joint=True, renormalize=True)
+
+
+def _gradient_dtr(chan_a: Channel, chan_b: Channel):
+    # || Delta ||_1 for Delta = sum_e A_e u v^H A_e^H - B_e u v^H B_e^H: with the
+    # polar factor W = U V^H of Delta and N = sum_e A_e^H W A_e - B_e^H W B_e,
+    # the complex gradients are N v (in u) and N^H u (in v).
+    ka, kb = _kraus_stacks(chan_a, chan_b)
+    d = chan_a.dim_in
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        u, norms_u, bad_u = unit_rows(x[:, : 2 * d], d)
+        v, norms_v, bad_v = unit_rows(x[:, 2 * d :], d)
+        au, av = ka @ u[:, None, :, None], ka @ v[:, None, :, None]
+        bu, bv = kb @ u[:, None, :, None], kb @ v[:, None, :, None]
+        diff = (au @ av.conj().transpose(0, 1, 3, 2)).sum(axis=1) - (
+            bu @ bv.conj().transpose(0, 1, 3, 2)
+        ).sum(axis=1)
+        left, _, right = npl.svd(diff)
+        polar = (left @ right)[:, None]
+        polar_h = polar.conj().transpose(0, 1, 3, 2)
+        ka_h, kb_h = ka.conj().transpose(0, 2, 1), kb.conj().transpose(0, 2, 1)
+        gu = (ka_h @ polar @ av).sum(axis=1) - (kb_h @ polar @ bv).sum(axis=1)
+        gv = (ka_h @ polar_h @ au).sum(axis=1) - (kb_h @ polar_h @ bu).sum(axis=1)
+        bad = bad_u | bad_v
+        return np.concatenate(
+            [
+                unit_rows_gradient(gu[..., 0], u, norms_u, bad),
+                unit_rows_gradient(gv[..., 0], v, norms_v, bad),
+            ],
+            axis=1,
+        )
+
+    return grad
+
+
+# ---------------------------------------------------------------------------
 # multi-start maximizer
 # ---------------------------------------------------------------------------
 
@@ -235,14 +393,34 @@ def _restart_rng(master_seed: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([master_seed & _SEED_MASK, restart])
 
 
-def _maximize(batch_fn, n_params: int, cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
+class AscentResult(NamedTuple):
+    """
+    Output of `maximize`.  `values` and `points` hold every restart's final
+    objective value and parameter row; `winner` is the maximal value with
+    smallest-index tie-break; `converged` means the two best restarts agree
+    within the value tolerance.  `iterations` counts lockstep ascent steps
+    (at most `max_iterations`), and `evaluations` counts objective points:
+    the starting points, one per gradient and one per line-search candidate.
+    """
+
+    values: np.ndarray
+    points: np.ndarray
+    winner: int
+    converged: bool
+    iterations: int
+    evaluations: int
+
+
+def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentResult:
     """
     Run all restarts of a gradient-ascent line-search loop in lockstep.
 
-    Returns (values, points, winner_index, converged).  Restart r starts from
-    its own rng stream derived from (master_seed, r); the winner is the maximal
-    value with smallest-index tie-break; `converged` means the two best
-    restarts agree within the value tolerance.
+    `value_fn` maps a batch of parameter rows to objective values and
+    `grad_fn` to their gradients (rows of length `n_params`).  Restart r
+    starts from its own rng stream derived from (master_seed, r).  Each step
+    tries four step lengths along the normalized gradient and keeps the best
+    if it improves; a restart stops at a zero gradient, a step below the step
+    tolerance, or five steps in a row that gain less than the value tolerance.
     """
     if cfg.restarts < 1:
         raise InvalidInputError("optimizer needs at least one restart")
@@ -251,58 +429,57 @@ def _maximize(batch_fn, n_params: int, cfg: OptimizerConfig) -> tuple[np.ndarray
     for r in range(reps):
         x[r] = _restart_rng(cfg.master_seed, r).standard_normal(n_params)
     x /= np.maximum(npl.norm(x, axis=1), 1e-12)[:, None]
-    values = batch_fn(x)
+    values = value_fn(x)
+    evaluations = reps
+    iterations = 0
     alpha = np.full(reps, 0.25)
     stall = np.zeros(reps, dtype=int)
     active = np.ones(reps, dtype=bool)
-    eye = np.eye(n_params)
-    for _ in range(cfg.max_iterations):
+    n_steps = _LINE_SEARCH.size
+    while iterations < cfg.max_iterations:
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
+        iterations += 1
         k = idx.size
         xa = x[idx]
-        plus = xa[:, None, :] + GRADIENT_STEP * eye[None, :, :]
-        minus = xa[:, None, :] - GRADIENT_STEP * eye[None, :, :]
-        probe = np.concatenate([plus, minus], axis=1).reshape(2 * k * n_params, n_params)
-        sides = batch_fn(probe).reshape(k, 2, n_params)
-        grad = (sides[:, 0, :] - sides[:, 1, :]) / (2.0 * GRADIENT_STEP)
+        grad = grad_fn(xa)
         gnorm = npl.norm(grad, axis=1)
         flat = gnorm <= 1e-9
         dirs = grad / np.maximum(gnorm, 1e-300)[:, None]
         steps = alpha[idx, None] * _LINE_SEARCH[None, :]
         cand = xa[:, None, :] + steps[:, :, None] * dirs[:, None, :]
-        cand_vals = batch_fn(cand.reshape(k * _LINE_SEARCH.size, n_params))
-        cand_vals = cand_vals.reshape(k, _LINE_SEARCH.size)
+        cand_vals = value_fn(cand.reshape(k * n_steps, n_params)).reshape(k, n_steps)
+        evaluations += k * (1 + n_steps)
         pick = np.argmax(cand_vals, axis=1)
         rows = np.arange(k)
         best_vals = cand_vals[rows, pick]
-        improved = best_vals > values[idx] + 1e-15
-        for j in range(k):
-            r = idx[j]
-            if flat[j]:
-                active[r] = False
-                continue
-            if improved[j]:
-                new_x = cand[j, pick[j]]
-                norm = npl.norm(new_x)
-                x[r] = new_x / norm if norm > 1e-12 else new_x
-                gain = best_vals[j] - values[r]
-                values[r] = best_vals[j]
-                alpha[r] = min(max(steps[j, pick[j]], 10.0 * cfg.step_tolerance), 4.0)
-                stall[r] = stall[r] + 1 if gain < cfg.value_tolerance else 0
-            else:
-                alpha[r] *= 0.125
-                stall[r] += 1
-            if alpha[r] < cfg.step_tolerance or stall[r] >= 5:
-                active[r] = False
+        moved = ~flat & (best_vals > values[idx] + 1e-15)
+        held = ~flat & ~moved
+
+        r = idx[moved]
+        new_x = cand[rows[moved], pick[moved]]
+        norms = npl.norm(new_x, axis=1)
+        x[r] = new_x / np.where(norms > 1e-12, norms, 1.0)[:, None]
+        gain = best_vals[moved] - values[r]
+        values[r] = best_vals[moved]
+        alpha[r] = np.minimum(
+            np.maximum(steps[rows[moved], pick[moved]], 10.0 * cfg.step_tolerance), 4.0
+        )
+        stall[r] = np.where(gain < cfg.value_tolerance, stall[r] + 1, 0)
+
+        r = idx[held]
+        alpha[r] *= 0.125
+        stall[r] += 1
+
+        active[idx] = ~flat & (alpha[idx] >= cfg.step_tolerance) & (stall[idx] < 5)
     winner = int(np.argmax(values))
     if reps == 1:
         converged = True
     else:
         top = np.sort(values)[::-1]
         converged = bool(top[0] - top[1] <= cfg.value_tolerance)
-    return values, x, winner, converged
+    return AscentResult(values, x, winner, converged, iterations, evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +541,30 @@ def _check_stabilized(chan_a: Channel, chan_b: Channel) -> None:
         )
 
 
-def _run_measure(measure, chan_a, chan_b, cfg, objective_factory, decode):
+# measure -> (batched objective factory, gradient factory)
+_FACTORIES = {
+    "dtrD": (_objective_dtrD, _gradient_dtrD),
+    "dtr": (_objective_dtr, _gradient_dtr),
+    "diamond": (_objective_diamond, _gradient_diamond),
+    "hat-tr": (_objective_hat_tr, _gradient_hat_tr),
+    "hat-diamond": (_objective_hat_diamond, _gradient_hat_diamond),
+}
+
+
+def _run_measure(measure, chan_a, chan_b, cfg, decode):
+    objective_factory, gradient_factory = _FACTORIES[measure]
     fn, n_params = objective_factory(chan_a, chan_b)
-    _, points, winner, converged = _maximize(fn, n_params, cfg)
-    witness = decode(points[winner])
+    res = maximize(fn, gradient_factory(chan_a, chan_b), n_params, cfg)
+    witness = decode(res.points[res.winner])
     value = evaluate_witness(measure, chan_a, chan_b, witness)
     return DistanceEstimate(
         measure=measure,
         value=value,
         witness=witness,
         restarts_used=cfg.restarts,
-        converged=converged,
+        converged=res.converged,
+        iterations=res.iterations,
+        evaluations=res.evaluations,
     )
 
 
@@ -391,7 +581,7 @@ def trace_distance_states(
     def decode(x):
         return PureState.normalized(x[: 2 * d][:d] + 1j * x[: 2 * d][d:])
 
-    return _run_measure("dtrD", chan_a, chan_b, cfg, _objective_dtrD, decode)
+    return _run_measure("dtrD", chan_a, chan_b, cfg, decode)
 
 
 def trace_distance_operators(
@@ -409,7 +599,7 @@ def trace_distance_operators(
         v = PureState.normalized(x[2 * d :][:d] + 1j * x[2 * d :][d:])
         return (u, v)
 
-    return _run_measure("dtr", chan_a, chan_b, cfg, _objective_dtr, decode)
+    return _run_measure("dtr", chan_a, chan_b, cfg, decode)
 
 
 def diamond_distance(
@@ -425,7 +615,7 @@ def diamond_distance(
     def decode(x):
         return PureState.normalized(x[: d * d] + 1j * x[d * d :])
 
-    return _run_measure("diamond", chan_a, chan_b, cfg, _objective_diamond, decode)
+    return _run_measure("diamond", chan_a, chan_b, cfg, decode)
 
 
 def diamond_norm_channel(ch: Channel) -> float:
@@ -455,7 +645,7 @@ def postselected_trace_distance(
         rho = t @ t.conj().T
         return DensityMatrix(rho / np.trace(rho).real)
 
-    return _run_measure("hat-tr", chan_a, chan_b, cfg, _objective_hat_tr, decode)
+    return _run_measure("hat-tr", chan_a, chan_b, cfg, decode)
 
 
 def postselected_diamond_distance(
@@ -473,7 +663,7 @@ def postselected_diamond_distance(
     def decode(x):
         return PureState.normalized(x[: d * d] + 1j * x[d * d :])
 
-    return _run_measure("hat-diamond", chan_a, chan_b, cfg, _objective_hat_diamond, decode)
+    return _run_measure("hat-diamond", chan_a, chan_b, cfg, decode)
 
 
 _MEASURE_FUNCS = {
@@ -600,14 +790,7 @@ def dense_oracle(
     if measure in ("hat-tr", "hat-diamond"):
         chan_a, chan_b = _canonical_pair(chan_a, chan_b)
         require_postselection_pair(chan_a, chan_b)
-    factory = {
-        "dtrD": _objective_dtrD,
-        "dtr": _objective_dtr,
-        "diamond": _objective_diamond,
-        "hat-tr": _objective_hat_tr,
-        "hat-diamond": _objective_hat_diamond,
-    }[measure]
-    fn, n_params = factory(chan_a, chan_b)
+    fn, n_params = _FACTORIES[measure][0](chan_a, chan_b)
     rng = np.random.default_rng([seed & _SEED_MASK, 1])
     best = -np.inf
     remaining = int(samples)

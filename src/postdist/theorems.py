@@ -41,22 +41,22 @@ from .channels import (
 )
 from .distances import (
     OptimizerConfig,
-    DistanceEstimate,
-    _complex_rows,
     _herm_trace_norms,
-    _maximize,
-    _normalize_rows,
     _pure_outputs,
     diamond_distance,
     diamond_norm_channel,
     evaluate_witness,
+    herm_sign,
+    maximize,
     postselected_diamond_distance,
     postselected_trace_distance,
     renormalized_distance,
     trace_distance_operators,
     trace_distance_states,
+    unit_rows,
+    unit_rows_gradient,
 )
-from .linalg import InvalidInputError, operator_norm, tensor, trace_norm
+from .linalg import InvalidInputError, operator_norm, trace_norm
 
 # Comparisons between exactly evaluated quantities tolerate rounding only;
 # comparisons whose small side involves an optimizer estimate get more room.
@@ -537,13 +537,29 @@ def _objective_output_separation(ch: Channel):
     d = ch.dim_in
 
     def fn(x: np.ndarray) -> np.ndarray:
-        u, bad_u = _normalize_rows(_complex_rows(x[:, : 2 * d], d))
-        v, bad_v = _normalize_rows(_complex_rows(x[:, 2 * d :], d))
+        u, _, bad_u = unit_rows(x[:, : 2 * d], d)
+        v, _, bad_v = unit_rows(x[:, 2 * d :], d)
         vals = _herm_trace_norms(_pure_outputs(stack, u) - _pure_outputs(stack, v))
         vals[bad_u | bad_v] = -np.inf
         return vals
 
-    return fn, 4 * d
+    def grad(x: np.ndarray) -> np.ndarray:
+        # With S = sign(Psi(uu^H) - Psi(vv^H)) and M = sum_e K_e^H S K_e:
+        # 2 M u in u and -2 M v in v.
+        u, norms_u, bad_u = unit_rows(x[:, : 2 * d], d)
+        v, norms_v, bad_v = unit_rows(x[:, 2 * d :], d)
+        sign = herm_sign(_pure_outputs(stack, u) - _pure_outputs(stack, v))
+        m_op = np.einsum("eji,mjk,ekl->mil", stack.conj(), sign, stack)
+        bad = bad_u | bad_v
+        return np.concatenate(
+            [
+                unit_rows_gradient(2.0 * (m_op @ u[:, :, None])[:, :, 0], u, norms_u, bad),
+                unit_rows_gradient(-2.0 * (m_op @ v[:, :, None])[:, :, 0], v, norms_v, bad),
+            ],
+            axis=1,
+        )
+
+    return fn, grad, 4 * d
 
 
 def output_separation(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
@@ -551,9 +567,8 @@ def output_separation(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> 
     Largest trace distance between two outputs on pure inputs (the objective is
     jointly convex in the two states, so pure pairs are exhaustive).
     """
-    fn, n_params = _objective_output_separation(ch)
-    values, _, winner, _ = _maximize(fn, n_params, cfg)
-    return float(values[winner])
+    res = maximize(*_objective_output_separation(ch), cfg)
+    return float(res.values[res.winner])
 
 
 def conversion_factor(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
@@ -609,13 +624,19 @@ def _objective_probability_spread(ch: Channel, k: float):
     d = ch.dim_in
 
     def fn(x: np.ndarray) -> np.ndarray:
-        u, bad = _normalize_rows(_complex_rows(x, d))
+        u, _, bad = unit_rows(x, d)
         probs = np.einsum("mi,ij,mj->m", u.conj(), effect, u).real
         vals = np.abs(probs - k)
         vals[bad] = -np.inf
         return vals
 
-    return fn, 2 * d
+    def grad(x: np.ndarray) -> np.ndarray:
+        u, norms, bad = unit_rows(x, d)
+        eu = u @ effect.T
+        probs = (u.conj() * eu).sum(axis=1).real
+        return unit_rows_gradient(2.0 * np.sign(probs - k)[:, None] * eu, u, norms, bad)
+
+    return fn, grad, 2 * d
 
 
 def check_conversion(
@@ -650,9 +671,8 @@ def check_conversion(
     g_at_state = evaluate_witness("dtrD", unit, reference, state_est.witness)
     left_ok = 0.5 * f_at_state <= g_at_state + CLOSED_FORM_SLACK
 
-    fn, n_params = _objective_probability_spread(ch, k)
-    values, _, winner, _ = _maximize(fn, n_params, cfg)
-    spread = float(values[winner])
+    res = maximize(*_objective_probability_spread(ch, k), cfg)
+    spread = float(res.values[res.winner])
     spread = max(
         spread, abs(float(np.trace(apply(ch, hat_est.witness)).real) - k)
     )

@@ -1,10 +1,15 @@
 # tests/test_cli.py
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import postdist
 from postdist.channels import channel_to_json, random_channel, read_channel
 from postdist.cli import main
 from postdist.theorems import TheoremReport
@@ -53,6 +58,27 @@ def test_dist_out_json_matches_stdout(tmp_path, capsys):
     assert payload["value"] == stdout_value
     assert payload["witness"]["type"] == "pure"
     assert len(payload["witness"]["vector"]) == 2
+
+
+def test_dist_out_json_carries_repeatable_counters(tmp_path, capsys):
+    _example(tmp_path, "conversion_pair")
+    a = str(tmp_path / "conversion_pair_0.json")
+    b = str(tmp_path / "conversion_pair_1.json")
+    payloads, lines = [], []
+    for run in range(2):
+        capsys.readouterr()
+        out_file = tmp_path / f"result_{run}.json"
+        assert main(["dist", "hat-diamond", a, b, *FAST, "--out", str(out_file)]) == 0
+        lines.append(capsys.readouterr().out)
+        payloads.append(json.loads(out_file.read_text()))
+    assert lines[0] == lines[1]
+    assert "iterations" not in lines[0] and "evaluations" not in lines[0]
+    first, second = payloads
+    assert isinstance(first["iterations"], int) and first["iterations"] >= 1
+    assert first["evaluations"] > first["iterations"]
+    assert (first["iterations"], first["evaluations"]) == (
+        second["iterations"], second["evaluations"]
+    )
 
 
 def test_dist_seed_changes_are_still_deterministic(tmp_path, capsys):
@@ -194,6 +220,23 @@ def test_verify_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_verify_output_does_not_depend_on_blas_threads():
+    src = str(Path(postdist.__file__).resolve().parents[1])
+    command = [
+        sys.executable, "-m", "postdist.cli", "verify", "--suite", "L1,CE3", "--seed", "11",
+        "--trials", "2", "--restarts", "4", "--max-iter", "80",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(command, env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0].endswith(b"OK\n")
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,129 @@
+# tests/test_gradients.py
+#
+# The optimizer ascends on closed-form gradients; these tests hold each one
+# against central finite differences of its own objective at seeded random
+# points.
+
+import warnings
+
+import numpy as np
+import pytest
+
+from postdist.channels import Channel, random_channel
+from postdist.distances import (
+    _FACTORIES,
+    MEASURES,
+    OptimizerConfig,
+    distance,
+    evaluate_witness,
+)
+from postdist.theorems import _objective_output_separation, _objective_probability_spread
+
+GRADIENT_STEP = 1e-6
+RTOL = 1e-6
+POINTS = 4
+
+def central_differences(fn, x: np.ndarray) -> np.ndarray:
+    eye = np.eye(x.shape[1])
+    out = np.empty_like(x)
+    for row in range(x.shape[0]):
+        plus = fn(x[row] + GRADIENT_STEP * eye)
+        minus = fn(x[row] - GRADIENT_STEP * eye)
+        out[row] = (plus - minus) / (2.0 * GRADIENT_STEP)
+    return out
+
+
+def assert_gradient_matches(fn, grad, n_params: int, seed: int) -> None:
+    x = np.random.default_rng(seed).standard_normal((POINTS, n_params))
+    analytic = grad(x)
+    numeric = central_differences(fn, x)
+    assert analytic.shape == (POINTS, n_params)
+    err = np.linalg.norm(analytic - numeric, axis=1) / np.linalg.norm(numeric, axis=1)
+    assert np.all(err <= RTOL), err
+
+
+def _pair(kind: str, dim_in: int, dim_out: int, seed: int):
+    return (
+        random_channel(dim_in, dim_out, rank=2, kind=kind, seed=2 * seed),
+        random_channel(dim_in, dim_out, rank=2, kind=kind, seed=2 * seed + 1),
+    )
+
+
+PAIRS = [("cptp", 2, 2), ("cptp", 3, 3), ("postselection", 2, 2), ("postselection", 3, 3)]
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("postselection", 2, 3)])
+def test_measure_gradient_matches_central_differences(measure, kind, dim_in, dim_out):
+    a, b = _pair(kind, dim_in, dim_out, seed=dim_in + 10 * dim_out)
+    objective, gradient = _FACTORIES[measure]
+    fn, n_params = objective(a, b)
+    assert_gradient_matches(fn, gradient(a, b), n_params, seed=dim_in)
+
+
+@pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
+def test_output_separation_gradient_matches_central_differences(kind, dim_in, dim_out):
+    ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=7 * dim_in + dim_out)
+    fn, grad, n_params = _objective_output_separation(ch)
+    assert_gradient_matches(fn, grad, n_params, seed=dim_in)
+
+
+@pytest.mark.parametrize("dim_in,dim_out", [(2, 2), (3, 3), (2, 3)])
+def test_probability_spread_gradient_matches_central_differences(dim_in, dim_out):
+    ch = random_channel(dim_in, dim_out, rank=2, kind="postselection", seed=5 * dim_in + dim_out)
+    # k inside the effect's spectrum, so the sign of p - k varies over the points
+    fn, grad, n_params = _objective_probability_spread(ch, float(np.mean(ch.effect_eigenvalues)))
+    assert_gradient_matches(fn, grad, n_params, seed=dim_in)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_probability_spread_gradient_vanishes_for_trace_preserving(dim):
+    # tr Psi(rho) = 1 for every input: both gradients are rounding noise.
+    ch = random_channel(dim, dim, rank=2, kind="cptp", seed=dim)
+    fn, grad, n_params = _objective_probability_spread(ch, 0.5)
+    x = np.random.default_rng(dim).standard_normal((POINTS, n_params))
+    assert np.max(np.abs(grad(x))) <= 1e-9
+    assert np.max(np.abs(central_differences(fn, x))) <= 1e-6
+
+
+def test_gradient_is_zero_on_degenerate_rows():
+    a, b = _pair("postselection", 2, 2, seed=3)
+    for objective, gradient in _FACTORIES.values():
+        _, n_params = objective(a, b)
+        g = gradient(a, b)(np.zeros((2, n_params)))
+        assert np.all(g == 0.0)
+
+
+def _near_floor_channel(seed: int, floor_gap: float) -> Channel:
+    # A postselection channel whose effect has lambda_min = floor_gap: the
+    # first Kraus operator is scaled down along the effect's weakest direction.
+    ch = random_channel(2, 2, rank=2, kind="postselection", seed=seed)
+    w, v = np.linalg.eigh(ch.effect)
+    shrink = v @ np.diag(np.sqrt([floor_gap / w[0], 1.0])) @ v.conj().T
+    return Channel(tuple(op @ shrink for op in ch.kraus), name="near_floor")
+
+
+def test_hat_measures_near_postselection_floor():
+    a = _near_floor_channel(41, 2e-10)
+    b = random_channel(2, 2, rank=2, kind="postselection", seed=42)
+    assert 1e-10 < a.effect_eigenvalues[0] < 3e-10
+    cfg = OptimizerConfig(master_seed=1, restarts=6, max_iterations=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in ("hat-tr", "hat-diamond"):
+            est = distance(measure, a, b, cfg)
+            assert np.isfinite(est.value)
+            assert 0.0 <= est.value <= 2.0 + 1e-9
+            assert evaluate_witness(measure, a, b, est.witness) == est.value
+
+
+def test_counters_repeat_exactly():
+    a, b = _pair("postselection", 3, 3, seed=8)
+    cfg = OptimizerConfig(master_seed=4, restarts=6, max_iterations=200)
+    for measure in MEASURES:
+        first = distance(measure, a, b, cfg)
+        second = distance(measure, a, b, cfg)
+        assert 1 <= first.iterations <= cfg.max_iterations
+        assert first.evaluations >= cfg.restarts + 5 * first.iterations
+        assert (first.iterations, first.evaluations) == (second.iterations, second.evaluations)
+        assert first.value == second.value
