@@ -83,7 +83,8 @@ from .theorems import (
     check_dilation_norm_identity,
     check_isometry_approximation,
     check_postselected_contractivity,
-    check_postselected_isometry_bounds,
+    check_postselected_diamond_bound,
+    check_postselected_dilation_bound,
     check_postselected_subadditivity,
     check_state_distance_doubling,
     check_subadditivity,

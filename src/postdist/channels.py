@@ -419,7 +419,15 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _depolarizing_kraus(dim_in: int, dim_out: int, weight: float) -> list[np.ndarray]:
+def haar_isometry(rng: np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
+    """Haar random isometry C^dim_in -> C^dim_out: QR of a Ginibre matrix, phases fixed."""
+    q, r = npl.qr(_ginibre(rng, dim_out, dim_in))
+    phases = np.diagonal(r).copy()
+    phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
+    return q * phases.conj()
+
+
+def depolarizing_kraus(dim_in: int, dim_out: int, weight: float) -> list[np.ndarray]:
     # Effect operator of this set is weight * identity for any dims.
     amp = np.sqrt(weight / dim_out)
     ops = []
@@ -461,12 +469,7 @@ def random_channel(
             raise ParameterError(
                 f"no isometry into {dim_out}*{rank} dimensions from {dim_in}"
             )
-        g = _ginibre(rng, dim_out * rank, dim_in)
-        q, r = npl.qr(g)
-        phases = np.diagonal(r).copy()
-        phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
-        v = q * phases.conj()
-        blocks = v.reshape(dim_out, rank, dim_in)
+        blocks = haar_isometry(rng, dim_out * rank, dim_in).reshape(dim_out, rank, dim_in)
         ops = tuple(blocks[:, e, :] for e in range(rank))
         return Channel(ops, name=f"random_cptp(d{dim_in}->d{dim_out},r{rank})")
     if kind == "postselection":
@@ -481,7 +484,7 @@ def random_channel(
         if dim_out >= dim_in:
             ops.append(np.sqrt(delta) * np.eye(dim_out, dim_in, dtype=complex))
         else:
-            ops.extend(_depolarizing_kraus(dim_in, dim_out, delta))
+            ops.extend(depolarizing_kraus(dim_in, dim_out, delta))
         return Channel(tuple(ops), name=f"random_postselection(d{dim_in}->d{dim_out},r{rank})")
     raise ParameterError(f"unknown channel kind {kind!r}")
 
@@ -592,6 +595,8 @@ def teleportation(dim: int) -> Channel:
     """
     if dim < 2:
         raise ParameterError(f"teleportation needs dim >= 2, got {dim}")
+    if dim > DIM_CAP:
+        raise CapacityError(f"teleportation dim {dim} exceeds dimension cap {DIM_CAP}")
     return Channel((np.eye(dim, dtype=complex) / dim,), name=f"teleportation(dim={dim})")
 
 
@@ -718,6 +723,6 @@ def read_channel(path: str | Path) -> Channel:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InvalidInputError(f"cannot read channel file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot parse channel file {path}: {exc}") from exc
     return channel_from_json(obj)

@@ -118,6 +118,8 @@ def _cmd_dist(args) -> int:
 
 def _cmd_verify(args) -> int:
     ids = normalize_suite_ids(args.suite)
+    if args.trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {args.trials}")
     cfg = RunConfig(
         seed=args.seed,
         trials=args.trials,
@@ -145,7 +147,7 @@ def _cmd_example(args) -> int:
     if args.matrix is not None:
         try:
             rows = json.loads(Path(args.matrix).read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot parse matrix file {args.matrix}: {exc}") from exc
         params["matrix"] = pairs_to_matrix(rows, context="matrix file")
     channels = gallery(args.name, **params)

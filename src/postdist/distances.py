@@ -3,6 +3,9 @@
 """
 Distance measures between channels, standard and postselected.
 
+Each measure is one `MeasureSpec` entry in `MEASURE_SPECS`; `distance`,
+`evaluate_witness` and `dense_oracle` all run from that table.
+
 Every supremum-type measure is estimated by a seeded multi-start local
 optimizer (gradient ascent on closed-form gradients, see `maximize`) and
 therefore is a lower bound on the true value; callers that need
@@ -21,7 +24,7 @@ renormalized counterpart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.linalg as npl
@@ -30,12 +33,11 @@ from .channels import (
     Channel,
     DensityMatrix,
     PureState,
+    apply,
     require_postselection_pair,
     tensor_with_identity,
 )
 from .linalg import CapacityError, InvalidInputError, trace_norm
-
-MEASURES = ("dtrD", "dtr", "diamond", "hat-tr", "hat-diamond")
 
 # Input-dimension policy: unstabilized objectives stay cheap up to dim 8;
 # stabilized ones square the space, so they stop at dim-4 inputs.
@@ -43,10 +45,9 @@ UNSTABILIZED_DIM_CAP = 8
 STABILIZED_DIM_CAP = 4
 
 # The sampling oracle is only trusted as a cross-check at tiny dimensions.
-ORACLE_UNSTABILIZED_DIM_CAP = 3
-ORACLE_STABILIZED_DIM_CAP = 3
+ORACLE_DIM_CAP = 3
 
-_SEED_MASK = (1 << 63) - 1
+SEED_MASK = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -80,24 +81,8 @@ class DistanceEstimate:
 
 
 # ---------------------------------------------------------------------------
-# batched objective machinery
+# kit for writing batched objectives
 # ---------------------------------------------------------------------------
-
-
-def _complex_rows(x: np.ndarray, dim: int) -> np.ndarray:
-    return x[:, :dim] + 1j * x[:, dim:]
-
-
-def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    norms = npl.norm(v, axis=1)
-    bad = norms < 1e-12
-    safe = np.where(bad, 1.0, norms)
-    return v / safe[:, None], safe, bad
-
-
-def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u, _, bad = _unit_rows(v)
-    return u, bad
 
 
 def unit_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,7 +91,11 @@ def unit_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     u = z/|z|.  Returns (u, |z|, bad), where `bad` marks rows with |z| below
     1e-12 (their |z| is reported as 1).
     """
-    return _unit_rows(_complex_rows(x, dim))
+    z = x[:, :dim] + 1j * x[:, dim:]
+    norms = npl.norm(z, axis=1)
+    bad = norms < 1e-12
+    safe = np.where(bad, 1.0, norms)
+    return z / safe[:, None], safe, bad
 
 
 def unit_rows_gradient(
@@ -133,35 +122,29 @@ def herm_sign(x: np.ndarray) -> np.ndarray:
     return (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _herm_trace_norms(x: np.ndarray) -> np.ndarray:
+def herm_trace_norms(x: np.ndarray) -> np.ndarray:
+    """Trace norms of a batch of Hermitian matrices: the sums of |eigenvalues|."""
     w = npl.eigvalsh(x)
     return np.abs(w).sum(axis=-1)
+
+
+def pure_outputs(stack: np.ndarray, inputs: np.ndarray, joint: bool = False) -> np.ndarray:
+    """
+    sum_e (K_e u)(K_e u)^H for a Kraus stack (rank, dim_out, dim_in) and a batch
+    of inputs u as (batch, dim_in, anc) matrices: on dim_out (x) anc when
+    `joint`, else with the ancilla traced out (so a factor T gives Psi(T T^H)).
+    """
+    images = np.einsum("eij,mja->meia", stack, inputs)
+    if joint:
+        flat = images.reshape(images.shape[0], images.shape[1], -1)
+        return np.einsum("mep,meq->mpq", flat, flat.conj())
+    return np.einsum("meik,melk->mil", images, images.conj())
 
 
 def _gram_trace_norms(x: np.ndarray) -> np.ndarray:
     g = np.einsum("mji,mjk->mik", x.conj(), x)
     w = npl.eigvalsh(g)
     return np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
-
-
-def _pure_outputs(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
-    # Psi(|u><u|) for a batch of normalized states, without forming |u><u|.
-    w = np.einsum("eij,mj->mei", stack, states)
-    return np.einsum("mei,mek->mik", w, w.conj())
-
-
-def _extended_pure_outputs(stack: np.ndarray, states3: np.ndarray) -> np.ndarray:
-    # (Psi (x) I)(|u><u|) with u given as (batch, dim_in, anc).
-    y = np.einsum("eij,mja->meia", stack, states3)
-    m, r = y.shape[0], y.shape[1]
-    flat = y.reshape(m, r, -1)
-    return np.einsum("mep,meq->mpq", flat, flat.conj())
-
-
-def _density_outputs(stack: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    # Psi(T T^H) for a batch of Ginibre-style factors T.
-    m = np.einsum("eij,mjk->meik", stack, factors)
-    return np.einsum("meik,melk->mil", m, m.conj())
 
 
 def _kraus_stacks(chan_a: Channel, chan_b: Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -173,114 +156,47 @@ def _kraus_stacks(chan_a: Channel, chan_b: Channel) -> tuple[np.ndarray, np.ndar
     return chan_a.kraus_stack, chan_b.kraus_stack
 
 
-def _objective_dtrD(chan_a: Channel, chan_b: Channel):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        states, bad = _normalize_rows(_complex_rows(x, d))
-        vals = _herm_trace_norms(_pure_outputs(ka, states) - _pure_outputs(kb, states))
-        vals[bad] = -np.inf
-        return vals
-
-    return fn, 2 * d
-
-
-def _objective_dtr(chan_a: Channel, chan_b: Channel):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        u, bad_u = _normalize_rows(_complex_rows(x[:, : 2 * d], d))
-        v, bad_v = _normalize_rows(_complex_rows(x[:, 2 * d :], d))
-        wau = np.einsum("eij,mj->mei", ka, u)
-        wav = np.einsum("eij,mj->mei", ka, v)
-        wbu = np.einsum("eij,mj->mei", kb, u)
-        wbv = np.einsum("eij,mj->mei", kb, v)
-        diff = np.einsum("mei,mek->mik", wau, wav.conj()) - np.einsum(
-            "mei,mek->mik", wbu, wbv.conj()
-        )
-        vals = _gram_trace_norms(diff)
-        vals[bad_u | bad_v] = -np.inf
-        return vals
-
-    return fn, 4 * d
-
-
-def _objective_diamond(chan_a: Channel, chan_b: Channel):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        states, bad = _normalize_rows(_complex_rows(x, d * d))
-        s3 = states.reshape(-1, d, d)
-        vals = _herm_trace_norms(
-            _extended_pure_outputs(ka, s3) - _extended_pure_outputs(kb, s3)
-        )
-        vals[bad] = -np.inf
-        return vals
-
-    return fn, 2 * d * d
-
-
-def _objective_hat_tr(chan_a: Channel, chan_b: Channel):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        rows, bad = _normalize_rows(x[:, : d * d] + 1j * x[:, d * d :])
-        factors = rows.reshape(-1, d, d)
-        out_a = _density_outputs(ka, factors)
-        out_b = _density_outputs(kb, factors)
-        tr_a = np.einsum("mii->m", out_a).real
-        tr_b = np.einsum("mii->m", out_b).real
-        bad = bad | (tr_a < 1e-30) | (tr_b < 1e-30)
-        tr_a = np.where(tr_a < 1e-30, 1.0, tr_a)
-        tr_b = np.where(tr_b < 1e-30, 1.0, tr_b)
-        vals = _herm_trace_norms(out_a / tr_a[:, None, None] - out_b / tr_b[:, None, None])
-        vals[bad] = -np.inf
-        return vals
-
-    return fn, 2 * d * d
-
-
-def _objective_hat_diamond(chan_a: Channel, chan_b: Channel):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        states, bad = _normalize_rows(_complex_rows(x, d * d))
-        s3 = states.reshape(-1, d, d)
-        out_a = _extended_pure_outputs(ka, s3)
-        out_b = _extended_pure_outputs(kb, s3)
-        tr_a = np.einsum("mii->m", out_a).real
-        tr_b = np.einsum("mii->m", out_b).real
-        bad = bad | (tr_a < 1e-30) | (tr_b < 1e-30)
-        tr_a = np.where(tr_a < 1e-30, 1.0, tr_a)
-        tr_b = np.where(tr_b < 1e-30, 1.0, tr_b)
-        vals = _herm_trace_norms(out_a / tr_a[:, None, None] - out_b / tr_b[:, None, None])
-        vals[bad] = -np.inf
-        return vals
-
-    return fn, 2 * d * d
-
-
 # ---------------------------------------------------------------------------
-# closed-form gradients of the objectives
+# batched objectives and their closed-form gradients
 # ---------------------------------------------------------------------------
 #
-# Each factory returns grad(x), the gradient of its objective with respect to
-# the real parameters at every row of x.  The trace norm is differentiated
-# through its sign factor (Hermitian differences) or its polar factor (dtr);
-# the pure-input measures share one routine, with the input u held as a
-# (dim_in, anc) matrix: anc = 1 for dtrD, the ancilla for the stabilized
-# measures, and the Ginibre factor's second index for hat-tr (which traces
-# the ancilla out of the outputs).
+# Each factory takes the channel pair and returns a function of a batch of
+# real parameter rows.  Four measures share one pure-input kernel, with the
+# input u held as a (dim_in, anc) matrix: anc = 1 for dtrD, the ancilla for
+# the stabilized measures (`joint` outputs on dim_out (x) anc), and the
+# Ginibre factor's second index for hat-tr (traced out of the outputs).
+# `renormalize` divides each output by its trace.  The trace norm is
+# differentiated through its sign factor (Hermitian differences) or its polar
+# factor (dtr).
+
+
+def _objective_pure(
+    chan_a: Channel, chan_b: Channel, anc: int, joint: bool, renormalize: bool
+):
+    ka, kb = _kraus_stacks(chan_a, chan_b)
+    d = chan_a.dim_in
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        u, _, bad = unit_rows(x, d * anc)
+        u3 = u.reshape(-1, d, anc)
+        out_a, out_b = pure_outputs(ka, u3, joint), pure_outputs(kb, u3, joint)
+        if renormalize:
+            tr_a = np.einsum("mii->m", out_a).real
+            tr_b = np.einsum("mii->m", out_b).real
+            bad = bad | (tr_a < 1e-30) | (tr_b < 1e-30)
+            tr_a = np.where(tr_a < 1e-30, 1.0, tr_a)
+            tr_b = np.where(tr_b < 1e-30, 1.0, tr_b)
+            out_a, out_b = out_a / tr_a[:, None, None], out_b / tr_b[:, None, None]
+        vals = herm_trace_norms(out_a - out_b)
+        vals[bad] = -np.inf
+        return vals
+
+    return fn
 
 
 def _outputs(images: np.ndarray, joint: bool) -> np.ndarray:
-    # sum_e y_e y_e^H for images y = K_e u of shape (m, e, dim_out, anc),
-    # on dim_out (x) anc when `joint`, else with the ancilla traced out.
+    # pure_outputs in matmul form, from the images y = K_e u (m, e, dim_out, anc).
+    # The value kernels keep the einsum form: switching would move their last bits.
     m, e, o, a = images.shape
     if joint:
         flat = images.reshape(m, e, o * a)
@@ -332,20 +248,25 @@ def _gradient_pure(
     return grad
 
 
-def _gradient_dtrD(chan_a: Channel, chan_b: Channel):
-    return _gradient_pure(chan_a, chan_b, 1, joint=False, renormalize=False)
+def _objective_dtr(chan_a: Channel, chan_b: Channel):
+    ka, kb = _kraus_stacks(chan_a, chan_b)
+    d = chan_a.dim_in
 
+    def fn(x: np.ndarray) -> np.ndarray:
+        u, _, bad_u = unit_rows(x[:, : 2 * d], d)
+        v, _, bad_v = unit_rows(x[:, 2 * d :], d)
+        wau = np.einsum("eij,mj->mei", ka, u)
+        wav = np.einsum("eij,mj->mei", ka, v)
+        wbu = np.einsum("eij,mj->mei", kb, u)
+        wbv = np.einsum("eij,mj->mei", kb, v)
+        diff = np.einsum("mei,mek->mik", wau, wav.conj()) - np.einsum(
+            "mei,mek->mik", wbu, wbv.conj()
+        )
+        vals = _gram_trace_norms(diff)
+        vals[bad_u | bad_v] = -np.inf
+        return vals
 
-def _gradient_diamond(chan_a: Channel, chan_b: Channel):
-    return _gradient_pure(chan_a, chan_b, chan_a.dim_in, joint=True, renormalize=False)
-
-
-def _gradient_hat_tr(chan_a: Channel, chan_b: Channel):
-    return _gradient_pure(chan_a, chan_b, chan_a.dim_in, joint=False, renormalize=True)
-
-
-def _gradient_hat_diamond(chan_a: Channel, chan_b: Channel):
-    return _gradient_pure(chan_a, chan_b, chan_a.dim_in, joint=True, renormalize=True)
+    return fn
 
 
 def _gradient_dtr(chan_a: Channel, chan_b: Channel):
@@ -390,7 +311,7 @@ _LINE_SEARCH = np.array([2.0, 1.0, 0.5, 0.125])
 
 
 def _restart_rng(master_seed: int, restart: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed & _SEED_MASK, restart])
+    return np.random.default_rng([master_seed & SEED_MASK, restart])
 
 
 class AscentResult(NamedTuple):
@@ -483,8 +404,123 @@ def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentRe
 
 
 # ---------------------------------------------------------------------------
-# public objective and measures
+# the measure registry
 # ---------------------------------------------------------------------------
+
+
+def _decode_pure(x: np.ndarray, dim: int) -> PureState:
+    return PureState.normalized(x[:dim] + 1j * x[dim:])
+
+
+def _decode_pair(x: np.ndarray, dim: int) -> tuple[PureState, PureState]:
+    return (_decode_pure(x[: 2 * dim], dim), _decode_pure(x[2 * dim :], dim))
+
+
+def _decode_density(x: np.ndarray, dim: int) -> DensityMatrix:
+    t = (x[: dim * dim] + 1j * x[dim * dim :]).reshape(dim, dim)
+    rho = t @ t.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+def _state_input(witness, dim: int, measure: str) -> DensityMatrix:
+    # rho from a DensityMatrix or PureState witness.
+    if isinstance(witness, PureState):
+        witness = witness.density()
+    if not (isinstance(witness, DensityMatrix) and witness.dim == dim):
+        raise InvalidInputError(f"{measure} expects a DensityMatrix or PureState of dim {dim}")
+    return witness
+
+
+def _pair_input(witness, dim: int, measure: str) -> np.ndarray:
+    # |u><v| from a (PureState, PureState) witness.
+    pair = witness if isinstance(witness, tuple) and len(witness) == 2 else ()
+    if not (pair and all(isinstance(w, PureState) and w.dim == dim for w in pair)):
+        raise InvalidInputError(f"{measure} expects a (PureState, PureState) witness of dim {dim}")
+    return np.outer(pair[0].vector, pair[1].vector.conj())
+
+
+class MeasureSpec(NamedTuple):
+    """
+    One measure.  `value` and `gradient` map a channel pair to its batched
+    objective and gradient over `n_params(dim_in)` real parameters.
+    `decode(x, dim)` turns the winning row into a witness, and
+    `witness_input(witness, dim, measure)` a witness into the input operator,
+    where dim is that of the input space: dim_in, squared when `stabilized`.
+    `stabilized` extends both channels by an ancilla of the input dimension
+    and selects the stabilized cap; `postselected` renormalizes the outputs,
+    fixes a canonical pair order and requires postselection-valid channels.
+    """
+
+    value: Callable
+    gradient: Callable
+    n_params: Callable[[int], int]
+    decode: Callable
+    witness_input: Callable
+    stabilized: bool
+    postselected: bool
+
+    def ancilla(self, dim_in: int) -> int:
+        return dim_in if self.stabilized else 1
+
+
+def _pure_measure(decode, ancilla: bool, stabilized: bool, postselected: bool) -> MeasureSpec:
+    # A measure of the shared pure-input kernel (see `_objective_pure`): the
+    # stabilized ones keep the ancilla in the outputs, the postselected ones
+    # renormalize them.
+    def anc(dim_in: int) -> int:
+        return dim_in if ancilla else 1
+
+    return MeasureSpec(
+        lambda a, b: _objective_pure(a, b, anc(a.dim_in), stabilized, postselected),
+        lambda a, b: _gradient_pure(a, b, anc(a.dim_in), stabilized, postselected),
+        n_params=lambda d: 2 * d * anc(d),
+        decode=decode,
+        witness_input=_state_input,
+        stabilized=stabilized,
+        postselected=postselected,
+    )
+
+
+MEASURE_SPECS = {
+    "dtrD": _pure_measure(_decode_pure, ancilla=False, stabilized=False, postselected=False),
+    "dtr": MeasureSpec(
+        _objective_dtr,
+        _gradient_dtr,
+        n_params=lambda d: 4 * d,
+        decode=_decode_pair,
+        witness_input=_pair_input,
+        stabilized=False,
+        postselected=False,
+    ),
+    "diamond": _pure_measure(_decode_pure, ancilla=True, stabilized=True, postselected=False),
+    "hat-tr": _pure_measure(_decode_density, ancilla=True, stabilized=False, postselected=True),
+    "hat-diamond": _pure_measure(_decode_pure, ancilla=True, stabilized=True, postselected=True),
+}
+
+MEASURES = tuple(MEASURE_SPECS)
+
+
+def _spec(measure: str) -> MeasureSpec:
+    spec = MEASURE_SPECS.get(measure)
+    if spec is None:
+        raise InvalidInputError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    return spec
+
+
+def _checked_pair(
+    spec: MeasureSpec, chan_a: Channel, chan_b: Channel, cap: int | None
+) -> tuple[Channel, Channel]:
+    # One order for every entry point, so each bad input raises one error:
+    # canonical order (postselected only), matching dimensions, the input
+    # dimension cap, postselection validity (postselected only).
+    if spec.postselected:
+        chan_a, chan_b = _canonical_pair(chan_a, chan_b)
+    _kraus_stacks(chan_a, chan_b)
+    if cap is not None and chan_a.dim_in > cap:
+        raise CapacityError(f"input dimension {chan_a.dim_in} exceeds cap {cap}")
+    if spec.postselected:
+        require_postselection_pair(chan_a, chan_b)
+    return chan_a, chan_b
 
 
 def _canonical_pair(chan_a: Channel, chan_b: Channel) -> tuple[Channel, Channel]:
@@ -497,69 +533,24 @@ def _canonical_pair(chan_a: Channel, chan_b: Channel) -> tuple[Channel, Channel]
     return (chan_b, chan_a) if key(chan_b) < key(chan_a) else (chan_a, chan_b)
 
 
-def renormalized_distance(
-    chan_a: Channel, chan_b: Channel, rho: DensityMatrix | PureState
-) -> float:
-    """
-    Pointwise objective of the postselected distances:
-    || Psi(rho)/tr[Psi(rho)] - Phi(rho)/tr[Phi(rho)] ||_1.
-    Both channels must be postselection-valid so the traces stay positive.
-    """
-    chan_a, chan_b = _canonical_pair(chan_a, chan_b)
-    _kraus_stacks(chan_a, chan_b)
-    require_postselection_pair(chan_a, chan_b)
-    if isinstance(rho, PureState):
-        rho = rho.density()
-    if not isinstance(rho, DensityMatrix):
-        raise InvalidInputError("rho must be a DensityMatrix or PureState")
-    if rho.dim != chan_a.dim_in:
-        raise InvalidInputError(
-            f"state dimension {rho.dim} does not match channel input {chan_a.dim_in}"
-        )
-    from .channels import apply  # local import keeps module load order simple
-
-    out_a = apply(chan_a, rho)
-    out_b = apply(chan_b, rho)
-    return float(
-        trace_norm(out_a / np.trace(out_a).real - out_b / np.trace(out_b).real)
-    )
+# ---------------------------------------------------------------------------
+# estimating a measure
+# ---------------------------------------------------------------------------
 
 
-def _check_unstabilized(chan_a: Channel, chan_b: Channel) -> None:
-    _kraus_stacks(chan_a, chan_b)
-    if chan_a.dim_in > UNSTABILIZED_DIM_CAP:
-        raise CapacityError(
-            f"input dimension {chan_a.dim_in} exceeds unstabilized cap {UNSTABILIZED_DIM_CAP}"
-        )
-
-
-def _check_stabilized(chan_a: Channel, chan_b: Channel) -> None:
-    _kraus_stacks(chan_a, chan_b)
-    if chan_a.dim_in > STABILIZED_DIM_CAP:
-        raise CapacityError(
-            f"input dimension {chan_a.dim_in} exceeds stabilized cap {STABILIZED_DIM_CAP}"
-        )
-
-
-# measure -> (batched objective factory, gradient factory)
-_FACTORIES = {
-    "dtrD": (_objective_dtrD, _gradient_dtrD),
-    "dtr": (_objective_dtr, _gradient_dtr),
-    "diamond": (_objective_diamond, _gradient_diamond),
-    "hat-tr": (_objective_hat_tr, _gradient_hat_tr),
-    "hat-diamond": (_objective_hat_diamond, _gradient_hat_diamond),
-}
-
-
-def _run_measure(measure, chan_a, chan_b, cfg, decode):
-    objective_factory, gradient_factory = _FACTORIES[measure]
-    fn, n_params = objective_factory(chan_a, chan_b)
-    res = maximize(fn, gradient_factory(chan_a, chan_b), n_params, cfg)
-    witness = decode(res.points[res.winner])
-    value = evaluate_witness(measure, chan_a, chan_b, witness)
+def distance(
+    measure: str, chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
+) -> DistanceEstimate:
+    """Estimate a measure by its tag (dtrD, dtr, diamond, hat-tr, hat-diamond)."""
+    spec = _spec(measure)
+    cap = STABILIZED_DIM_CAP if spec.stabilized else UNSTABILIZED_DIM_CAP
+    chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, cap)
+    d = chan_a.dim_in
+    res = maximize(spec.value(chan_a, chan_b), spec.gradient(chan_a, chan_b), spec.n_params(d), cfg)
+    witness = spec.decode(res.points[res.winner], d * spec.ancilla(d))
     return DistanceEstimate(
         measure=measure,
-        value=value,
+        value=evaluate_witness(measure, chan_a, chan_b, witness),
         witness=witness,
         restarts_used=cfg.restarts,
         converged=res.converged,
@@ -575,13 +566,7 @@ def trace_distance_states(
     d_tr^D: sup over density matrices of ||Psi(rho) - Phi(rho)||_1.  The
     objective is convex in rho, so optimizing over pure states is exhaustive.
     """
-    _check_unstabilized(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def decode(x):
-        return PureState.normalized(x[: 2 * d][:d] + 1j * x[: 2 * d][d:])
-
-    return _run_measure("dtrD", chan_a, chan_b, cfg, decode)
+    return distance("dtrD", chan_a, chan_b, cfg)
 
 
 def trace_distance_operators(
@@ -591,15 +576,7 @@ def trace_distance_operators(
     d_tr: sup over trace-norm-one operators of ||Psi(X) - Phi(X)||_1, optimized
     over its rank-one extreme points X = |u><v|.
     """
-    _check_unstabilized(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def decode(x):
-        u = PureState.normalized(x[: 2 * d][:d] + 1j * x[: 2 * d][d:])
-        v = PureState.normalized(x[2 * d :][:d] + 1j * x[2 * d :][d:])
-        return (u, v)
-
-    return _run_measure("dtr", chan_a, chan_b, cfg, decode)
+    return distance("dtr", chan_a, chan_b, cfg)
 
 
 def diamond_distance(
@@ -609,13 +586,28 @@ def diamond_distance(
     d_diamond: the stabilized trace distance, optimized over pure states on
     H (x) H (an ancilla of the input dimension attains the supremum).
     """
-    _check_stabilized(chan_a, chan_b)
-    d = chan_a.dim_in
+    return distance("diamond", chan_a, chan_b, cfg)
 
-    def decode(x):
-        return PureState.normalized(x[: d * d] + 1j * x[d * d :])
 
-    return _run_measure("diamond", chan_a, chan_b, cfg, decode)
+def postselected_trace_distance(
+    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
+) -> DistanceEstimate:
+    """
+    hat d_tr: sup of the renormalized objective over all density matrices,
+    parameterized as rho = T T^H / tr (the objective is not convex, so pure
+    states alone would undershoot).
+    """
+    return distance("hat-tr", chan_a, chan_b, cfg)
+
+
+def postselected_diamond_distance(
+    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
+) -> DistanceEstimate:
+    """
+    hat d_diamond: the renormalized objective of the H (x) H extensions,
+    optimized over pure bipartite states (exhaustive for this measure).
+    """
+    return distance("hat-diamond", chan_a, chan_b, cfg)
 
 
 def diamond_norm_channel(ch: Channel) -> float:
@@ -627,74 +619,26 @@ def diamond_norm_channel(ch: Channel) -> float:
     return float(ch.effect_eigenvalues[-1])
 
 
-def postselected_trace_distance(
-    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """
-    hat d_tr: sup of the renormalized objective over all density matrices,
-    parameterized as rho = T T^H / tr (the objective is not convex, so pure
-    states alone would undershoot).
-    """
-    chan_a, chan_b = _canonical_pair(chan_a, chan_b)
-    _check_unstabilized(chan_a, chan_b)
-    require_postselection_pair(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def decode(x):
-        t = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-        rho = t @ t.conj().T
-        return DensityMatrix(rho / np.trace(rho).real)
-
-    return _run_measure("hat-tr", chan_a, chan_b, cfg, decode)
-
-
-def postselected_diamond_distance(
-    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """
-    hat d_diamond: the renormalized objective of the H (x) H extensions,
-    optimized over pure bipartite states (exhaustive for this measure).
-    """
-    chan_a, chan_b = _canonical_pair(chan_a, chan_b)
-    _check_stabilized(chan_a, chan_b)
-    require_postselection_pair(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def decode(x):
-        return PureState.normalized(x[: d * d] + 1j * x[d * d :])
-
-    return _run_measure("hat-diamond", chan_a, chan_b, cfg, decode)
-
-
-_MEASURE_FUNCS = {
-    "dtrD": trace_distance_states,
-    "dtr": trace_distance_operators,
-    "diamond": diamond_distance,
-    "hat-tr": postselected_trace_distance,
-    "hat-diamond": postselected_diamond_distance,
-}
-
-
-def distance(
-    measure: str, chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """Dispatch a measure by its tag (dtrD, dtr, diamond, hat-tr, hat-diamond)."""
-    if measure not in _MEASURE_FUNCS:
-        raise InvalidInputError(f"unknown measure {measure!r}; choose from {MEASURES}")
-    return _MEASURE_FUNCS[measure](chan_a, chan_b, cfg)
-
-
 # ---------------------------------------------------------------------------
 # witness evaluation
 # ---------------------------------------------------------------------------
 
 
-def _witness_pure(witness, dim: int, what: str) -> PureState:
-    if not isinstance(witness, PureState):
-        raise InvalidInputError(f"{what} expects a PureState witness, got {type(witness).__name__}")
-    if witness.dim != dim:
-        raise InvalidInputError(f"{what} witness has dim {witness.dim}, expected {dim}")
-    return witness
+def pointwise_distance(
+    chan_a: Channel, chan_b: Channel, x, anc: int = 1, renormalize: bool = False
+) -> float:
+    """
+    || (Psi (x) I_anc)(X) - (Phi (x) I_anc)(X) ||_1 at one input operator X (a
+    DensityMatrix or a matrix), with each output divided by its trace first
+    when `renormalize`: every measure's objective at one point.  Checks
+    nothing beyond the input shape.
+    """
+    if anc > 1:
+        chan_a, chan_b = tensor_with_identity(chan_a, anc), tensor_with_identity(chan_b, anc)
+    out_a, out_b = apply(chan_a, x), apply(chan_b, x)
+    if renormalize:
+        out_a, out_b = out_a / np.trace(out_a).real, out_b / np.trace(out_b).real
+    return float(trace_norm(out_a - out_b))
 
 
 def evaluate_witness(measure: str, chan_a: Channel, chan_b: Channel, witness) -> float:
@@ -703,52 +647,22 @@ def evaluate_witness(measure: str, chan_a: Channel, chan_b: Channel, witness) ->
     reproduce optimizer output and to transfer witnesses between measures for
     sound inequality checks.
     """
-    from .channels import apply
+    spec = _spec(measure)
+    chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, None)
+    anc = spec.ancilla(chan_a.dim_in)
+    x = spec.witness_input(witness, chan_a.dim_in * anc, measure)
+    return pointwise_distance(chan_a, chan_b, x, anc, spec.postselected)
 
-    _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-    if measure == "dtrD":
-        if isinstance(witness, DensityMatrix):
-            rho = witness
-            if rho.dim != d:
-                raise InvalidInputError(f"dtrD witness has dim {rho.dim}, expected {d}")
-        else:
-            rho = _witness_pure(witness, d, "dtrD").density()
-        return float(trace_norm(apply(chan_a, rho) - apply(chan_b, rho)))
-    if measure == "dtr":
-        if not (isinstance(witness, tuple) and len(witness) == 2):
-            raise InvalidInputError("dtr expects a (PureState, PureState) witness")
-        u = _witness_pure(witness[0], d, "dtr")
-        v = _witness_pure(witness[1], d, "dtr")
-        x = np.outer(u.vector, v.vector.conj())
-        return float(trace_norm(apply(chan_a, x) - apply(chan_b, x)))
-    if measure == "diamond":
-        u = _witness_pure(witness, d * d, "diamond")
-        ext_a = tensor_with_identity(chan_a, d)
-        ext_b = tensor_with_identity(chan_b, d)
-        rho = u.density()
-        return float(trace_norm(apply(ext_a, rho) - apply(ext_b, rho)))
-    if measure == "hat-tr":
-        if isinstance(witness, PureState):
-            witness = _witness_pure(witness, d, "hat-tr").density()
-        if not isinstance(witness, DensityMatrix):
-            raise InvalidInputError("hat-tr expects a DensityMatrix or PureState witness")
-        if witness.dim != d:
-            raise InvalidInputError(f"hat-tr witness has dim {witness.dim}, expected {d}")
-        return renormalized_distance(chan_a, chan_b, witness)
-    if measure == "hat-diamond":
-        chan_a, chan_b = _canonical_pair(chan_a, chan_b)
-        require_postselection_pair(chan_a, chan_b)
-        u = _witness_pure(witness, d * d, "hat-diamond")
-        ext_a = tensor_with_identity(chan_a, d)
-        ext_b = tensor_with_identity(chan_b, d)
-        rho = u.density()
-        out_a = apply(ext_a, rho)
-        out_b = apply(ext_b, rho)
-        return float(
-            trace_norm(out_a / np.trace(out_a).real - out_b / np.trace(out_b).real)
-        )
-    raise InvalidInputError(f"unknown measure {measure!r}; choose from {MEASURES}")
+
+def renormalized_distance(
+    chan_a: Channel, chan_b: Channel, rho: DensityMatrix | PureState
+) -> float:
+    """
+    Pointwise objective of the postselected distances:
+    || Psi(rho)/tr[Psi(rho)] - Phi(rho)/tr[Phi(rho)] ||_1.
+    Both channels must be postselection-valid so the traces stay positive.
+    """
+    return evaluate_witness("hat-tr", chan_a, chan_b, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -773,25 +687,11 @@ def dense_oracle(
     """
     if samples < 1:
         raise InvalidInputError("oracle needs at least one sample")
-    _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-    if measure in ("dtrD", "dtr", "hat-tr"):
-        if d > ORACLE_UNSTABILIZED_DIM_CAP:
-            raise CapacityError(
-                f"oracle cap for unstabilized measures is dim {ORACLE_UNSTABILIZED_DIM_CAP}"
-            )
-    elif measure in ("diamond", "hat-diamond"):
-        if d > ORACLE_STABILIZED_DIM_CAP:
-            raise CapacityError(
-                f"oracle cap for stabilized measures is dim {ORACLE_STABILIZED_DIM_CAP}"
-            )
-    else:
-        raise InvalidInputError(f"unknown measure {measure!r}; choose from {MEASURES}")
-    if measure in ("hat-tr", "hat-diamond"):
-        chan_a, chan_b = _canonical_pair(chan_a, chan_b)
-        require_postselection_pair(chan_a, chan_b)
-    fn, n_params = _FACTORIES[measure][0](chan_a, chan_b)
-    rng = np.random.default_rng([seed & _SEED_MASK, 1])
+    spec = _spec(measure)
+    chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, ORACLE_DIM_CAP)
+    fn = spec.value(chan_a, chan_b)
+    n_params = spec.n_params(chan_a.dim_in)
+    rng = np.random.default_rng([seed & SEED_MASK, 1])
     best = -np.inf
     remaining = int(samples)
     while remaining > 0:

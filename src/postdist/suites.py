@@ -13,22 +13,21 @@ for identical invocations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.linalg as npl
 
 from .channels import (
     Channel,
     ParameterError,
-    _depolarizing_kraus,
+    depolarizing_kraus,
+    haar_isometry,
     isometry,
     random_channel,
     scale,
     teleportation,
 )
-from .distances import OptimizerConfig, _SEED_MASK
+from .distances import SEED_MASK, OptimizerConfig
 from .theorems import (
     TheoremReport,
     alpha_necessity_report,
@@ -36,7 +35,8 @@ from .theorems import (
     check_dilation_norm_identity,
     check_isometry_approximation,
     check_postselected_contractivity,
-    check_postselected_isometry_bounds,
+    check_postselected_diamond_bound,
+    check_postselected_dilation_bound,
     check_postselected_subadditivity,
     check_state_distance_doubling,
     check_subadditivity,
@@ -85,7 +85,7 @@ class RunConfig:
 
 def _instance_rng(cfg: RunConfig, statement: str, index: int) -> np.random.Generator:
     code = STATEMENT_IDS.index(statement)
-    return np.random.default_rng([cfg.seed & _SEED_MASK, code, index])
+    return np.random.default_rng([cfg.seed & SEED_MASK, code, index])
 
 
 def _opt(cfg: RunConfig, rng: np.random.Generator, boost: bool = False) -> OptimizerConfig:
@@ -109,19 +109,11 @@ def _dim(cfg: RunConfig, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _haar_isometry(rng: np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
-    g = rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in))
-    q, r = npl.qr(g)
-    phases = np.diagonal(r).copy()
-    phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
-    return q * phases.conj()
-
-
 def _noisy_isometry(u: np.ndarray, eta: float) -> Channel:
     """Trace-preserving:  (1-eta) U . U^H  +  eta . depolarizing."""
     dim_out, dim_in = u.shape
     ops = [np.sqrt(1.0 - eta) * u]
-    ops.extend(_depolarizing_kraus(dim_in, dim_out, eta))
+    ops.extend(depolarizing_kraus(dim_in, dim_out, eta))
     return Channel(tuple(ops), name=f"noisy_isometry(eta={eta!r})")
 
 
@@ -193,7 +185,7 @@ def _isometry_instance(cfg: RunConfig, statement: str, idx: int):
     rng = _instance_rng(cfg, statement, idx)
     d = _dim(cfg, idx)
     dim_out = d if idx % 2 == 0 else d + 1
-    u = _haar_isometry(rng, dim_out, d)
+    u = haar_isometry(rng, dim_out, d)
     eta = float(rng.uniform(0.01, 0.15))
     return rng, u, eta
 
@@ -250,7 +242,7 @@ def _postselected_isometry_instance(cfg: RunConfig, statement: str, idx: int):
     rng = _instance_rng(cfg, statement, idx)
     d = _dim(cfg, idx)
     dim_out = d if idx % 2 == 0 else d + 1
-    u = _haar_isometry(rng, dim_out, d)
+    u = haar_isometry(rng, dim_out, d)
     c = float(rng.uniform(0.7, 1.0))
     eta = float(rng.uniform(0.0, 0.1))
     ch = _noisy_scaled_reference(isometry(u, name="target"), c, eta, rng)
@@ -261,7 +253,7 @@ def _run_postselected_isometry_diamond(cfg: RunConfig) -> list[TheoremReport]:
     reports = []
     for idx in range(cfg.trials):
         rng, u, ch = _postselected_isometry_instance(cfg, "T5", idx)
-        reports.append(check_postselected_isometry_bounds(ch, u, _opt(cfg, rng))[0])
+        reports.append(check_postselected_diamond_bound(ch, u, _opt(cfg, rng)))
     return reports
 
 
@@ -269,7 +261,7 @@ def _run_postselected_isometry_dilation(cfg: RunConfig) -> list[TheoremReport]:
     reports = []
     for idx in range(cfg.trials):
         rng, u, ch = _postselected_isometry_instance(cfg, "T6", idx)
-        reports.append(check_postselected_isometry_bounds(ch, u, _opt(cfg, rng))[1])
+        reports.append(check_postselected_dilation_bound(ch, u, _opt(cfg, rng)))
     return reports
 
 
@@ -298,7 +290,7 @@ def _run_conversion(cfg: RunConfig) -> list[TheoremReport]:
             if idx % 3 == 0:
                 ref = random_channel(d, d, rank=2, kind="cptp", seed=rng)
             else:
-                ref = isometry(_haar_isometry(rng, d, d), name="target_unitary")
+                ref = isometry(haar_isometry(rng, d, d), name="target_unitary")
             c = float(rng.uniform(0.5, 1.0))
             eta = float(rng.uniform(0.0, 0.2))
             ch = _noisy_scaled_reference(ref, c, eta, rng)

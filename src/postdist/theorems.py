@@ -41,22 +41,23 @@ from .channels import (
 )
 from .distances import (
     OptimizerConfig,
-    _herm_trace_norms,
-    _pure_outputs,
     diamond_distance,
     diamond_norm_channel,
     evaluate_witness,
     herm_sign,
+    herm_trace_norms,
     maximize,
+    pointwise_distance,
     postselected_diamond_distance,
     postselected_trace_distance,
+    pure_outputs,
     renormalized_distance,
     trace_distance_operators,
     trace_distance_states,
     unit_rows,
     unit_rows_gradient,
 )
-from .linalg import InvalidInputError, operator_norm, trace_norm
+from .linalg import InvalidInputError, operator_norm
 
 # Comparisons between exactly evaluated quantities tolerate rounding only;
 # comparisons whose small side involves an optimizer estimate get more room.
@@ -235,7 +236,7 @@ def check_subadditivity(
     for a, b in pairs:
         ext_a = tensor_with_identity(a, anc)
         ext_b = tensor_with_identity(b, anc)
-        t = float(trace_norm(apply(ext_a, carried) - apply(ext_b, carried)))
+        t = pointwise_distance(ext_a, ext_b, carried)
         own = diamond_distance(a, b, cfg).value
         transferred.append(t)
         terms.append(max(own, t))
@@ -367,14 +368,6 @@ def check_trace_preserving_diamond_bound(
 # ---------------------------------------------------------------------------
 
 
-def _renormalized_value(chan_a: Channel, chan_b: Channel, anc: int, rho: np.ndarray) -> float:
-    ext_a = tensor_with_identity(chan_a, anc)
-    ext_b = tensor_with_identity(chan_b, anc)
-    out_a = apply(ext_a, rho)
-    out_b = apply(ext_b, rho)
-    return float(trace_norm(out_a / np.trace(out_a).real - out_b / np.trace(out_b).real))
-
-
 def check_postselected_subadditivity(
     inner_a: Channel,
     inner_b: Channel,
@@ -390,12 +383,7 @@ def check_postselected_subadditivity(
     Each right term is the max of its own estimate and the left witness pushed
     through the renormalized-composition identity, which restores soundness.
     """
-    for ch, what in (
-        (inner_a, "inner_a"),
-        (inner_b, "inner_b"),
-        (outer_a, "outer_a"),
-        (outer_b, "outer_b"),
-    ):
+    for ch in (inner_a, inner_b, outer_a, outer_b):
         validate(ch, require_postselection=True)
     if not outer_b.is_trace_preserving():
         raise ValidityError("precondition: outer_b must be trace-preserving")
@@ -412,10 +400,10 @@ def check_postselected_subadditivity(
     lhs_est = postselected_diamond_distance(comp_a, comp_b, cfg)
     stab = comp_a.dim_in
     rho = lhs_est.witness.density().matrix
-    inner_transfer = _renormalized_value(inner_a, inner_b, anc_dim * stab, rho)
+    inner_transfer = pointwise_distance(inner_a, inner_b, rho, anc_dim * stab, True)
     pushed = apply(tensor_with_identity(inner_a, anc_dim * stab), rho)
     pushed = pushed / np.trace(pushed).real
-    outer_transfer = _renormalized_value(outer_a, outer_b, stab, pushed)
+    outer_transfer = pointwise_distance(outer_a, outer_b, pushed, stab, True)
     est_outer = postselected_diamond_distance(outer_a, outer_b, cfg).value
     est_inner = postselected_diamond_distance(inner_a, inner_b, cfg).value
     rhs = max(est_outer, outer_transfer) + max(est_inner, inner_transfer)
@@ -468,32 +456,42 @@ def check_postselected_contractivity(
 # ---------------------------------------------------------------------------
 
 
-def check_postselected_isometry_bounds(
-    ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
-) -> tuple[TheoremReport, TheoremReport]:
-    """
-    With eps-hat the renormalized trace distance to the isometry channel:
-    T5 bounds the renormalized diamond distance by 24 sqrt(eps) + 18 eps, and
-    T6 bounds the dilation residual ||A - U (x) g||_op by 6 ||A||_op sqrt(eps)
-    with the window (1 - 9 eps) ||A||_op^2 <= ||g||^2 <= ||A||_op^2, where g is
-    ||A||_op times the unit-channel environment vector.
-    """
+def _epsilon_hat(ch: Channel, iso: np.ndarray, cfg: OptimizerConfig) -> tuple[Channel, float]:
+    # The isometry channel and eps-hat, its renormalized trace distance to ch.
     validate(ch, require_postselection=True)
     ideal = _require_isometry_channel(iso)
-    eps_est = postselected_trace_distance(ch, ideal, cfg)
-    eps = eps_est.value
-    root = math.sqrt(max(eps, 0.0))
+    return ideal, postselected_trace_distance(ch, ideal, cfg).value
 
+
+def check_postselected_diamond_bound(
+    ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
+) -> TheoremReport:
+    """
+    T5: with eps-hat the renormalized trace distance to the isometry channel,
+    the renormalized diamond distance is at most 24 sqrt(eps) + 18 eps.
+    """
+    ideal, eps = _epsilon_hat(ch, iso, cfg)
     lhs_diamond = postselected_diamond_distance(ch, ideal, cfg)
-    report_t5 = _report(
+    return _report(
         "T5",
         f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",
         lhs_diamond.value,
-        24.0 * root + 18.0 * eps,
+        24.0 * math.sqrt(max(eps, 0.0)) + 18.0 * eps,
         OPTIMIZER_SLACK,
         witnesses={"epsilon_hat": eps, "diamond_witness": lhs_diamond.witness},
     )
 
+
+def check_postselected_dilation_bound(
+    ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
+) -> TheoremReport:
+    """
+    T6: with eps-hat the renormalized trace distance to the isometry channel,
+    the dilation residual ||A - U (x) g||_op is at most 6 ||A||_op sqrt(eps),
+    with the window (1 - 9 eps) ||A||_op^2 <= ||g||^2 <= ||A||_op^2, where g is
+    ||A||_op times the unit-channel environment vector.
+    """
+    ideal, eps = _epsilon_hat(ch, iso, cfg)
     k = diamond_norm_channel(ch)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
     d_est = trace_distance_states(unit, ideal, cfg)
@@ -510,11 +508,11 @@ def check_postselected_isometry_bounds(
         aux.append(f"norm window low: ||g||^2 = {g_sq!r} < (1 - 9 eps) k = {(1.0 - 9.0 * eps) * k!r}")
     if g_sq > k + CLOSED_FORM_SLACK:
         aux.append(f"norm window high: ||g||^2 = {g_sq!r} > ||A||_op^2 = {k!r}")
-    report_t6 = _report(
+    return _report(
         "T6",
         f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",
         residual,
-        6.0 * a_norm * root,
+        6.0 * a_norm * math.sqrt(max(eps, 0.0)),
         OPTIMIZER_SLACK,
         aux=aux,
         witnesses={
@@ -524,7 +522,6 @@ def check_postselected_isometry_bounds(
             "dilation_norm_sq": k,
         },
     )
-    return report_t5, report_t6
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +533,13 @@ def _objective_output_separation(ch: Channel):
     stack = ch.kraus_stack
     d = ch.dim_in
 
+    def difference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return pure_outputs(stack, u[:, :, None]) - pure_outputs(stack, v[:, :, None])
+
     def fn(x: np.ndarray) -> np.ndarray:
         u, _, bad_u = unit_rows(x[:, : 2 * d], d)
         v, _, bad_v = unit_rows(x[:, 2 * d :], d)
-        vals = _herm_trace_norms(_pure_outputs(stack, u) - _pure_outputs(stack, v))
+        vals = herm_trace_norms(difference(u, v))
         vals[bad_u | bad_v] = -np.inf
         return vals
 
@@ -548,7 +548,7 @@ def _objective_output_separation(ch: Channel):
         # 2 M u in u and -2 M v in v.
         u, norms_u, bad_u = unit_rows(x[:, : 2 * d], d)
         v, norms_v, bad_v = unit_rows(x[:, 2 * d :], d)
-        sign = herm_sign(_pure_outputs(stack, u) - _pure_outputs(stack, v))
+        sign = herm_sign(difference(u, v))
         m_op = np.einsum("eji,mjk,ekl->mil", stack.conj(), sign, stack)
         bad = bad_u | bad_v
         return np.concatenate(

@@ -125,11 +125,14 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 def test_malformed_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
     good = _write_channel_json(
         tmp_path / "good.json", random_channel(2, 2, rank=2, kind="cptp", seed=1)
     )
-    assert main(["dist", "dtrD", str(bad), good, *FAST]) == 2
+    for content in (b"{not json", b'{"name": "\xff\xfe"}'):
+        bad.write_bytes(content)
+        assert main(["dist", "dtrD", str(bad), good, *FAST]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert main(["example", "isometry", "--matrix", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -140,6 +143,8 @@ def test_example_parameter_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--suite", "T9"]) == 2
     assert main(["verify", "--suite", "CE1", "--dims", "2,x"]) == 2
     assert main(["verify", "--suite", "CE1", "--dims", "1"]) == 2
+    assert main(["verify", "--suite", "L1", "--trials", "0"]) == 2
+    assert main(["verify", "--suite", "L1", "--trials", "-3"]) == 2
     capsys.readouterr()
 
 
@@ -175,6 +180,8 @@ def test_capacity_limit_exits_four(tmp_path, capsys):
     a = _write_channel_json(tmp_path / "a.json", big)
     b = _write_channel_json(tmp_path / "b.json", big)
     assert main(["dist", "dtrD", a, b, *FAST]) == 4
+    assert "error:" in capsys.readouterr().err
+    assert main(["example", "teleportation", "--dim", "4097", "--out-dir", str(tmp_path)]) == 4
     assert "error:" in capsys.readouterr().err
 
 

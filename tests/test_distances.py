@@ -156,13 +156,19 @@ def test_standard_measures_are_symmetric():
 
 
 def test_witness_reproduces_reported_value():
-    a, b = _pair(52)
-    for m in MEASURES:
-        est = distance(m, a, b, FAST)
-        assert evaluate_witness(m, a, b, est.witness) == est.value
-        assert isinstance(est, DistanceEstimate)
-        assert est.measure == m
-        assert 1 <= est.restarts_used <= FAST.restarts
+    wide = (
+        random_channel(2, 3, rank=2, kind="postselection", seed=104),
+        random_channel(2, 3, rank=2, kind="postselection", seed=105),
+    )
+    for a, b in (_pair(52), wide):
+        for m in MEASURES:
+            est = distance(m, a, b, FAST)
+            assert evaluate_witness(m, a, b, est.witness) == est.value
+            if isinstance(est.witness, PureState):
+                assert evaluate_witness(m, a, b, est.witness.density()) == est.value
+            assert isinstance(est, DistanceEstimate)
+            assert est.measure == m
+            assert 1 <= est.restarts_used <= FAST.restarts
 
 
 def test_witness_type_errors():
@@ -192,9 +198,9 @@ def test_dtrD_witness_accepts_density():
 
 
 def test_optimizer_dominates_sampling_oracle():
-    for seed in (7, 8):
-        a = random_channel(2, 2, rank=2, kind="postselection", seed=50 + seed)
-        b = random_channel(2, 2, rank=2, kind="postselection", seed=60 + seed)
+    for dim_out, seed in ((2, 7), (2, 8), (3, 7), (3, 8)):
+        a = random_channel(2, dim_out, rank=2, kind="postselection", seed=50 + seed)
+        b = random_channel(2, dim_out, rank=2, kind="postselection", seed=60 + seed)
         for m in MEASURES:
             est = distance(m, a, b, CFG).value
             orc = dense_oracle(m, a, b, samples=60_000, seed=3)

@@ -11,7 +11,7 @@ import pytest
 
 from postdist.channels import Channel, random_channel
 from postdist.distances import (
-    _FACTORIES,
+    MEASURE_SPECS,
     MEASURES,
     OptimizerConfig,
     distance,
@@ -56,9 +56,9 @@ PAIRS = [("cptp", 2, 2), ("cptp", 3, 3), ("postselection", 2, 2), ("postselectio
 @pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("postselection", 2, 3)])
 def test_measure_gradient_matches_central_differences(measure, kind, dim_in, dim_out):
     a, b = _pair(kind, dim_in, dim_out, seed=dim_in + 10 * dim_out)
-    objective, gradient = _FACTORIES[measure]
-    fn, n_params = objective(a, b)
-    assert_gradient_matches(fn, gradient(a, b), n_params, seed=dim_in)
+    spec = MEASURE_SPECS[measure]
+    fn, n_params = spec.value(a, b), spec.n_params(dim_in)
+    assert_gradient_matches(fn, spec.gradient(a, b), n_params, seed=dim_in)
 
 
 @pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
@@ -88,9 +88,8 @@ def test_probability_spread_gradient_vanishes_for_trace_preserving(dim):
 
 def test_gradient_is_zero_on_degenerate_rows():
     a, b = _pair("postselection", 2, 2, seed=3)
-    for objective, gradient in _FACTORIES.values():
-        _, n_params = objective(a, b)
-        g = gradient(a, b)(np.zeros((2, n_params)))
+    for spec in MEASURE_SPECS.values():
+        g = spec.gradient(a, b)(np.zeros((2, spec.n_params(a.dim_in))))
         assert np.all(g == 0.0)
 
 

@@ -1,0 +1,25 @@
+# tests/test_layout.py
+#
+# Modules of the package talk to each other only through public names, so a
+# private helper can be renamed or removed without touching its siblings.
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "postdist"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_private_names_imported_from_siblings(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    private = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "postdist")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{module} imports private sibling names: {private}"

@@ -27,7 +27,8 @@ from postdist.theorems import (
     check_dilation_norm_identity,
     check_isometry_approximation,
     check_postselected_contractivity,
-    check_postselected_isometry_bounds,
+    check_postselected_diamond_bound,
+    check_postselected_dilation_bound,
     check_postselected_subadditivity,
     check_state_distance_doubling,
     check_subadditivity,
@@ -288,7 +289,8 @@ def test_postselected_contractivity():
 
 def test_postselected_isometry_bounds():
     sub = scale(noisy_unitary(np.eye(2), 0.01), 0.8, name="sub")
-    t5, t6 = check_postselected_isometry_bounds(sub, np.eye(2), FAST)
+    t5 = check_postselected_diamond_bound(sub, np.eye(2), FAST)
+    t6 = check_postselected_dilation_bound(sub, np.eye(2), FAST)
     assert t5.statement == "T5" and t6.statement == "T6"
     assert t5.passed
     assert t6.passed
@@ -300,8 +302,9 @@ def test_postselected_isometry_bounds():
 
 def test_postselected_isometry_requires_valid_channel():
     proj = Channel((np.diag([1.0, 0.0]).astype(complex),))
-    with pytest.raises(ValidityError):
-        check_postselected_isometry_bounds(proj, np.eye(2), FAST)
+    for check in (check_postselected_diamond_bound, check_postselected_dilation_bound):
+        with pytest.raises(ValidityError):
+            check(proj, np.eye(2), FAST)
 
 
 # ---------------------------------------------------------------------------
