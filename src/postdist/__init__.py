@@ -49,7 +49,7 @@ from .channels import (
     random_density,
     random_pure,
     read_channel,
-    require_postselection_pair,
+    require_postselection,
     scale,
     stinespring,
     teleportation,

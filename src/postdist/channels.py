@@ -260,35 +260,34 @@ class ValidityReport:
     postselection_valid: bool
 
 
-def validate(ch: Channel, require_postselection: bool = False) -> ValidityReport:
+def validate(ch: Channel) -> ValidityReport:
     """
     Summarize the validity properties of a channel.
 
     Complete positivity holds by Kraus construction; the report nevertheless
     derives it from the Choi spectrum so the flag is an independent check.
-    Raises ValidityError when `require_postselection` is set and the effect
-    operator is not bounded away from singular.
     """
     choi_min = float(npl.eigvalsh(_choi_matrix(ch))[0])
-    report = ValidityReport(
+    return ValidityReport(
         effect_min=float(ch.effect_eigenvalues[0]),
         effect_max=float(ch.effect_eigenvalues[-1]),
         completely_positive=choi_min >= -TRACE_ATOL,
         trace_preserving=ch.is_trace_preserving(),
         postselection_valid=ch.is_postselection_valid(),
     )
-    if require_postselection and not report.postselection_valid:
-        raise ValidityError(
-            f"invalid postselection channel: lambda_min(E) = {report.effect_min!r} "
-            f"is not above {POSTSELECTION_EIG_FLOOR:g}"
-        )
-    return report
 
 
-def require_postselection_pair(chan_a: Channel, chan_b: Channel) -> None:
-    """Validity gate shared by the renormalized distance measures."""
-    validate(chan_a, require_postselection=True)
-    validate(chan_b, require_postselection=True)
+def require_postselection(*channels: Channel) -> None:
+    """
+    Validity gate of the renormalized measures: raises ValidityError unless
+    every channel's effect operator is bounded away from singular.
+    """
+    for ch in channels:
+        if not ch.is_postselection_valid():
+            raise ValidityError(
+                f"invalid postselection channel: lambda_min(E) = "
+                f"{float(ch.effect_eigenvalues[0])!r} is not above {POSTSELECTION_EIG_FLOOR:g}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def apply_renormalized(ch: Channel, rho: DensityMatrix | np.ndarray) -> tuple[De
     Postselected action rho -> Psi(rho) / tr[Psi(rho)], with the postselection
     probability tr[Psi(rho)] as second return value.
     """
-    validate(ch, require_postselection=True)
+    require_postselection(ch)
     out = apply(ch, rho)
     prob = float(np.trace(out).real)
     if prob < 1e-12:

@@ -55,8 +55,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(token) for token in text.split(",") if token.strip())
     except ValueError as exc:
         raise ParameterError(f"cannot parse dims {text!r}: comma-separated integers") from exc
-    if not dims:
-        raise ParameterError("dims must name at least one dimension")
     if any(d < 2 for d in dims):
         raise ParameterError(f"dims must all be >= 2, got {dims}")
     return dims
@@ -118,8 +116,6 @@ def _cmd_dist(args) -> int:
 
 def _cmd_verify(args) -> int:
     ids = normalize_suite_ids(args.suite)
-    if args.trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {args.trials}")
     cfg = RunConfig(
         seed=args.seed,
         trials=args.trials,
@@ -175,6 +171,8 @@ def _cmd_curve(args) -> int:
     else:
         if args.epsilon is not None:
             rows = [contractivity_curve(args.epsilon)]
+        elif args.grid < 2:
+            raise ParameterError(f"grid must be >= 2, got {args.grid}")
         else:
             rows = [contractivity_curve(i / args.grid) for i in range(1, args.grid)]
         text = _format_csv("epsilon,before,after", rows)

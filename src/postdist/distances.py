@@ -34,7 +34,7 @@ from .channels import (
     DensityMatrix,
     PureState,
     apply,
-    require_postselection_pair,
+    require_postselection,
     tensor_with_identity,
 )
 from .linalg import CapacityError, InvalidInputError, trace_norm
@@ -519,7 +519,7 @@ def _checked_pair(
     if cap is not None and chan_a.dim_in > cap:
         raise CapacityError(f"input dimension {chan_a.dim_in} exceeds cap {cap}")
     if spec.postselected:
-        require_postselection_pair(chan_a, chan_b)
+        require_postselection(chan_a, chan_b)
     return chan_a, chan_b
 
 

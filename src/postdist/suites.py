@@ -1,9 +1,9 @@
 # src/postdist/suites.py
 
 """
-Seeded verification suites: for each supported statement, a corpus generator
-drawing random instances from the regime the statement speaks about, run
-through the corresponding checker from `theorems`.
+Seeded verification suites: each statement is one `STATEMENTS` entry whose
+builder draws random instances from the regime the statement speaks about and
+runs them through the corresponding checker from `theorems`.
 
 Instance streams are independent per (seed, statement, index), so changing the
 trial count or running a subset of statements never reshuffles the instances
@@ -14,6 +14,7 @@ for identical invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,26 +47,6 @@ from .theorems import (
     nonconvexity_report,
 )
 
-STATEMENT_IDS = (
-    "L1",
-    "F2",
-    "T1",
-    "T2",
-    "T3",
-    "C1",
-    "T4",
-    "T5",
-    "T6",
-    "C2",
-    "L2",
-    "CE1",
-    "CE2",
-    "CE3",
-)
-
-# The counterexample statements are fixed parameter sweeps, not random corpora.
-FIXED_SWEEP_IDS = ("CE1", "CE2", "CE3")
-
 NONCONVEXITY_EPSILONS = (1.0 / 32.0, 1.0 / 8.0, 1.0 / 4.0)
 CONTRACTIVITY_EPSILONS = (1.0 / 10.0, 1.0 / 3.0, 1.0 / 2.0)
 
@@ -79,8 +60,13 @@ class RunConfig:
     dims: tuple[int, ...] = (2, 3)
     restarts: int = 6
     max_iterations: int = 150
-    step_tolerance: float = 1e-9
     value_tolerance: float = 1e-8
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if not self.dims:
+            raise ParameterError("dims must name at least one dimension")
 
 
 def _instance_rng(cfg: RunConfig, statement: str, index: int) -> np.random.Generator:
@@ -94,7 +80,7 @@ def _opt(cfg: RunConfig, rng: np.random.Generator, boost: bool = False) -> Optim
     return OptimizerConfig(
         restarts=cfg.restarts,
         max_iterations=max(cfg.max_iterations, 1000) if boost else cfg.max_iterations,
-        step_tolerance=min(cfg.step_tolerance, 1e-10) if boost else cfg.step_tolerance,
+        step_tolerance=1e-10 if boost else OptimizerConfig.step_tolerance,
         value_tolerance=min(cfg.value_tolerance, 1e-11) if boost else cfg.value_tolerance,
         master_seed=int(rng.integers(0, 2**62)),
     )
@@ -109,22 +95,17 @@ def _dim(cfg: RunConfig, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _noisy_isometry(u: np.ndarray, eta: float) -> Channel:
-    """Trace-preserving:  (1-eta) U . U^H  +  eta . depolarizing."""
-    dim_out, dim_in = u.shape
-    ops = [np.sqrt(1.0 - eta) * u]
-    ops.extend(depolarizing_kraus(dim_in, dim_out, eta))
-    return Channel(tuple(ops), name=f"noisy_isometry(eta={eta!r})")
-
-
 def _noisy_scaled_reference(
-    reference: Channel, c: float, eta: float, rng: np.random.Generator
+    reference: Channel, c_low: float, eta_high: float, rng: np.random.Generator
 ) -> Channel:
     """
-    c [ (1-eta) reference + eta R ] for a random postselection-valid R: stays
-    postselection-valid (effect >= c (1-eta) E_ref with E_ref = 1) and close to
-    c * reference for small eta.
+    c [ (1-eta) reference + eta R ] for c drawn from [c_low, 1), eta from
+    [0, eta_high) and a random postselection-valid R: stays postselection-valid
+    (effect >= c (1-eta) E_ref with E_ref = 1) and close to c * reference for
+    small eta.
     """
+    c = float(rng.uniform(c_low, 1.0))
+    eta = float(rng.uniform(0.0, eta_high))
     ops = [np.sqrt(c * (1.0 - eta)) * op for op in reference.kraus]
     if eta > 0.0:
         noise = random_channel(
@@ -134,199 +115,151 @@ def _noisy_scaled_reference(
     return Channel(tuple(ops), name=f"near_{reference.name or 'reference'}")
 
 
-# ---------------------------------------------------------------------------
-# per-statement runners
-# ---------------------------------------------------------------------------
-
-
-def _run_state_distance_doubling(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng = _instance_rng(cfg, "L1", idx)
-        d = _dim(cfg, idx)
-        kind_a = "cptp" if idx % 2 == 0 else "postselection"
-        kind_b = "postselection" if idx % 3 == 0 else "cptp"
-        a = random_channel(d, d, rank=2, kind=kind_a, seed=rng)
-        b = random_channel(d, d, rank=2, kind=kind_b, seed=rng)
-        reports.append(check_state_distance_doubling(a, b, _opt(cfg, rng)))
-    return reports
-
-
-def _run_dilation_norm_identity(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng = _instance_rng(cfg, "F2", idx)
-        d = _dim(cfg, idx)
-        kind = "cptp" if idx % 2 == 0 else "postselection"
-        ch = random_channel(d, d, rank=1 + idx % 3, kind=kind, seed=rng)
-        reports.append(check_dilation_norm_identity(ch, _opt(cfg, rng, boost=True)))
-    return reports
-
-
-def _run_subadditivity(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng = _instance_rng(cfg, "T1", idx)
-        d = _dim(cfg, idx)
-        links = 2 + idx % 2
-        pairs = []
-        for _ in range(links):
-            a = random_channel(d, d, rank=2, kind="cptp", seed=rng)
-            b = random_channel(d, d, rank=2, kind="cptp", seed=rng)
-            if idx % 3 == 2:
-                a = scale(a, 0.9)
-                b = scale(b, 0.95)
-            pairs.append((a, b))
-        reports.append(check_subadditivity(pairs, _opt(cfg, rng)))
-    return reports
-
-
-def _isometry_instance(cfg: RunConfig, statement: str, idx: int):
-    rng = _instance_rng(cfg, statement, idx)
+def _isometry_case(cfg: RunConfig, rng: np.random.Generator, idx: int, rescale_odd: bool = False):
+    """
+    T2 / T3 / C1 checker arguments: the trace-preserving (1-eta) U . U^H +
+    eta . depolarizing for a Haar isometry U from d to d (even idx) or d + 1
+    (odd idx) outputs; with `rescale_odd`, odd instances are also scaled by a
+    factor in [0.85, 1).
+    """
     d = _dim(cfg, idx)
-    dim_out = d if idx % 2 == 0 else d + 1
-    u = haar_isometry(rng, dim_out, d)
+    u = haar_isometry(rng, d if idx % 2 == 0 else d + 1, d)
     eta = float(rng.uniform(0.01, 0.15))
-    return rng, u, eta
+    ops = (np.sqrt(1.0 - eta) * u, *depolarizing_kraus(d, u.shape[0], eta))
+    ch = Channel(ops, name=f"noisy_isometry(eta={eta!r})")
+    if rescale_odd and idx % 2 == 1:
+        ch = scale(ch, float(rng.uniform(0.85, 1.0)))
+    return ch, u, _opt(cfg, rng)
 
 
-def _run_trace_preserving_diamond(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng, u, eta = _isometry_instance(cfg, "T2", idx)
-        ch = _noisy_isometry(u, eta)
-        reports.append(check_trace_preserving_diamond_bound(ch, u, _opt(cfg, rng)))
-    return reports
-
-
-def _run_isometry_approximation(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng, u, eta = _isometry_instance(cfg, "T3", idx)
-        ch = _noisy_isometry(u, eta)
-        if idx % 2 == 1:
-            ch = scale(ch, float(rng.uniform(0.85, 1.0)))
-        reports.append(check_isometry_approximation(ch, u, _opt(cfg, rng)))
-    return reports
-
-
-def _run_diamond_from_state_distance(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng, u, eta = _isometry_instance(cfg, "C1", idx)
-        ch = _noisy_isometry(u, eta)
-        if idx % 2 == 1:
-            ch = scale(ch, float(rng.uniform(0.85, 1.0)))
-        reports.append(check_diamond_from_state_distance(ch, u, _opt(cfg, rng)))
-    return reports
-
-
-def _run_postselected_subadditivity(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng = _instance_rng(cfg, "T4", idx)
-        d = _dim(cfg, idx)
-        inner_a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
-        inner_b = random_channel(d, d, rank=2, kind="postselection", seed=rng)
-        outer_a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
-        outer_b = random_channel(d, d, rank=2, kind="cptp", seed=rng)
-        reports.append(
-            check_postselected_subadditivity(
-                inner_a, inner_b, outer_a, outer_b, anc_dim=1, cfg=_opt(cfg, rng)
-            )
-        )
-    return reports
-
-
-def _postselected_isometry_instance(cfg: RunConfig, statement: str, idx: int):
-    rng = _instance_rng(cfg, statement, idx)
+def _scaled_isometry_case(cfg: RunConfig, rng: np.random.Generator, idx: int):
+    """T5 / T6 checker arguments: U as above, scaled by c in [0.7, 1) and noised."""
     d = _dim(cfg, idx)
-    dim_out = d if idx % 2 == 0 else d + 1
-    u = haar_isometry(rng, dim_out, d)
-    c = float(rng.uniform(0.7, 1.0))
-    eta = float(rng.uniform(0.0, 0.1))
-    ch = _noisy_scaled_reference(isometry(u, name="target"), c, eta, rng)
-    return rng, u, ch
+    u = haar_isometry(rng, d if idx % 2 == 0 else d + 1, d)
+    ch = _noisy_scaled_reference(isometry(u, name="target"), 0.7, 0.1, rng)
+    return ch, u, _opt(cfg, rng)
 
 
-def _run_postselected_isometry_diamond(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng, u, ch = _postselected_isometry_instance(cfg, "T5", idx)
-        reports.append(check_postselected_diamond_bound(ch, u, _opt(cfg, rng)))
-    return reports
+# ---------------------------------------------------------------------------
+# the statements: one instance builder each
+# ---------------------------------------------------------------------------
 
 
-def _run_postselected_isometry_dilation(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng, u, ch = _postselected_isometry_instance(cfg, "T6", idx)
-        reports.append(check_postselected_dilation_bound(ch, u, _opt(cfg, rng)))
-    return reports
+class Statement(NamedTuple):
+    """
+    One verified statement.  `build(cfg, rng, idx)` draws instance `idx` from
+    its own stream `rng` and returns the checker's report; `sweep` is the fixed
+    instance count of a counterexample sweep, None for a corpus of cfg.trials.
+    """
+
+    build: Callable[[RunConfig, np.random.Generator, int], TheoremReport]
+    sweep: int | None = None
 
 
-def _run_postselected_contractivity(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng = _instance_rng(cfg, "C2", idx)
+def _doubling(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+    d = _dim(cfg, idx)
+    kind_a = "cptp" if idx % 2 == 0 else "postselection"
+    kind_b = "postselection" if idx % 3 == 0 else "cptp"
+    a = random_channel(d, d, rank=2, kind=kind_a, seed=rng)
+    b = random_channel(d, d, rank=2, kind=kind_b, seed=rng)
+    return check_state_distance_doubling(a, b, _opt(cfg, rng))
+
+
+def _dilation_norm(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+    d = _dim(cfg, idx)
+    kind = "cptp" if idx % 2 == 0 else "postselection"
+    ch = random_channel(d, d, rank=1 + idx % 3, kind=kind, seed=rng)
+    return check_dilation_norm_identity(ch, _opt(cfg, rng, boost=True))
+
+
+def _subadditivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+    d = _dim(cfg, idx)
+    pairs = []
+    for _ in range(2 + idx % 2):
+        a = random_channel(d, d, rank=2, kind="cptp", seed=rng)
+        b = random_channel(d, d, rank=2, kind="cptp", seed=rng)
+        if idx % 3 == 2:
+            a = scale(a, 0.9)
+            b = scale(b, 0.95)
+        pairs.append((a, b))
+    return check_subadditivity(pairs, _opt(cfg, rng))
+
+
+def _weak_subadditivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+    d = _dim(cfg, idx)
+    inner_a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
+    inner_b = random_channel(d, d, rank=2, kind="postselection", seed=rng)
+    outer_a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
+    outer_b = random_channel(d, d, rank=2, kind="cptp", seed=rng)
+    return check_postselected_subadditivity(inner_a, inner_b, outer_a, outer_b, cfg=_opt(cfg, rng))
+
+
+def _weak_contractivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+    d = _dim(cfg, idx)
+    tau = random_channel(d, d, rank=2, kind="cptp", seed=rng)
+    a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
+    b = random_channel(d, d, rank=2, kind="postselection", seed=rng)
+    return check_postselected_contractivity(tau, a, b, _opt(cfg, rng))
+
+
+def _conversion(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+    if idx < 2:
+        d = 2 + idx
+        ch = teleportation(d)
+        ref = isometry(np.eye(d), name="identity")
+    else:
         d = _dim(cfg, idx)
-        tau = random_channel(d, d, rank=2, kind="cptp", seed=rng)
-        a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
-        b = random_channel(d, d, rank=2, kind="postselection", seed=rng)
-        reports.append(check_postselected_contractivity(tau, a, b, _opt(cfg, rng)))
-    return reports
-
-
-def _run_conversion(cfg: RunConfig) -> list[TheoremReport]:
-    reports = []
-    for idx in range(cfg.trials):
-        rng = _instance_rng(cfg, "L2", idx)
-        if idx < 2:
-            d = 2 + idx
-            ch = teleportation(d)
-            ref = isometry(np.eye(d), name="identity")
+        if idx % 3 == 0:
+            ref = random_channel(d, d, rank=2, kind="cptp", seed=rng)
         else:
-            d = _dim(cfg, idx)
-            if idx % 3 == 0:
-                ref = random_channel(d, d, rank=2, kind="cptp", seed=rng)
-            else:
-                ref = isometry(haar_isometry(rng, d, d), name="target_unitary")
-            c = float(rng.uniform(0.5, 1.0))
-            eta = float(rng.uniform(0.0, 0.2))
-            ch = _noisy_scaled_reference(ref, c, eta, rng)
-        reports.append(conversion_report(ch, ref, _opt(cfg, rng)))
-    return reports
+            ref = isometry(haar_isometry(rng, d, d), name="target_unitary")
+        ch = _noisy_scaled_reference(ref, 0.5, 0.2, rng)
+    return conversion_report(ch, ref, _opt(cfg, rng))
 
 
-def _run_nonconvexity(cfg: RunConfig) -> list[TheoremReport]:
-    return [nonconvexity_report(eps) for eps in NONCONVEXITY_EPSILONS]
-
-
-def _run_contractivity_counterexample(cfg: RunConfig) -> list[TheoremReport]:
-    return [contractivity_report(eps) for eps in CONTRACTIVITY_EPSILONS]
-
-
-def _run_alpha_necessity(cfg: RunConfig) -> list[TheoremReport]:
-    rng = _instance_rng(cfg, "CE3", 0)
-    return [alpha_necessity_report(_opt(cfg, rng, boost=True))]
-
-
-_RUNNERS = {
-    "L1": _run_state_distance_doubling,
-    "F2": _run_dilation_norm_identity,
-    "T1": _run_subadditivity,
-    "T2": _run_trace_preserving_diamond,
-    "T3": _run_isometry_approximation,
-    "C1": _run_diamond_from_state_distance,
-    "T4": _run_postselected_subadditivity,
-    "T5": _run_postselected_isometry_diamond,
-    "T6": _run_postselected_isometry_dilation,
-    "C2": _run_postselected_contractivity,
-    "L2": _run_conversion,
-    "CE1": _run_nonconvexity,
-    "CE2": _run_contractivity_counterexample,
-    "CE3": _run_alpha_necessity,
+# Entries call their checkers by name at run time, so a wrapper installed on a
+# checker's module attribute (as perfbench's tracer does) sees every call.
+# The order is part of every corpus: _instance_rng seeds each instance with
+# its statement's position here.
+STATEMENTS = {
+    "L1": Statement(_doubling),
+    "F2": Statement(_dilation_norm),
+    "T1": Statement(_subadditivity),
+    "T2": Statement(
+        lambda cfg, rng, idx: check_trace_preserving_diamond_bound(*_isometry_case(cfg, rng, idx))
+    ),
+    "T3": Statement(
+        lambda cfg, rng, idx: check_isometry_approximation(*_isometry_case(cfg, rng, idx, True))
+    ),
+    "C1": Statement(
+        lambda cfg, rng, idx: check_diamond_from_state_distance(*_isometry_case(cfg, rng, idx, True))
+    ),
+    "T4": Statement(_weak_subadditivity),
+    "T5": Statement(
+        lambda cfg, rng, idx: check_postselected_diamond_bound(*_scaled_isometry_case(cfg, rng, idx))
+    ),
+    "T6": Statement(
+        lambda cfg, rng, idx: check_postselected_dilation_bound(*_scaled_isometry_case(cfg, rng, idx))
+    ),
+    "C2": Statement(_weak_contractivity),
+    "L2": Statement(_conversion),
+    "CE1": Statement(
+        lambda cfg, rng, idx: nonconvexity_report(NONCONVEXITY_EPSILONS[idx]),
+        sweep=len(NONCONVEXITY_EPSILONS),
+    ),
+    "CE2": Statement(
+        lambda cfg, rng, idx: contractivity_report(CONTRACTIVITY_EPSILONS[idx]),
+        sweep=len(CONTRACTIVITY_EPSILONS),
+    ),
+    "CE3": Statement(
+        lambda cfg, rng, idx: alpha_necessity_report(_opt(cfg, rng, boost=True)), sweep=1
+    ),
 }
+
+STATEMENT_IDS = tuple(STATEMENTS)
+
+# The counterexample statements are fixed parameter sweeps, not random corpora.
+FIXED_SWEEP_IDS = tuple(sid for sid, entry in STATEMENTS.items() if entry.sweep is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +288,13 @@ def normalize_suite_ids(spec: str) -> tuple[str, ...]:
 
 
 def run_statement(statement: str, cfg: RunConfig = RunConfig()) -> list[TheoremReport]:
-    if statement not in _RUNNERS:
+    entry = STATEMENTS.get(statement)
+    if entry is None:
         raise ParameterError(
             f"unknown statement id {statement!r}; known: {', '.join(STATEMENT_IDS)}"
         )
-    return _RUNNERS[statement](cfg)
+    count = cfg.trials if entry.sweep is None else entry.sweep
+    return [entry.build(cfg, _instance_rng(cfg, statement, idx), idx) for idx in range(count)]
 
 
 def run_suite(

@@ -34,15 +34,16 @@ from .channels import (
     nonconvexity_pair,
     contractivity_triple,
     conversion_pair,
+    require_postselection,
     scale,
     stinespring,
     tensor_with_identity,
-    validate,
 )
 from .distances import (
     OptimizerConfig,
     diamond_distance,
     diamond_norm_channel,
+    distance,
     evaluate_witness,
     herm_sign,
     herm_trace_norms,
@@ -260,10 +261,6 @@ def check_subadditivity(
 # ---------------------------------------------------------------------------
 
 
-def _require_isometry_channel(u: np.ndarray) -> Channel:
-    return isometry(u, name="ideal_isometry")
-
-
 def environment_vector(dilation: StinespringOp, iso: np.ndarray, state: PureState) -> np.ndarray:
     """
     The environment-side vector (<u| U^H (x) 1_env) A |u> that witnesses how
@@ -282,6 +279,34 @@ def environment_vector(dilation: StinespringOp, iso: np.ndarray, state: PureStat
     return np.einsum("m,mei,i->e", (iso @ state.vector).conj(), a3, state.vector)
 
 
+def _dilation_residual(dilation: StinespringOp, iso: np.ndarray, g: np.ndarray):
+    # ||A - U (x) g||_op and ||g||^2 (T3 and T6).
+    residual = operator_norm(dilation.matrix - np.kron(np.asarray(iso, dtype=complex), g[:, None]))
+    return residual, float(np.vdot(g, g).real)
+
+
+def _isometry_diamond_report(statement, ch, iso, cfg, postselected, bound) -> TheoremReport:
+    # C1 / T2 / T5: the diamond distance (renormalized when `postselected`) to
+    # the isometry channel against bound(eps), eps the matching state distance.
+    ideal = isometry(iso, name="ideal_isometry")
+    state_measure, diamond_measure = (
+        ("hat-tr", "hat-diamond") if postselected else ("dtrD", "diamond")
+    )
+    eps = distance(state_measure, ch, ideal, cfg).value
+    lhs = distance(diamond_measure, ch, ideal, cfg)
+    return _report(
+        statement,
+        f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",
+        lhs.value,
+        bound(eps),
+        OPTIMIZER_SLACK,
+        witnesses={
+            "epsilon_hat" if postselected else "epsilon": eps,
+            "diamond_witness": lhs.witness,
+        },
+    )
+
+
 def check_isometry_approximation(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
 ) -> TheoremReport:
@@ -292,14 +317,12 @@ def check_isometry_approximation(
     checked alongside (the lower edge uses the witness value, which the proof
     bounds pointwise).
     """
-    ideal = _require_isometry_channel(iso)
-    est = trace_distance_states(ch, ideal, cfg)
+    est = trace_distance_states(ch, isometry(iso, name="ideal_isometry"), cfg)
     eps = est.value
     dilation = stinespring(ch)
     g = environment_vector(dilation, iso, est.witness)
-    residual = operator_norm(dilation.matrix - np.kron(np.asarray(iso, dtype=complex), g[:, None]))
+    residual, g_sq = _dilation_residual(dilation, iso, g)
     a_sq = diamond_norm_channel(ch)
-    g_sq = float(np.vdot(g, g).real)
     aux = []
     if g_sq < 1.0 - eps - CLOSED_FORM_SLACK:
         aux.append(f"norm window low: ||g||^2 = {g_sq!r} < 1 - eps = {1.0 - eps!r}")
@@ -327,16 +350,8 @@ def check_diamond_from_state_distance(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
 ) -> TheoremReport:
     """d_diamond <= 4 sqrt(eps) + eps against an isometry channel."""
-    ideal = _require_isometry_channel(iso)
-    eps = trace_distance_states(ch, ideal, cfg).value
-    lhs = diamond_distance(ch, ideal, cfg)
-    return _report(
-        "C1",
-        f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",
-        lhs.value,
-        4.0 * math.sqrt(max(eps, 0.0)) + eps,
-        OPTIMIZER_SLACK,
-        witnesses={"epsilon": eps, "diamond_witness": lhs.witness},
+    return _isometry_diamond_report(
+        "C1", ch, iso, cfg, False, lambda eps: 4.0 * math.sqrt(max(eps, 0.0)) + eps
     )
 
 
@@ -349,16 +364,8 @@ def check_trace_preserving_diamond_bound(
     """
     if not ch.is_trace_preserving():
         raise ValidityError("precondition: the approximating channel must be trace-preserving")
-    ideal = _require_isometry_channel(iso)
-    eps = trace_distance_states(ch, ideal, cfg).value
-    lhs = diamond_distance(ch, ideal, cfg)
-    return _report(
-        "T2",
-        f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",
-        lhs.value,
-        math.sqrt(2.0 * max(eps, 0.0)),
-        OPTIMIZER_SLACK,
-        witnesses={"epsilon": eps, "diamond_witness": lhs.witness},
+    return _isometry_diamond_report(
+        "T2", ch, iso, cfg, False, lambda eps: math.sqrt(2.0 * max(eps, 0.0))
     )
 
 
@@ -383,8 +390,7 @@ def check_postselected_subadditivity(
     Each right term is the max of its own estimate and the left witness pushed
     through the renormalized-composition identity, which restores soundness.
     """
-    for ch in (inner_a, inner_b, outer_a, outer_b):
-        validate(ch, require_postselection=True)
+    require_postselection(inner_a, inner_b, outer_a, outer_b)
     if not outer_b.is_trace_preserving():
         raise ValidityError("precondition: outer_b must be trace-preserving")
     if (inner_a.dim_in, inner_a.dim_out) != (inner_b.dim_in, inner_b.dim_out):
@@ -432,8 +438,7 @@ def check_postselected_contractivity(
     """
     if not tau.is_trace_preserving():
         raise ValidityError("precondition: tau must be trace-preserving")
-    validate(chan_a, require_postselection=True)
-    validate(chan_b, require_postselection=True)
+    require_postselection(chan_a, chan_b)
     lhs_est = postselected_diamond_distance(compose(tau, chan_a), compose(tau, chan_b), cfg)
     transfer = evaluate_witness("hat-diamond", chan_a, chan_b, lhs_est.witness)
     est_rhs = postselected_diamond_distance(chan_a, chan_b, cfg).value
@@ -456,13 +461,6 @@ def check_postselected_contractivity(
 # ---------------------------------------------------------------------------
 
 
-def _epsilon_hat(ch: Channel, iso: np.ndarray, cfg: OptimizerConfig) -> tuple[Channel, float]:
-    # The isometry channel and eps-hat, its renormalized trace distance to ch.
-    validate(ch, require_postselection=True)
-    ideal = _require_isometry_channel(iso)
-    return ideal, postselected_trace_distance(ch, ideal, cfg).value
-
-
 def check_postselected_diamond_bound(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
 ) -> TheoremReport:
@@ -470,15 +468,8 @@ def check_postselected_diamond_bound(
     T5: with eps-hat the renormalized trace distance to the isometry channel,
     the renormalized diamond distance is at most 24 sqrt(eps) + 18 eps.
     """
-    ideal, eps = _epsilon_hat(ch, iso, cfg)
-    lhs_diamond = postselected_diamond_distance(ch, ideal, cfg)
-    return _report(
-        "T5",
-        f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",
-        lhs_diamond.value,
-        24.0 * math.sqrt(max(eps, 0.0)) + 18.0 * eps,
-        OPTIMIZER_SLACK,
-        witnesses={"epsilon_hat": eps, "diamond_witness": lhs_diamond.witness},
+    return _isometry_diamond_report(
+        "T5", ch, iso, cfg, True, lambda eps: 24.0 * math.sqrt(max(eps, 0.0)) + 18.0 * eps
     )
 
 
@@ -491,18 +482,14 @@ def check_postselected_dilation_bound(
     with the window (1 - 9 eps) ||A||_op^2 <= ||g||^2 <= ||A||_op^2, where g is
     ||A||_op times the unit-channel environment vector.
     """
-    ideal, eps = _epsilon_hat(ch, iso, cfg)
+    ideal = isometry(iso, name="ideal_isometry")
+    eps = postselected_trace_distance(ch, ideal, cfg).value
     k = diamond_norm_channel(ch)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
     d_est = trace_distance_states(unit, ideal, cfg)
-    v = environment_vector(stinespring(unit), iso, d_est.witness)
     a_norm = math.sqrt(k)
-    g = a_norm * v
-    dilation = stinespring(ch)
-    residual = operator_norm(
-        dilation.matrix - np.kron(np.asarray(iso, dtype=complex), g[:, None])
-    )
-    g_sq = float(np.vdot(g, g).real)
+    g = a_norm * environment_vector(stinespring(unit), iso, d_est.witness)
+    residual, g_sq = _dilation_residual(stinespring(ch), iso, g)
     aux = []
     if g_sq < (1.0 - 9.0 * eps) * k - OPTIMIZER_SLACK:
         aux.append(f"norm window low: ||g||^2 = {g_sq!r} < (1 - 9 eps) k = {(1.0 - 9.0 * eps) * k!r}")
@@ -654,7 +641,7 @@ def check_conversion(
     f(rho) <= 2 ||Psi(rho)/k - Phi(rho)||; (c) additionally pools the
     renormalized witness into the state-distance value.
     """
-    validate(ch, require_postselection=True)
+    require_postselection(ch)
     if not reference.is_trace_preserving():
         raise ValidityError("precondition: reference must be trace-preserving")
     k = diamond_norm_channel(ch)

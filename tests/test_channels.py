@@ -31,6 +31,7 @@ from postdist.channels import (
     random_density,
     random_pure,
     read_channel,
+    require_postselection,
     scale,
     stinespring,
     teleportation,
@@ -118,7 +119,7 @@ def test_validate_reports():
     rep2 = validate(proj)
     assert not rep2.postselection_valid
     with pytest.raises(ValidityError):
-        validate(proj, require_postselection=True)
+        require_postselection(proj)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,11 @@ def test_curve_figure_two_sweep(capsys):
     assert len(lines) == 5  # epsilon = 1/5 ... 4/5
     eps = [float(l.split(",")[0]) for l in lines[1:]]
     assert eps == [0.2, 0.4, 0.6, 0.8]
+    for grid in ("0", "1"):
+        assert main(["curve", "--figure", "2", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid must be >= 2" in captured.err
 
 
 def test_curve_out_file(tmp_path, capsys):

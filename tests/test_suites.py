@@ -19,6 +19,11 @@ SMALL = RunConfig(seed=7, trials=2, dims=(2,), restarts=4, max_iterations=80)
 
 
 def test_normalize_suite_ids():
+    # The table order seeds every instance stream, so reordering it must fail.
+    assert STATEMENT_IDS == (
+        "L1", "F2", "T1", "T2", "T3", "C1", "T4", "T5", "T6", "C2", "L2", "CE1", "CE2", "CE3"
+    )
+    assert FIXED_SWEEP_IDS == ("CE1", "CE2", "CE3")
     assert normalize_suite_ids("all") == STATEMENT_IDS
     assert normalize_suite_ids(" ALL ") == STATEMENT_IDS
     assert normalize_suite_ids("T1,CE2") == ("T1", "CE2")
@@ -32,6 +37,16 @@ def test_normalize_suite_ids():
 def test_run_statement_unknown_id():
     with pytest.raises(ParameterError):
         run_statement("nope", SMALL)
+
+
+def test_run_config_rejects_empty_corpora():
+    # An empty corpus would report "0/0 passed" and count as a pass.
+    for bad in ({"trials": 0}, {"trials": -3}, {"dims": ()}):
+        with pytest.raises(ParameterError):
+            RunConfig(**bad)
+    # Dimension 1 is a valid corpus; requiring d >= 2 is the CLI's policy.
+    tiny = RunConfig(seed=3, trials=1, dims=(1,), restarts=3, max_iterations=60)
+    assert suite_passed(run_suite(("L1", "T2"), tiny))
 
 
 def test_fixed_sweeps_ignore_trials():
