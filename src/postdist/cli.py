@@ -46,7 +46,6 @@ from .suites import (
 )
 from .theorems import contractivity_curve, nonconvexity_curve
 
-_DIST_DEFAULTS = OptimizerConfig()
 _SUITE_DEFAULTS = RunConfig()
 
 
@@ -58,6 +57,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if any(d < 2 for d in dims):
         raise ParameterError(f"dims must all be >= 2, got {dims}")
     return dims
+
+
+def _optimizer_flags(args) -> dict:
+    # The optimizer flags given on the command line; the rest keep the
+    # command's defaults (OptimizerConfig for dist, RunConfig for verify).
+    given = dict(restarts=args.restarts, max_iterations=args.max_iter, value_tolerance=args.tol)
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _witness_summary(witness) -> str:
@@ -88,12 +94,7 @@ def _witness_json(witness) -> dict:
 def _cmd_dist(args) -> int:
     chan_a = read_channel(args.channel_a)
     chan_b = read_channel(args.channel_b)
-    cfg = OptimizerConfig(
-        restarts=args.restarts if args.restarts is not None else _DIST_DEFAULTS.restarts,
-        max_iterations=args.max_iter if args.max_iter is not None else _DIST_DEFAULTS.max_iterations,
-        value_tolerance=args.tol if args.tol is not None else _DIST_DEFAULTS.value_tolerance,
-        master_seed=args.seed,
-    )
+    cfg = OptimizerConfig(master_seed=args.seed, **_optimizer_flags(args))
     est = distance(args.measure, chan_a, chan_b, cfg)
     print(
         f"measure={est.measure} value={est.value!r} "
@@ -117,14 +118,7 @@ def _cmd_dist(args) -> int:
 def _cmd_verify(args) -> int:
     ids = normalize_suite_ids(args.suite)
     cfg = RunConfig(
-        seed=args.seed,
-        trials=args.trials,
-        dims=_parse_dims(args.dims),
-        restarts=args.restarts if args.restarts is not None else _SUITE_DEFAULTS.restarts,
-        max_iterations=(
-            args.max_iter if args.max_iter is not None else _SUITE_DEFAULTS.max_iterations
-        ),
-        value_tolerance=args.tol if args.tol is not None else _SUITE_DEFAULTS.value_tolerance,
+        seed=args.seed, trials=args.trials, dims=_parse_dims(args.dims), **_optimizer_flags(args)
     )
     results = run_suite(ids, cfg)
     text = format_suite_results(results)

@@ -23,6 +23,7 @@ renormalized counterpart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -59,6 +60,16 @@ class OptimizerConfig:
     step_tolerance: float = 1e-9
     value_tolerance: float = 1e-8
     master_seed: int = 0
+
+    def __post_init__(self):
+        tolerances = (self.step_tolerance, self.value_tolerance)
+        if self.restarts < 1 or self.max_iterations < 0 or not all(
+            math.isfinite(t) and t >= 0.0 for t in tolerances
+        ):
+            raise InvalidInputError(
+                "optimizer needs restarts >= 1, max_iterations >= 0 and finite tolerances "
+                f">= 0, got {self}"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,22 @@ def unit_rows_gradient(
     return np.concatenate([g.real, g.imag], axis=1)
 
 
+def unit_pairs(x: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """
+    `unit_rows` for rows [u | v] of two vectors (length 4*dim), decoded as one
+    batch: u and v of row i are entries 2i and 2i + 1, and `bad` (one flag per
+    row) marks rows where either is bad.
+    """
+    w, norms, bad = unit_rows(x.reshape(-1, 2 * dim), dim)
+    return w, norms, bad[0::2] | bad[1::2]
+
+
+def unit_pairs_gradient(grad_u, grad_v, w: np.ndarray, norms: np.ndarray, bad: np.ndarray):
+    """`unit_rows_gradient` for rows decoded by `unit_pairs`: rows [g_u | g_v]."""
+    grad = np.stack([grad_u, grad_v], axis=1).reshape(w.shape)
+    return unit_rows_gradient(grad, w, norms, np.repeat(bad, 2)).reshape(-1, 4 * w.shape[1])
+
+
 def herm_sign(x: np.ndarray) -> np.ndarray:
     """
     sign(X) = V sign(Lambda) V^H for a batch of Hermitian matrices: the
@@ -124,27 +151,37 @@ def herm_sign(x: np.ndarray) -> np.ndarray:
 
 def herm_trace_norms(x: np.ndarray) -> np.ndarray:
     """Trace norms of a batch of Hermitian matrices: the sums of |eigenvalues|."""
-    w = npl.eigvalsh(x)
-    return np.abs(w).sum(axis=-1)
+    return np.abs(npl.eigvalsh(x)).sum(axis=-1)
 
 
-def pure_outputs(stack: np.ndarray, inputs: np.ndarray, joint: bool = False) -> np.ndarray:
+def kraus_images(stack: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """K_e u for a Kraus stack (rank, dim_out, dim_in) and inputs u as (batch, dim_in, anc)."""
+    return np.einsum("eij,mja->meia", stack, inputs)
+
+
+def pure_outputs(images: np.ndarray, joint: bool = False) -> np.ndarray:
     """
-    sum_e (K_e u)(K_e u)^H for a Kraus stack (rank, dim_out, dim_in) and a batch
-    of inputs u as (batch, dim_in, anc) matrices: on dim_out (x) anc when
-    `joint`, else with the ancilla traced out (so a factor T gives Psi(T T^H)).
+    sum_e (K_e u)(K_e u)^H from `kraus_images`: on dim_out (x) anc when `joint`,
+    else with the ancilla traced out (so a factor T gives Psi(T T^H)).
     """
-    images = np.einsum("eij,mja->meia", stack, inputs)
     if joint:
         flat = images.reshape(images.shape[0], images.shape[1], -1)
         return np.einsum("mep,meq->mpq", flat, flat.conj())
     return np.einsum("meik,melk->mil", images, images.conj())
 
 
-def _gram_trace_norms(x: np.ndarray) -> np.ndarray:
-    g = np.einsum("mji,mjk->mik", x.conj(), x)
-    w = npl.eigvalsh(g)
-    return np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: bool = False):
+    """
+    sum_e K_e^H S y_e for the images y_e = K_e u of `kraus_images` and output
+    operators S (on dim_out (x) anc when `joint`): for Hermitian S, half the
+    complex gradient in u of tr(S sum_e y_e y_e^H).
+    """
+    m, e, o, a = images.shape
+    if joint:
+        s_images = (sign[:, None] @ images.reshape(m, e, o * a, 1)).reshape(m, e, o, a)
+    else:
+        s_images = sign[:, None] @ images
+    return (stack.conj().transpose(0, 2, 1) @ s_images).sum(axis=1)
 
 
 def _kraus_stacks(chan_a: Channel, chan_b: Channel) -> tuple[np.ndarray, np.ndarray]:
@@ -160,146 +197,96 @@ def _kraus_stacks(chan_a: Channel, chan_b: Channel) -> tuple[np.ndarray, np.ndar
 # batched objectives and their closed-form gradients
 # ---------------------------------------------------------------------------
 #
-# Each factory takes the channel pair and returns a function of a batch of
-# real parameter rows.  Four measures share one pure-input kernel, with the
-# input u held as a (dim_in, anc) matrix: anc = 1 for dtrD, the ancilla for
-# the stabilized measures (`joint` outputs on dim_out (x) anc), and the
+# Each kernel maps the channel pair to (fn, grad), the objective and its
+# gradient over a batch of real parameter rows, built on the same decode ->
+# images -> outputs steps.  Four measures share the pure-input kernel, with
+# the input u held as a (dim_in, anc) matrix: anc = 1 for dtrD, the ancilla
+# for the stabilized measures (`joint` outputs on dim_out (x) anc), and the
 # Ginibre factor's second index for hat-tr (traced out of the outputs).
 # `renormalize` divides each output by its trace.  The trace norm is
 # differentiated through its sign factor (Hermitian differences) or its polar
 # factor (dtr).
 
 
-def _objective_pure(
-    chan_a: Channel, chan_b: Channel, anc: int, joint: bool, renormalize: bool
-):
+def _pure_kernel(chan_a: Channel, chan_b: Channel, ancilla: bool, joint: bool, renormalize: bool):
     ka, kb = _kraus_stacks(chan_a, chan_b)
+    ea, eb = chan_a.effect, chan_b.effect
     d = chan_a.dim_in
+    anc = d if ancilla else 1
+
+    def output(images: np.ndarray, bad: np.ndarray):
+        # (output / trace, trace as (m, 1, 1), bad): a trace below 1e-30 marks its row bad.
+        out = pure_outputs(images, joint)
+        if not renormalize:
+            return out, None, bad
+        tr = np.einsum("mii->m", out).real
+        small = tr < 1e-30
+        tr = np.where(small, 1.0, tr)[:, None, None]
+        return out / tr, tr, bad | small
 
     def fn(x: np.ndarray) -> np.ndarray:
         u, _, bad = unit_rows(x, d * anc)
         u3 = u.reshape(-1, d, anc)
-        out_a, out_b = pure_outputs(ka, u3, joint), pure_outputs(kb, u3, joint)
-        if renormalize:
-            tr_a = np.einsum("mii->m", out_a).real
-            tr_b = np.einsum("mii->m", out_b).real
-            bad = bad | (tr_a < 1e-30) | (tr_b < 1e-30)
-            tr_a = np.where(tr_a < 1e-30, 1.0, tr_a)
-            tr_b = np.where(tr_b < 1e-30, 1.0, tr_b)
-            out_a, out_b = out_a / tr_a[:, None, None], out_b / tr_b[:, None, None]
+        # One channel's images at a time keeps the oracle's peak memory down.
+        out_a, _, bad = output(kraus_images(ka, u3), bad)
+        out_b, _, bad = output(kraus_images(kb, u3), bad)
         vals = herm_trace_norms(out_a - out_b)
         vals[bad] = -np.inf
         return vals
 
-    return fn
-
-
-def _outputs(images: np.ndarray, joint: bool) -> np.ndarray:
-    # pure_outputs in matmul form, from the images y = K_e u (m, e, dim_out, anc).
-    # The value kernels keep the einsum form: switching would move their last bits.
-    m, e, o, a = images.shape
-    if joint:
-        flat = images.reshape(m, e, o * a)
-        return flat.transpose(0, 2, 1) @ flat.conj()
-    flat = images.transpose(0, 2, 1, 3).reshape(m, o, e * a)
-    return flat @ flat.conj().transpose(0, 2, 1)
-
-
-def _pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: bool):
-    # (sum_e K_e^H S K_e u, tr(S sum_e y_e y_e^H)) from the images y = K_e u.
-    m, e, o, a = images.shape
-    if joint:
-        s_images = (sign[:, None] @ images.reshape(m, e, o * a, 1)).reshape(m, e, o, a)
-    else:
-        s_images = sign[:, None] @ images
-    pulled = (stack.conj().transpose(0, 2, 1) @ s_images).sum(axis=1)
-    return pulled, (images.conj() * s_images).real.sum(axis=(1, 2, 3))
-
-
-def _gradient_pure(
-    chan_a: Channel, chan_b: Channel, anc: int, joint: bool, renormalize: bool
-):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
-    ea, eb = chan_a.effect, chan_b.effect
-    d = chan_a.dim_in
-
     def grad(x: np.ndarray) -> np.ndarray:
         u, norms, bad = unit_rows(x, d * anc)
         u3 = u.reshape(-1, d, anc)
-        ya, yb = ka @ u3[:, None], kb @ u3[:, None]
-        out_a, out_b = _outputs(ya, joint), _outputs(yb, joint)
-        if renormalize:
-            tr_a = np.trace(out_a, axis1=1, axis2=2).real
-            tr_b = np.trace(out_b, axis1=1, axis2=2).real
-            bad = bad | (tr_a < 1e-30) | (tr_b < 1e-30)
-            tr_a = np.where(tr_a < 1e-30, 1.0, tr_a)[:, None, None]
-            tr_b = np.where(tr_b < 1e-30, 1.0, tr_b)[:, None, None]
-            out_a, out_b = out_a / tr_a, out_b / tr_b
+        ya, yb = kraus_images(ka, u3), kraus_images(kb, u3)
+        out_a, tr_a, bad = output(ya, bad)
+        out_b, tr_b, bad = output(yb, bad)
         sign = herm_sign(out_a - out_b)
-        pa, sa = _pullback(ka, ya, sign, joint)
-        pb, sb = _pullback(kb, yb, sign, joint)
+        pa, pb = pullback(ka, ya, sign, joint), pullback(kb, yb, sign, joint)
         if renormalize:
-            # Quotient rule for || P/p - Q/q ||_1 with p = <u, E_a u>, q = <u, E_b u>.
-            pa = (pa - (sa[:, None, None] / tr_a) * (ea @ u3)) / tr_a
-            pb = (pb - (sb[:, None, None] / tr_b) * (eb @ u3)) / tr_b
+            # Quotient rule for || P/p - Q/q ||_1 with p = <u, E_a u>, q = <u, E_b u>;
+            # tr(S P/p) weighs the E_a u term.
+            sa = np.einsum("mij,mji->m", sign, out_a).real[:, None, None]
+            sb = np.einsum("mij,mji->m", sign, out_b).real[:, None, None]
+            pa, pb = (pa - sa * (ea @ u3)) / tr_a, (pb - sb * (eb @ u3)) / tr_b
         g = 2.0 * (pa - pb)
         return unit_rows_gradient(g.reshape(-1, d * anc), u, norms, bad)
 
-    return grad
+    return fn, grad
 
 
-def _objective_dtr(chan_a: Channel, chan_b: Channel):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
-    d = chan_a.dim_in
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        u, _, bad_u = unit_rows(x[:, : 2 * d], d)
-        v, _, bad_v = unit_rows(x[:, 2 * d :], d)
-        wau = np.einsum("eij,mj->mei", ka, u)
-        wav = np.einsum("eij,mj->mei", ka, v)
-        wbu = np.einsum("eij,mj->mei", kb, u)
-        wbv = np.einsum("eij,mj->mei", kb, v)
-        diff = np.einsum("mei,mek->mik", wau, wav.conj()) - np.einsum(
-            "mei,mek->mik", wbu, wbv.conj()
-        )
-        vals = _gram_trace_norms(diff)
-        vals[bad_u | bad_v] = -np.inf
-        return vals
-
-    return fn
-
-
-def _gradient_dtr(chan_a: Channel, chan_b: Channel):
+def _dtr_kernel(chan_a: Channel, chan_b: Channel):
     # || Delta ||_1 for Delta = sum_e A_e u v^H A_e^H - B_e u v^H B_e^H: with the
     # polar factor W = U V^H of Delta and N = sum_e A_e^H W A_e - B_e^H W B_e,
     # the complex gradients are N v (in u) and N^H u (in v).
     ka, kb = _kraus_stacks(chan_a, chan_b)
     d = chan_a.dim_in
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        u, norms_u, bad_u = unit_rows(x[:, : 2 * d], d)
-        v, norms_v, bad_v = unit_rows(x[:, 2 * d :], d)
-        au, av = ka @ u[:, None, :, None], ka @ v[:, None, :, None]
-        bu, bv = kb @ u[:, None, :, None], kb @ v[:, None, :, None]
-        diff = (au @ av.conj().transpose(0, 1, 3, 2)).sum(axis=1) - (
-            bu @ bv.conj().transpose(0, 1, 3, 2)
-        ).sum(axis=1)
-        left, _, right = npl.svd(diff)
-        polar = (left @ right)[:, None]
-        polar_h = polar.conj().transpose(0, 1, 3, 2)
-        ka_h, kb_h = ka.conj().transpose(0, 2, 1), kb.conj().transpose(0, 2, 1)
-        gu = (ka_h @ polar @ av).sum(axis=1) - (kb_h @ polar @ bv).sum(axis=1)
-        gv = (ka_h @ polar_h @ au).sum(axis=1) - (kb_h @ polar_h @ bu).sum(axis=1)
-        bad = bad_u | bad_v
-        return np.concatenate(
-            [
-                unit_rows_gradient(gu[..., 0], u, norms_u, bad),
-                unit_rows_gradient(gv[..., 0], v, norms_v, bad),
-            ],
-            axis=1,
+    def difference(x: np.ndarray):
+        w, norms, bad = unit_pairs(x, d)
+        ya, yb = kraus_images(ka, w[:, :, None]), kraus_images(kb, w[:, :, None])
+        diff = np.einsum("meik,melk->mil", ya[0::2], ya[1::2].conj()) - np.einsum(
+            "meik,melk->mil", yb[0::2], yb[1::2].conj()
         )
+        return diff, (w, norms, bad), ya, yb
 
-    return grad
+    def fn(x: np.ndarray) -> np.ndarray:
+        diff, (_, _, bad), _, _ = difference(x)
+        # singular values of Delta as the square roots of its Gram eigenvalues
+        w = npl.eigvalsh(np.einsum("mji,mjk->mik", diff.conj(), diff))
+        vals = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+        vals[bad] = -np.inf
+        return vals
+
+    def grad(x: np.ndarray) -> np.ndarray:
+        diff, rows, ya, yb = difference(x)
+        left, _, right = npl.svd(diff)
+        polar = left @ right
+        polar_h = polar.conj().transpose(0, 2, 1)
+        gu = pullback(ka, ya[1::2], polar) - pullback(kb, yb[1::2], polar)
+        gv = pullback(ka, ya[0::2], polar_h) - pullback(kb, yb[0::2], polar_h)
+        return unit_pairs_gradient(gu, gv, *rows)
+
+    return fn, grad
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +295,6 @@ def _gradient_dtr(chan_a: Channel, chan_b: Channel):
 
 
 _LINE_SEARCH = np.array([2.0, 1.0, 0.5, 0.125])
-
-
-def _restart_rng(master_seed: int, restart: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed & SEED_MASK, restart])
 
 
 class AscentResult(NamedTuple):
@@ -343,12 +326,9 @@ def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentRe
     if it improves; a restart stops at a zero gradient, a step below the step
     tolerance, or five steps in a row that gain less than the value tolerance.
     """
-    if cfg.restarts < 1:
-        raise InvalidInputError("optimizer needs at least one restart")
     reps = cfg.restarts
-    x = np.empty((reps, n_params))
-    for r in range(reps):
-        x[r] = _restart_rng(cfg.master_seed, r).standard_normal(n_params)
+    seed = cfg.master_seed & SEED_MASK
+    x = np.array([np.random.default_rng([seed, r]).standard_normal(n_params) for r in range(reps)])
     x /= np.maximum(npl.norm(x, axis=1), 1e-12)[:, None]
     values = value_fn(x)
     evaluations = reps
@@ -395,11 +375,8 @@ def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentRe
 
         active[idx] = ~flat & (alpha[idx] >= cfg.step_tolerance) & (stall[idx] < 5)
     winner = int(np.argmax(values))
-    if reps == 1:
-        converged = True
-    else:
-        top = np.sort(values)[::-1]
-        converged = bool(top[0] - top[1] <= cfg.value_tolerance)
+    top = np.sort(values)[::-1]
+    converged = reps == 1 or bool(top[0] - top[1] <= cfg.value_tolerance)
     return AscentResult(values, x, winner, converged, iterations, evaluations)
 
 
@@ -441,7 +418,7 @@ def _pair_input(witness, dim: int, measure: str) -> np.ndarray:
 
 class MeasureSpec(NamedTuple):
     """
-    One measure.  `value` and `gradient` map a channel pair to its batched
+    One measure.  `kernel` maps a channel pair to (fn, grad): its batched
     objective and gradient over `n_params(dim_in)` real parameters.
     `decode(x, dim)` turns the winning row into a witness, and
     `witness_input(witness, dim, measure)` a witness into the input operator,
@@ -451,8 +428,7 @@ class MeasureSpec(NamedTuple):
     fixes a canonical pair order and requires postselection-valid channels.
     """
 
-    value: Callable
-    gradient: Callable
+    kernel: Callable
     n_params: Callable[[int], int]
     decode: Callable
     witness_input: Callable
@@ -464,16 +440,12 @@ class MeasureSpec(NamedTuple):
 
 
 def _pure_measure(decode, ancilla: bool, stabilized: bool, postselected: bool) -> MeasureSpec:
-    # A measure of the shared pure-input kernel (see `_objective_pure`): the
+    # A measure of the shared pure-input kernel (see `_pure_kernel`): the
     # stabilized ones keep the ancilla in the outputs, the postselected ones
     # renormalize them.
-    def anc(dim_in: int) -> int:
-        return dim_in if ancilla else 1
-
     return MeasureSpec(
-        lambda a, b: _objective_pure(a, b, anc(a.dim_in), stabilized, postselected),
-        lambda a, b: _gradient_pure(a, b, anc(a.dim_in), stabilized, postselected),
-        n_params=lambda d: 2 * d * anc(d),
+        lambda a, b: _pure_kernel(a, b, ancilla, stabilized, postselected),
+        n_params=lambda d: 2 * d * (d if ancilla else 1),
         decode=decode,
         witness_input=_state_input,
         stabilized=stabilized,
@@ -484,8 +456,7 @@ def _pure_measure(decode, ancilla: bool, stabilized: bool, postselected: bool) -
 MEASURE_SPECS = {
     "dtrD": _pure_measure(_decode_pure, ancilla=False, stabilized=False, postselected=False),
     "dtr": MeasureSpec(
-        _objective_dtr,
-        _gradient_dtr,
+        _dtr_kernel,
         n_params=lambda d: 4 * d,
         decode=_decode_pair,
         witness_input=_pair_input,
@@ -546,7 +517,7 @@ def distance(
     cap = STABILIZED_DIM_CAP if spec.stabilized else UNSTABILIZED_DIM_CAP
     chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, cap)
     d = chan_a.dim_in
-    res = maximize(spec.value(chan_a, chan_b), spec.gradient(chan_a, chan_b), spec.n_params(d), cfg)
+    res = maximize(*spec.kernel(chan_a, chan_b), spec.n_params(d), cfg)
     witness = spec.decode(res.points[res.winner], d * spec.ancilla(d))
     return DistanceEstimate(
         measure=measure,
@@ -689,16 +660,11 @@ def dense_oracle(
         raise InvalidInputError("oracle needs at least one sample")
     spec = _spec(measure)
     chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, ORACLE_DIM_CAP)
-    fn = spec.value(chan_a, chan_b)
+    fn, _ = spec.kernel(chan_a, chan_b)
     n_params = spec.n_params(chan_a.dim_in)
     rng = np.random.default_rng([seed & SEED_MASK, 1])
     best = -np.inf
-    remaining = int(samples)
-    while remaining > 0:
-        take = min(_ORACLE_CHUNK, remaining)
-        vals = fn(rng.standard_normal((take, n_params)))
-        top = float(np.max(vals))
-        if top > best:
-            best = top
-        remaining -= take
+    for start in range(0, samples, _ORACLE_CHUNK):
+        take = min(_ORACLE_CHUNK, samples - start)
+        best = max(best, float(np.max(fn(rng.standard_normal((take, n_params))))))
     return best

@@ -67,6 +67,7 @@ class RunConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if not self.dims:
             raise ParameterError("dims must name at least one dimension")
+        OptimizerConfig(self.restarts, self.max_iterations, value_tolerance=self.value_tolerance)
 
 
 def _instance_rng(cfg: RunConfig, statement: str, index: int) -> np.random.Generator:

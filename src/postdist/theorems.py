@@ -47,14 +47,18 @@ from .distances import (
     evaluate_witness,
     herm_sign,
     herm_trace_norms,
+    kraus_images,
     maximize,
     pointwise_distance,
     postselected_diamond_distance,
     postselected_trace_distance,
+    pullback,
     pure_outputs,
     renormalized_distance,
     trace_distance_operators,
     trace_distance_states,
+    unit_pairs,
+    unit_pairs_gradient,
     unit_rows,
     unit_rows_gradient,
 )
@@ -517,34 +521,29 @@ def check_postselected_dilation_bound(
 
 
 def _objective_output_separation(ch: Channel):
+    # With S = sign(Psi(uu^H) - Psi(vv^H)) and M = sum_e K_e^H S K_e, the
+    # complex gradients are 2 M u in u and -2 M v in v.
     stack = ch.kraus_stack
     d = ch.dim_in
 
-    def difference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return pure_outputs(stack, u[:, :, None]) - pure_outputs(stack, v[:, :, None])
+    def difference(x: np.ndarray):
+        w, norms, bad = unit_pairs(x, d)
+        images = kraus_images(stack, w[:, :, None])
+        outputs = pure_outputs(images)
+        return outputs[0::2] - outputs[1::2], (w, norms, bad), images
 
     def fn(x: np.ndarray) -> np.ndarray:
-        u, _, bad_u = unit_rows(x[:, : 2 * d], d)
-        v, _, bad_v = unit_rows(x[:, 2 * d :], d)
-        vals = herm_trace_norms(difference(u, v))
-        vals[bad_u | bad_v] = -np.inf
+        diff, (_, _, bad), _ = difference(x)
+        vals = herm_trace_norms(diff)
+        vals[bad] = -np.inf
         return vals
 
     def grad(x: np.ndarray) -> np.ndarray:
-        # With S = sign(Psi(uu^H) - Psi(vv^H)) and M = sum_e K_e^H S K_e:
-        # 2 M u in u and -2 M v in v.
-        u, norms_u, bad_u = unit_rows(x[:, : 2 * d], d)
-        v, norms_v, bad_v = unit_rows(x[:, 2 * d :], d)
-        sign = herm_sign(difference(u, v))
-        m_op = np.einsum("eji,mjk,ekl->mil", stack.conj(), sign, stack)
-        bad = bad_u | bad_v
-        return np.concatenate(
-            [
-                unit_rows_gradient(2.0 * (m_op @ u[:, :, None])[:, :, 0], u, norms_u, bad),
-                unit_rows_gradient(-2.0 * (m_op @ v[:, :, None])[:, :, 0], v, norms_v, bad),
-            ],
-            axis=1,
-        )
+        diff, rows, images = difference(x)
+        sign = herm_sign(diff)
+        gu = 2.0 * pullback(stack, images[0::2], sign)
+        gv = -2.0 * pullback(stack, images[1::2], sign)
+        return unit_pairs_gradient(gu, gv, *rows)
 
     return fn, grad, 4 * d
 

@@ -145,6 +145,11 @@ def test_example_parameter_errors_exit_two(tmp_path, capsys):
     assert main(["verify", "--suite", "CE1", "--dims", "1"]) == 2
     assert main(["verify", "--suite", "L1", "--trials", "0"]) == 2
     assert main(["verify", "--suite", "L1", "--trials", "-3"]) == 2
+    assert main(["verify", "--suite", "L1", "--max-iter", "-1"]) == 2
+    a = _write_channel_json(tmp_path / "a.json", random_channel(2, 2, rank=2, kind="cptp", seed=1))
+    b = _write_channel_json(tmp_path / "b.json", random_channel(2, 2, rank=2, kind="cptp", seed=2))
+    for flags in (["--max-iter", "-1"], ["--tol", "nan"], ["--tol", "-1"]):
+        assert main(["dist", "dtrD", a, b, *flags]) == 2
     capsys.readouterr()
 
 
@@ -232,7 +237,7 @@ def test_verify_output_is_deterministic(capsys):
 def test_verify_output_does_not_depend_on_blas_threads():
     src = str(Path(postdist.__file__).resolve().parents[1])
     command = [
-        sys.executable, "-m", "postdist.cli", "verify", "--suite", "L1,CE3", "--seed", "11",
+        sys.executable, "-m", "postdist.cli", "verify", "--suite", "L1,CE3,C2", "--seed", "11",
         "--trials", "2", "--restarts", "4", "--max-iter", "80",
     ]
     outputs = []

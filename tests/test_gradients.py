@@ -2,26 +2,30 @@
 #
 # The optimizer ascends on closed-form gradients; these tests hold each one
 # against central finite differences of its own objective at seeded random
-# points.
+# points, and each objective's value against the reference evaluation at the
+# decoded point.
 
 import warnings
 
 import numpy as np
 import pytest
 
-from postdist.channels import Channel, random_channel
+from postdist.channels import Channel, PureState, apply, random_channel
 from postdist.distances import (
     MEASURE_SPECS,
     MEASURES,
     OptimizerConfig,
+    _canonical_pair,
     distance,
     evaluate_witness,
 )
+from postdist.linalg import trace_norm
 from postdist.theorems import _objective_output_separation, _objective_probability_spread
 
 GRADIENT_STEP = 1e-6
 RTOL = 1e-6
 POINTS = 4
+VALUE_ROWS = 16
 
 def central_differences(fn, x: np.ndarray) -> np.ndarray:
     eye = np.eye(x.shape[1])
@@ -57,8 +61,34 @@ PAIRS = [("cptp", 2, 2), ("cptp", 3, 3), ("postselection", 2, 2), ("postselectio
 def test_measure_gradient_matches_central_differences(measure, kind, dim_in, dim_out):
     a, b = _pair(kind, dim_in, dim_out, seed=dim_in + 10 * dim_out)
     spec = MEASURE_SPECS[measure]
-    fn, n_params = spec.value(a, b), spec.n_params(dim_in)
-    assert_gradient_matches(fn, spec.gradient(a, b), n_params, seed=dim_in)
+    fn, grad = spec.kernel(a, b)
+    assert_gradient_matches(fn, grad, spec.n_params(dim_in), seed=dim_in)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("postselection", 2, 3)])
+def test_measure_value_matches_witness_evaluation(measure, kind, dim_in, dim_out):
+    a, b = _pair(kind, dim_in, dim_out, seed=dim_in + 10 * dim_out)
+    spec = MEASURE_SPECS[measure]
+    if spec.postselected:
+        a, b = _canonical_pair(a, b)
+    fn, _ = spec.kernel(a, b)
+    rows = np.random.default_rng(dim_in).standard_normal((VALUE_ROWS, spec.n_params(dim_in)))
+    dim = dim_in * spec.ancilla(dim_in)
+    reference = [evaluate_witness(measure, a, b, spec.decode(row, dim)) for row in rows]
+    assert np.max(np.abs(fn(rows) - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
+def test_output_separation_value_matches_direct_evaluation(kind, dim_in, dim_out):
+    ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=7 * dim_in + dim_out)
+    fn, _, n_params = _objective_output_separation(ch)
+    rows = np.random.default_rng(dim_in).standard_normal((VALUE_ROWS, n_params))
+    reference = []
+    for row in rows:
+        u, v = (PureState.normalized(h[:dim_in] + 1j * h[dim_in:]) for h in np.split(row, 2))
+        reference.append(trace_norm(apply(ch, u.density()) - apply(ch, v.density())))
+    assert np.max(np.abs(fn(rows) - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
@@ -89,7 +119,8 @@ def test_probability_spread_gradient_vanishes_for_trace_preserving(dim):
 def test_gradient_is_zero_on_degenerate_rows():
     a, b = _pair("postselection", 2, 2, seed=3)
     for spec in MEASURE_SPECS.values():
-        g = spec.gradient(a, b)(np.zeros((2, spec.n_params(a.dim_in))))
+        _, grad = spec.kernel(a, b)
+        g = grad(np.zeros((2, spec.n_params(a.dim_in))))
         assert np.all(g == 0.0)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from postdist.channels import ParameterError
+from postdist.linalg import InvalidInputError
 from postdist.suites import (
     FIXED_SWEEP_IDS,
     STATEMENT_IDS,
@@ -47,6 +48,14 @@ def test_run_config_rejects_empty_corpora():
     # Dimension 1 is a valid corpus; requiring d >= 2 is the CLI's policy.
     tiny = RunConfig(seed=3, trials=1, dims=(1,), restarts=3, max_iterations=60)
     assert suite_passed(run_suite(("L1", "T2"), tiny))
+
+
+def test_run_config_rejects_bad_optimizer_knobs():
+    # Boosted statements raise max_iterations to 1000, so a bad value would
+    # otherwise pass silently through them.
+    for bad in ({"restarts": 0}, {"max_iterations": -1}, {"value_tolerance": float("nan")}):
+        with pytest.raises(InvalidInputError):
+            RunConfig(**bad)
 
 
 def test_fixed_sweeps_ignore_trials():
