@@ -178,21 +178,22 @@ def _cmd_curve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
-    common.add_argument(
+    optimizer = argparse.ArgumentParser(add_help=False)
+    optimizer.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
+    optimizer.add_argument(
         "--restarts", type=int, default=None, help="optimizer restarts (per-command default)"
     )
-    common.add_argument(
+    optimizer.add_argument(
         "--tol", type=float, default=None, help="optimizer value tolerance (per-command default)"
     )
-    common.add_argument(
+    optimizer.add_argument(
         "--max-iter", type=int, default=None, help="optimizer iteration cap (per-command default)"
     )
-    common.add_argument(
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument(
         "--dims", type=str, default="2,3", help="suite dimensions, comma-separated (default 2,3)"
     )
-    common.add_argument(
+    corpus.add_argument(
         "--trials",
         type=int,
         default=_SUITE_DEFAULTS.trials,
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dist = sub.add_parser(
-        "dist", parents=[common], help="estimate a distance between two channel files"
+        "dist", parents=[optimizer], help="estimate a distance between two channel files"
     )
     p_dist.add_argument("measure", choices=MEASURES)
     p_dist.add_argument("channel_a", help="path to the first channel file")
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=_cmd_dist)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the statement verification suites"
+        "verify", parents=[optimizer, corpus], help="run the statement verification suites"
     )
     p_verify.add_argument(
         "--suite",
@@ -225,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="also write the report text to a file")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_example = sub.add_parser(
-        "example", parents=[common], help="write gallery channels as channel files"
-    )
+    p_example = sub.add_parser("example", help="write gallery channels as channel files")
     p_example.add_argument("name", choices=GALLERY_NAMES)
     p_example.add_argument("--epsilon", type=float, default=None)
     p_example.add_argument("--dim", type=int, default=None)
@@ -235,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("--out-dir", default=".", help="output directory (default .)")
     p_example.set_defaults(func=_cmd_example)
 
-    p_curve = sub.add_parser(
-        "curve", parents=[common], help="emit counterexample curves as CSV"
-    )
+    p_curve = sub.add_parser("curve", help="emit counterexample curves as CSV")
     p_curve.add_argument("--figure", type=int, choices=(1, 2), required=True)
     p_curve.add_argument("--epsilon", type=float, default=None)
     p_curve.add_argument(

@@ -82,15 +82,15 @@ def trace_norm(X: np.ndarray) -> float:
     """
     Trace norm ||X||_1 (sum of singular values).
 
-    Hermitian input takes the exact route sum |eigenvalues|; anything else goes
-    through the eigenvalues of the Gram matrix with negative clamping.  Both
-    paths use the same Hermitian eigendecomposition primitive.
+    Hermitian input takes the exact route sum |eigenvalues|; anything else
+    takes an SVD.  The Gram route would lift each zero singular value to about
+    sqrt(eps) * sigma_max and so bias rank-deficient inputs upward.
     """
     X = _as_matrix(X)
     if X.shape[0] == X.shape[1] and is_hermitian(X):
         w = npl.eigvalsh(hermitianize(X))
         return float(np.sum(np.abs(w)))
-    return float(np.sum(_gram_singular_values(X)))
+    return float(npl.svd(X, compute_uv=False).sum())
 
 
 def operator_norm(X: np.ndarray) -> float:

@@ -59,8 +59,6 @@ from .distances import (
     trace_distance_states,
     unit_pairs,
     unit_pairs_gradient,
-    unit_rows,
-    unit_rows_gradient,
 )
 from .linalg import InvalidInputError, operator_norm
 
@@ -585,8 +583,9 @@ class ConversionResult:
     """
     Two-sided conversion between the renormalized trace distance and the
     subnormalized state distance of the unit-scaled channel, plus the
-    probability-stability bound.  `right_vacuous` marks an infinite factor
-    (no finite right bound exists; the right check then passes vacuously).
+    probability-stability bound.  An infinite factor makes both bounds
+    infinite (`right_vacuous`): no finite right bound exists, and the right
+    and probability checks pass vacuously.
     """
 
     k: float
@@ -594,35 +593,20 @@ class ConversionResult:
     hat_distance: float
     state_distance: float
     probability_spread: float
+    right_bound: float
+    probability_bound: float
     left_ok: bool
     right_ok: bool
     probability_ok: bool
-    right_vacuous: bool
     witnesses: dict = field(default_factory=dict)
+
+    @property
+    def right_vacuous(self) -> bool:
+        return math.isinf(self.alpha)
 
     @property
     def passed(self) -> bool:
         return self.left_ok and self.right_ok and self.probability_ok
-
-
-def _objective_probability_spread(ch: Channel, k: float):
-    effect = ch.effect
-    d = ch.dim_in
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        u, _, bad = unit_rows(x, d)
-        probs = np.einsum("mi,ij,mj->m", u.conj(), effect, u).real
-        vals = np.abs(probs - k)
-        vals[bad] = -np.inf
-        return vals
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        u, norms, bad = unit_rows(x, d)
-        eu = u @ effect.T
-        probs = (u.conj() * eu).sum(axis=1).real
-        return unit_rows_gradient(2.0 * np.sign(probs - k)[:, None] * eu, u, norms, bad)
-
-    return fn, grad, 2 * d
 
 
 def check_conversion(
@@ -630,12 +614,14 @@ def check_conversion(
 ) -> ConversionResult:
     """
     Against a trace-preserving reference with conversion factor alpha and
-    k = ||Psi||_diamond:
+    k = ||Psi||_diamond = lambda_max(E):
 
       (a) max_rho |tr Psi(rho) - k|  <=  alpha k D-hat,
       (b) D-hat / 2                  <=  d_tr^D(Psi/k, reference),
       (c) d_tr^D(Psi/k, reference)   <=  (alpha + 1) D-hat.
 
+    The spread in (a) is exact: tr Psi(rho) = tr(E rho) covers
+    [lambda_min(E), lambda_max(E)], so it is k - lambda_min(E).
     (b) is certified at the state-distance witness through the pointwise chain
     f(rho) <= 2 ||Psi(rho)/k - Phi(rho)||; (c) additionally pools the
     renormalized witness into the state-distance value.
@@ -655,33 +641,25 @@ def check_conversion(
     # state-objective value there.
     f_at_state = evaluate_witness("hat-tr", ch, reference, state_est.witness)
     g_at_state = evaluate_witness("dtrD", unit, reference, state_est.witness)
-    left_ok = 0.5 * f_at_state <= g_at_state + CLOSED_FORM_SLACK
 
-    res = maximize(*_objective_probability_spread(ch, k), cfg)
-    spread = float(res.values[res.winner])
-    spread = max(
-        spread, abs(float(np.trace(apply(ch, hat_est.witness)).real) - k)
-    )
-
+    spread = k - float(ch.effect_eigenvalues[0])
+    # Infinite alpha gives infinite bounds; alpha * D-hat would be NaN at D-hat = 0.
     if math.isinf(alpha):
-        right_vacuous = True
-        right_ok = True
-        probability_ok = True
+        right_bound = probability_bound = math.inf
     else:
-        right_vacuous = False
-        bound = (alpha + 1.0) * hat_est.value
-        right_ok = state_distance <= bound + OPTIMIZER_SLACK
-        probability_ok = spread <= alpha * k * hat_est.value + OPTIMIZER_SLACK
+        right_bound = (alpha + 1.0) * hat_est.value
+        probability_bound = alpha * k * hat_est.value
     return ConversionResult(
         k=k,
         alpha=alpha,
         hat_distance=hat_est.value,
         state_distance=state_distance,
         probability_spread=spread,
-        left_ok=left_ok,
-        right_ok=right_ok,
-        probability_ok=probability_ok,
-        right_vacuous=right_vacuous,
+        right_bound=right_bound,
+        probability_bound=probability_bound,
+        left_ok=0.5 * f_at_state <= g_at_state + CLOSED_FORM_SLACK,
+        right_ok=state_distance <= right_bound + OPTIMIZER_SLACK,
+        probability_ok=spread <= probability_bound + OPTIMIZER_SLACK,
         witnesses={
             "hat_witness": hat_est.witness,
             "state_witness": state_est.witness,
@@ -695,21 +673,20 @@ def conversion_report(
 ) -> TheoremReport:
     """ConversionResult reduced to one report line (headline: right bound)."""
     res = check_conversion(ch, reference, cfg)
-    rhs = math.inf if res.right_vacuous else (res.alpha + 1.0) * res.hat_distance
     aux = []
     if not res.left_ok:
         aux.append("left bound failed: D-hat / 2 exceeds the state distance")
     if not res.probability_ok:
         aux.append(
             f"probability spread {res.probability_spread!r} exceeds "
-            f"alpha k D-hat = {res.alpha * res.k * res.hat_distance!r}"
+            f"alpha k D-hat = {res.probability_bound!r}"
         )
     return _report(
         "L2",
         f"{ch.name or 'channel'} vs {reference.name or 'reference'} "
         f"(dim {ch.dim_in}, alpha={res.alpha!r})",
         res.state_distance,
-        rhs,
+        res.right_bound,
         OPTIMIZER_SLACK,
         aux=aux,
         witnesses={"result": res},

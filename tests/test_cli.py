@@ -150,6 +150,18 @@ def test_example_parameter_errors_exit_two(tmp_path, capsys):
     b = _write_channel_json(tmp_path / "b.json", random_channel(2, 2, rank=2, kind="cptp", seed=2))
     for flags in (["--max-iter", "-1"], ["--tol", "nan"], ["--tol", "-1"]):
         assert main(["dist", "dtrD", a, b, *flags]) == 2
+    # Each command takes only the flags it reads; argparse rejects the rest.
+    for argv in (
+        ["dist", "dtrD", a, b, "--trials", "0"],
+        ["dist", "dtrD", a, b, "--dims", "x"],
+        ["example", "conversion_pair", "--seed", "5", "--out-dir", str(tmp_path)],
+        ["example", "conversion_pair", "--tol", "1", "--out-dir", str(tmp_path)],
+        ["curve", "--figure", "2", "--trials", "4"],
+        ["curve", "--figure", "2", "--dims", "9,9"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 

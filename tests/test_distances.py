@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from postdist.channels import (
     DensityMatrix,
     PureState,
+    apply,
     conversion_pair,
     isometry,
     nonconvexity_pair,
@@ -169,6 +170,20 @@ def test_witness_reproduces_reported_value():
             assert isinstance(est, DistanceEstimate)
             assert est.measure == m
             assert 1 <= est.restarts_used <= FAST.restarts
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_dtr_value_is_not_above_svd_at_witness(dim):
+    # Between unitary channels the difference is rank <= 2; a Gram-route
+    # trace norm lifts its zero singular values and overstates the value.
+    for seed in range(4):
+        a = random_channel(dim, dim, rank=1, kind="cptp", seed=2 * seed)
+        b = random_channel(dim, dim, rank=1, kind="cptp", seed=2 * seed + 1)
+        est = distance("dtr", a, b, FAST)
+        u, v = est.witness
+        x = np.outer(u.vector, v.vector.conj())
+        svd_sum = float(np.linalg.svd(apply(a, x) - apply(b, x), compute_uv=False).sum())
+        assert est.value <= svd_sum + 1e-15 * max(1.0, svd_sum)
 
 
 def test_witness_type_errors():

@@ -20,7 +20,7 @@ from postdist.distances import (
     evaluate_witness,
 )
 from postdist.linalg import trace_norm
-from postdist.theorems import _objective_output_separation, _objective_probability_spread
+from postdist.theorems import _objective_output_separation
 
 GRADIENT_STEP = 1e-6
 RTOL = 1e-6
@@ -96,24 +96,6 @@ def test_output_separation_gradient_matches_central_differences(kind, dim_in, di
     ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=7 * dim_in + dim_out)
     fn, grad, n_params = _objective_output_separation(ch)
     assert_gradient_matches(fn, grad, n_params, seed=dim_in)
-
-
-@pytest.mark.parametrize("dim_in,dim_out", [(2, 2), (3, 3), (2, 3)])
-def test_probability_spread_gradient_matches_central_differences(dim_in, dim_out):
-    ch = random_channel(dim_in, dim_out, rank=2, kind="postselection", seed=5 * dim_in + dim_out)
-    # k inside the effect's spectrum, so the sign of p - k varies over the points
-    fn, grad, n_params = _objective_probability_spread(ch, float(np.mean(ch.effect_eigenvalues)))
-    assert_gradient_matches(fn, grad, n_params, seed=dim_in)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_probability_spread_gradient_vanishes_for_trace_preserving(dim):
-    # tr Psi(rho) = 1 for every input: both gradients are rounding noise.
-    ch = random_channel(dim, dim, rank=2, kind="cptp", seed=dim)
-    fn, grad, n_params = _objective_probability_spread(ch, 0.5)
-    x = np.random.default_rng(dim).standard_normal((POINTS, n_params))
-    assert np.max(np.abs(grad(x))) <= 1e-9
-    assert np.max(np.abs(central_differences(fn, x))) <= 1e-6
 
 
 def test_gradient_is_zero_on_degenerate_rows():

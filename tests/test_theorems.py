@@ -9,10 +9,12 @@ from postdist.channels import (
     Channel,
     PureState,
     ValidityError,
+    apply,
     conversion_pair,
     isometry,
     nonconvexity_pair,
     random_channel,
+    random_density,
     scale,
     stinespring,
     teleportation,
@@ -351,6 +353,25 @@ def test_conversion_teleportation_vs_identity():
     assert res.hat_distance == 0.0
     assert res.state_distance <= 1e-9
     assert res.probability_spread <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["cptp", "postselection"])
+@pytest.mark.parametrize("dim_in,dim_out", [(2, 2), (3, 3), (2, 3)])
+def test_probability_spread_is_closed_form(kind, dim_in, dim_out):
+    # tr Psi(rho) = tr(E rho) covers [lambda_min(E), lambda_max(E)].
+    seed = 10 * dim_in + dim_out
+    ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=seed)
+    ref = random_channel(dim_in, dim_out, rank=2, kind="cptp", seed=seed + 1)
+    res = check_conversion(ch, ref, FAST)
+    _, vecs = np.linalg.eigh(ch.effect)
+    assert res.probability_spread == res.k - ch.effect_eigenvalues[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        prob = np.trace(apply(ch, random_density(dim_in, seed=rng))).real
+        assert abs(prob - res.k) <= res.probability_spread + 1e-12
+    bottom = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    attained = abs(np.trace(apply(ch, bottom)).real - res.k)
+    assert attained == pytest.approx(res.probability_spread, abs=1e-12)
 
 
 def test_conversion_report_random_channel():
