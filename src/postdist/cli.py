@@ -109,6 +109,8 @@ def _cmd_dist(args) -> int:
             "restarts_used": est.restarts_used,
             "iterations": est.iterations,
             "evaluations": est.evaluations,
+            "agreeing_restarts": est.agreeing_restarts,
+            "restart_spread": est.restart_spread,
             "witness": _witness_json(est.witness),
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -79,7 +79,9 @@ class DistanceEstimate:
     `witness` (so it is reproducible), and a lower bound on the supremum.
     `converged` records whether the two best restarts agreed within the value
     tolerance.  `iterations` and `evaluations` are the ascent's deterministic
-    work counters (see `AscentResult`).
+    work counters (see `AscentResult`).  `agreeing_restarts` counts the
+    restarts whose final value is within the value tolerance of the best, and
+    `restart_spread` is the best final value minus the lowest finite one.
     """
 
     measure: str
@@ -89,6 +91,8 @@ class DistanceEstimate:
     converged: bool
     iterations: int
     evaluations: int
+    agreeing_restarts: int
+    restart_spread: float
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +308,8 @@ class AscentResult(NamedTuple):
     smallest-index tie-break; `converged` means the two best restarts agree
     within the value tolerance.  `iterations` counts lockstep ascent steps
     (at most `max_iterations`), and `evaluations` counts objective points:
-    the starting points, one per gradient and one per line-search candidate.
+    the starting points, one per gradient, one per Barzilai-Borwein trial
+    and four per line search.
     """
 
     values: np.ndarray
@@ -317,14 +322,20 @@ class AscentResult(NamedTuple):
 
 def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentResult:
     """
-    Run all restarts of a gradient-ascent line-search loop in lockstep.
+    Run all restarts of a gradient-ascent loop in lockstep.
 
     `value_fn` maps a batch of parameter rows to objective values and
     `grad_fn` to their gradients (rows of length `n_params`).  Restart r
     starts from its own rng stream derived from (master_seed, r).  Each step
-    tries four step lengths along the normalized gradient and keeps the best
-    if it improves; a restart stops at a zero gradient, a step below the step
-    tolerance, or five steps in a row that gain less than the value tolerance.
+    first tries one Barzilai-Borwein point x + t g, with t = s.s / -(s.y) for
+    the restart's last change of point s and of gradient y (Barzilai and
+    Borwein, IMA J. Numer. Anal. 8:141, 1988), where its previous step moved
+    it and -(s.y) > 0.  A restart without that point, or whose point does not
+    raise its value, tries four step lengths along the normalized gradient
+    instead and keeps the best if it improves.  Only a rise is ever kept, so
+    each restart's value never falls.  A restart stops at a zero gradient, a
+    step below the step tolerance, or five steps in a row that gain less than
+    the value tolerance.
     """
     reps = cfg.restarts
     seed = cfg.master_seed & SEED_MASK
@@ -336,43 +347,57 @@ def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentRe
     alpha = np.full(reps, 0.25)
     stall = np.zeros(reps, dtype=int)
     active = np.ones(reps, dtype=bool)
+    # Each restart's point and gradient one step back: s = 0 at first and after a held step.
+    prev_x, prev_g = x.copy(), np.zeros_like(x)
     n_steps = _LINE_SEARCH.size
+
+    def move(r, new_x, new_values, step):
+        # Restarts r move to rows new_x (normalized here), found with step length `step`.
+        norms = npl.norm(new_x, axis=1)
+        x[r] = new_x / np.where(norms > 1e-12, norms, 1.0)[:, None]
+        gain = new_values - values[r]
+        values[r] = new_values
+        alpha[r] = np.minimum(np.maximum(step, 10.0 * cfg.step_tolerance), 4.0)
+        stall[r] = np.where(gain < cfg.value_tolerance, stall[r] + 1, 0)
+
     while iterations < cfg.max_iterations:
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         iterations += 1
-        k = idx.size
         xa = x[idx]
         grad = grad_fn(xa)
         gnorm = npl.norm(grad, axis=1)
         flat = gnorm <= 1e-9
-        dirs = grad / np.maximum(gnorm, 1e-300)[:, None]
-        steps = alpha[idx, None] * _LINE_SEARCH[None, :]
-        cand = xa[:, None, :] + steps[:, :, None] * dirs[:, None, :]
-        cand_vals = value_fn(cand.reshape(k * n_steps, n_params)).reshape(k, n_steps)
-        evaluations += k * (1 + n_steps)
-        pick = np.argmax(cand_vals, axis=1)
-        rows = np.arange(k)
-        best_vals = cand_vals[rows, pick]
-        moved = ~flat & (best_vals > values[idx] + 1e-15)
-        held = ~flat & ~moved
+        s, y = xa - prev_x[idx], grad - prev_g[idx]
+        prev_x[idx], prev_g[idx] = xa, grad
+        curvature = -(s * y).sum(axis=1)
+        search = ~flat
+        trial = np.flatnonzero(search & (curvature > 0))
+        if trial.size:
+            t = (s[trial] * s[trial]).sum(axis=1) / curvature[trial]
+            trial_x = xa[trial] + t[:, None] * grad[trial]
+            trial_vals = value_fn(trial_x)
+            up = trial_vals > values[idx[trial]] + 1e-15
+            move(idx[trial[up]], trial_x[up], trial_vals[up], t[up] * gnorm[trial[up]])
+            search[trial[up]] = False
 
-        r = idx[moved]
-        new_x = cand[rows[moved], pick[moved]]
-        norms = npl.norm(new_x, axis=1)
-        x[r] = new_x / np.where(norms > 1e-12, norms, 1.0)[:, None]
-        gain = best_vals[moved] - values[r]
-        values[r] = best_vals[moved]
-        alpha[r] = np.minimum(
-            np.maximum(steps[rows[moved], pick[moved]], 10.0 * cfg.step_tolerance), 4.0
-        )
-        stall[r] = np.where(gain < cfg.value_tolerance, stall[r] + 1, 0)
+        rest = np.flatnonzero(search)
+        if rest.size:
+            steps = alpha[idx[rest], None] * _LINE_SEARCH[None, :]
+            dirs = grad[rest] / gnorm[rest, None]
+            cand = xa[rest, None, :] + steps[:, :, None] * dirs[:, None, :]
+            cand_vals = value_fn(cand.reshape(-1, n_params)).reshape(rest.size, n_steps)
+            pick = np.argmax(cand_vals, axis=1)
+            rows = np.arange(rest.size)
+            best_vals = cand_vals[rows, pick]
+            up = best_vals > values[idx[rest]] + 1e-15
+            move(idx[rest[up]], cand[rows[up], pick[up]], best_vals[up], steps[rows[up], pick[up]])
+            r = idx[rest[~up]]
+            alpha[r] *= 0.125
+            stall[r] += 1
 
-        r = idx[held]
-        alpha[r] *= 0.125
-        stall[r] += 1
-
+        evaluations += idx.size + trial.size + n_steps * rest.size
         active[idx] = ~flat & (alpha[idx] >= cfg.step_tolerance) & (stall[idx] < 5)
     winner = int(np.argmax(values))
     top = np.sort(values)[::-1]
@@ -519,6 +544,7 @@ def distance(
     d = chan_a.dim_in
     res = maximize(*spec.kernel(chan_a, chan_b), spec.n_params(d), cfg)
     witness = spec.decode(res.points[res.winner], d * spec.ancilla(d))
+    best = res.values[res.winner]
     return DistanceEstimate(
         measure=measure,
         value=evaluate_witness(measure, chan_a, chan_b, witness),
@@ -527,6 +553,8 @@ def distance(
         converged=res.converged,
         iterations=res.iterations,
         evaluations=res.evaluations,
+        agreeing_restarts=int(np.count_nonzero(res.values >= best - cfg.value_tolerance)),
+        restart_spread=float(best - res.values[np.isfinite(res.values)].min(initial=best)),
     )
 
 

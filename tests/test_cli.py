@@ -73,12 +73,16 @@ def test_dist_out_json_carries_repeatable_counters(tmp_path, capsys):
         payloads.append(json.loads(out_file.read_text()))
     assert lines[0] == lines[1]
     assert "iterations" not in lines[0] and "evaluations" not in lines[0]
+    for counter in ("agreeing_restarts", "restart_spread"):
+        assert counter not in lines[0]
     first, second = payloads
     assert isinstance(first["iterations"], int) and first["iterations"] >= 1
     assert first["evaluations"] > first["iterations"]
-    assert (first["iterations"], first["evaluations"]) == (
-        second["iterations"], second["evaluations"]
-    )
+    assert isinstance(first["agreeing_restarts"], int)
+    assert 1 <= first["agreeing_restarts"] <= first["restarts_used"]
+    assert first["restart_spread"] >= 0.0
+    counters = ("iterations", "evaluations", "agreeing_restarts", "restart_spread")
+    assert [first[c] for c in counters] == [second[c] for c in counters]
 
 
 def test_dist_seed_changes_are_still_deterministic(tmp_path, capsys):
@@ -256,6 +260,20 @@ def test_verify_output_does_not_depend_on_blas_threads():
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(command, env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0].endswith(b"OK\n")
+    assert outputs[0] == outputs[1]
+
+
+def test_python_m_postdist_runs_the_cli():
+    src = str(Path(postdist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for module in ("postdist", "postdist.cli"):
+        command = [sys.executable, "-m", module, "verify", "--suite", "CE3", "--trials", "1"]
         run = subprocess.run(command, env=env, capture_output=True, timeout=300)
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)

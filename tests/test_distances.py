@@ -14,6 +14,7 @@ from postdist.channels import (
     nonconvexity_pair,
     random_channel,
     random_density,
+    scale,
     teleportation,
 )
 from postdist.distances import (
@@ -24,8 +25,11 @@ from postdist.distances import (
     diamond_norm_channel,
     distance,
     evaluate_witness,
+    maximize,
     renormalized_distance,
     trace_distance_states,
+    unit_rows,
+    unit_rows_gradient,
 )
 from postdist.linalg import CapacityError, InvalidInputError
 
@@ -280,3 +284,121 @@ def test_renormalized_distance_bounds(seed):
     assert 0.0 <= value <= 2.0 + 1e-12
     assert renormalized_distance(a, a, rho) == 0.0
     assert renormalized_distance(b, a, rho) == pytest.approx(value, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the ascent itself, on the Rayleigh quotient <u, A u>
+# ---------------------------------------------------------------------------
+
+
+def _rayleigh(dim, seed):
+    # f(u) = <u, A u> over unit u for a seeded Hermitian A, with its
+    # closed-form gradient (complex gradient 2 A u); every call's rows are counted.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = (g + g.conj().T) / 2
+    calls = {"rows": 0, "start": None}
+
+    def value_fn(x):
+        calls["rows"] += x.shape[0]
+        u, _, bad = unit_rows(x, dim)
+        vals = np.einsum("mi,ij,mj->m", u.conj(), a, u).real
+        vals[bad] = -np.inf
+        if calls["start"] is None:
+            calls["start"] = vals.copy()
+        return vals
+
+    def grad_fn(x):
+        calls["rows"] += x.shape[0]
+        u, norms, bad = unit_rows(x, dim)
+        return unit_rows_gradient(2.0 * u @ a.T, u, norms, bad)
+
+    return a, value_fn, grad_fn, calls
+
+
+RAYLEIGH_CFG = OptimizerConfig(
+    master_seed=3, restarts=8, max_iterations=2000, value_tolerance=1e-12
+)
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
+def test_maximize_finds_the_largest_eigenvalue(dim, seed):
+    a, value_fn, grad_fn, _ = _rayleigh(dim, seed)
+    res = maximize(value_fn, grad_fn, 2 * dim, RAYLEIGH_CFG)
+    assert res.values[res.winner] == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 0), (5, 1)])
+def test_maximize_never_lowers_a_restart(dim, seed):
+    _, value_fn, grad_fn, calls = _rayleigh(dim, seed)
+    res = maximize(value_fn, grad_fn, 2 * dim, RAYLEIGH_CFG)
+    assert calls["start"].shape == (RAYLEIGH_CFG.restarts,)
+    assert np.all(res.values >= calls["start"])
+    # A run capped at k iterations is the first k steps of a longer one, so
+    # the values under growing caps trace every restart step by step.
+    previous = calls["start"]
+    for cap in range(1, 40):
+        cfg = OptimizerConfig(master_seed=3, restarts=8, max_iterations=cap, value_tolerance=1e-12)
+        values = maximize(*_rayleigh(dim, seed)[1:3], 2 * dim, cfg).values
+        assert np.all(values >= previous)
+        previous = values
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 0), (5, 1)])
+@pytest.mark.parametrize("max_iterations", [0, 1, 7, 2000])
+def test_maximize_counts_every_row_it_evaluates(dim, seed, max_iterations):
+    _, value_fn, grad_fn, calls = _rayleigh(dim, seed)
+    cfg = OptimizerConfig(master_seed=3, restarts=8, max_iterations=max_iterations)
+    res = maximize(value_fn, grad_fn, 2 * dim, cfg)
+    assert res.evaluations == calls["rows"]
+    assert res.iterations <= max_iterations
+
+
+# ---------------------------------------------------------------------------
+# properties from the measures' own structure
+# ---------------------------------------------------------------------------
+
+PROPERTY_SEEDS = st.integers(min_value=0, max_value=10_000)
+
+
+@settings(max_examples=6, deadline=None)
+@given(PROPERTY_SEEDS, st.floats(min_value=0.01, max_value=1.0))
+def test_hat_distance_to_a_scaled_copy_is_zero(seed, c):
+    psi = random_channel(2, 2, rank=2, kind="postselection", seed=seed)
+    for m in ("hat-tr", "hat-diamond"):
+        assert distance(m, psi, scale(psi, c), FAST).value <= 1e-12
+
+
+@settings(max_examples=6, deadline=None)
+@given(PROPERTY_SEEDS, st.floats(min_value=0.01, max_value=1.0))
+def test_hat_values_ignore_the_scale_of_either_channel(seed, fraction):
+    a, b = _pair(seed)
+    for m in ("hat-tr", "hat-diamond"):
+        est = distance(m, a, b, FAST)
+        for ch in (a, b):
+            # any c > 0 that keeps the channel trace-nonincreasing
+            scaled = scale(ch, fraction / ch.effect_eigenvalues[-1])
+            pair = (scaled, b) if ch is a else (a, scaled)
+            assert evaluate_witness(m, *pair, est.witness) == pytest.approx(est.value, abs=1e-12)
+
+
+@settings(max_examples=6, deadline=None)
+@given(PROPERTY_SEEDS, st.sampled_from(["cptp", "postselection"]), st.sampled_from([2, 3]))
+def test_dtrD_dtr_chain_by_witness_transfer(seed, kind, dim):
+    a, b = _pair(seed, dim, kind)
+    # dtrD <= dtr: the dtrD witness psi is the dtr witness (psi, psi).
+    low = distance("dtrD", a, b, FAST)
+    psi = low.witness
+    assert low.value <= evaluate_witness("dtr", a, b, (psi, psi)) + 1e-12
+    # dtr <= 2 dtrD: |u><v| = 1/4 sum_k i^k |w_k><w_k| with w_k = u + i^k v and
+    # sum_k |w_k|^2 = 8, so ||Delta(|u><v|)||_1 <= sum_k |w_k|^2/4 dtrD(w_k/|w_k|).
+    high = distance("dtr", a, b, FAST)
+    u, v = (w.vector for w in high.witness)
+    bound = 0.0
+    for k in range(4):
+        w = u + 1j**k * v
+        weight = np.vdot(w, w).real / 4
+        if weight > 1e-24:
+            bound += weight * evaluate_witness("dtrD", a, b, PureState.normalized(w))
+    assert high.value <= bound + 1e-12
+
