@@ -24,11 +24,9 @@ from .linalg import (
 )
 from .channels import (
     Channel,
-    ChoiMatrix,
     DensityMatrix,
     ParameterError,
     PureState,
-    StinespringOp,
     ValidityError,
     ValidityReport,
     apply,
@@ -63,16 +61,10 @@ from .distances import (
     DistanceEstimate,
     OptimizerConfig,
     dense_oracle,
-    diamond_distance,
     diamond_norm_channel,
     distance,
     evaluate_witness,
     maximize,
-    postselected_diamond_distance,
-    postselected_trace_distance,
-    renormalized_distance,
-    trace_distance_operators,
-    trace_distance_states,
 )
 from .theorems import (
     ConversionResult,

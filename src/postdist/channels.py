@@ -1,8 +1,8 @@
 # src/postdist/channels.py
 
 """
-Completely positive trace-nonincreasing maps in Kraus form, plus the state and
-dilation types the distance measures operate on.
+Completely positive trace-nonincreasing maps in Kraus form, plus the state
+types the distance measures operate on.
 
 Conventions fixed here and relied on everywhere else:
   * matrices are row-major, composite indices are (i_A, i_B) as in linalg.tensor;
@@ -122,55 +122,6 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi matrix of a CP map, PSD within 1e-9, input factor first."""
-
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.dim_in * self.dim_out
-        if m.shape != (n, n):
-            raise InvalidInputError(f"Choi matrix must have shape {(n, n)}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("Choi matrix has non-finite entries")
-        if not is_hermitian(m):
-            raise InvalidInputError("Choi matrix is not Hermitian within 1e-10")
-        m = hermitianize(m)
-        w = npl.eigvalsh(m)
-        if w.size and w[0] < -TRACE_ATOL:
-            raise ValidityError(f"not completely positive: Choi eigenvalue {w[0]:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class StinespringOp:
-    """
-    Isometry-style dilation A : C^dim_in -> C^dim_out (x) C^dim_env with
-    A[(m, e), i] = K_e[m, i], so tracing out the environment factor of
-    A rho A^H reproduces the channel.
-    """
-
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-    dim_env: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim_out * self.dim_env, self.dim_in):
-            raise InvalidInputError(
-                f"Stinespring operator shape {m.shape} does not match "
-                f"({self.dim_out}*{self.dim_env}, {self.dim_in})"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class Channel:
     """
     CP trace-nonincreasing map given by Kraus operators (dim_out x dim_in each).
@@ -267,7 +218,7 @@ def validate(ch: Channel) -> ValidityReport:
     Complete positivity holds by Kraus construction; the report nevertheless
     derives it from the Choi spectrum so the flag is an independent check.
     """
-    choi_min = float(npl.eigvalsh(_choi_matrix(ch))[0])
+    choi_min = float(npl.eigvalsh(kraus_to_choi(ch))[0])
     return ValidityReport(
         effect_min=float(ch.effect_eigenvalues[0]),
         effect_max=float(ch.effect_eigenvalues[-1]),
@@ -324,37 +275,45 @@ def apply_renormalized(ch: Channel, rho: DensityMatrix | np.ndarray) -> tuple[De
     return DensityMatrix(out / prob), prob
 
 
-def _choi_matrix(ch: Channel) -> np.ndarray:
+def kraus_to_choi(ch: Channel) -> np.ndarray:
+    """Unnormalized Choi matrix J = sum_ij |i><j| (x) Psi(|i><j|)."""
     # J = sum_e v_e v_e^H with v_e[(i, m)] = K_e[m, i].
     vecs = ch.kraus_stack.transpose(0, 2, 1).reshape(ch.rank, -1)
     return np.einsum("ep,eq->pq", vecs, vecs.conj())
 
 
-def kraus_to_choi(ch: Channel) -> ChoiMatrix:
-    """Unnormalized Choi matrix J = sum_ij |i><j| (x) Psi(|i><j|)."""
-    return ChoiMatrix(_choi_matrix(ch), dim_in=ch.dim_in, dim_out=ch.dim_out)
-
-
-def choi_to_kraus(choi: ChoiMatrix, name: str = "") -> Channel:
+def choi_to_kraus(choi: np.ndarray, dim_in: int, dim_out: int, name: str = "") -> Channel:
     """
-    Extract Kraus operators from a Choi matrix.  Eigenvalues at or below the
-    truncation threshold (1e-12) are dropped; an all-zero Choi matrix has no
-    channel realization and raises.
+    Extract Kraus operators from a Choi matrix (input factor first), which
+    must be Hermitian within 1e-10 and PSD within 1e-9.  Eigenvalues at or
+    below the truncation threshold (1e-12) are dropped; an all-zero Choi
+    matrix has no channel realization and raises.
     """
-    w, V = hermitian_eig(choi.matrix)
+    m = np.asarray(choi, dtype=complex)
+    n = dim_in * dim_out
+    if m.shape != (n, n):
+        raise InvalidInputError(f"Choi matrix must have shape {(n, n)}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("Choi matrix has non-finite entries")
+    w, V = hermitian_eig(m)
+    if w[0] < -TRACE_ATOL:
+        raise ValidityError(f"not completely positive: Choi eigenvalue {w[0]:.3e}")
     ops = []
     for lam, vec in zip(w, V.T):
         if lam > KRAUS_TRUNCATION_ATOL:
-            ops.append(np.sqrt(lam) * vec.reshape(choi.dim_in, choi.dim_out).T)
+            ops.append(np.sqrt(lam) * vec.reshape(dim_in, dim_out).T)
     if not ops:
         raise ValidityError("empty channel: Choi matrix has no eigenvalue above 1e-12")
     return Channel(tuple(ops), name=name)
 
 
-def stinespring(ch: Channel) -> StinespringOp:
-    """Dilation with the environment dimension equal to the Kraus rank."""
-    a = ch.kraus_stack.transpose(1, 0, 2).reshape(ch.dim_out * ch.rank, ch.dim_in)
-    return StinespringOp(a, dim_in=ch.dim_in, dim_out=ch.dim_out, dim_env=ch.rank)
+def stinespring(ch: Channel) -> np.ndarray:
+    """
+    Dilation A : C^dim_in -> C^dim_out (x) C^rank, the environment dimension
+    equal to the Kraus rank, with A[(m, e), i] = K_e[m, i]: tracing out the
+    environment factor of A rho A^H reproduces the channel.
+    """
+    return ch.kraus_stack.transpose(1, 0, 2).reshape(ch.dim_out * ch.rank, ch.dim_in)
 
 
 def tensor_with_identity(ch: Channel, anc_dim: int, cap: int = DIM_CAP) -> Channel:
@@ -386,7 +345,7 @@ def compose(outer: Channel, inner: Channel) -> Channel:
     ch = Channel(ops, name=f"({outer.name or 'outer'} o {inner.name or 'inner'})")
     if ch.rank > ch.dim_in * ch.dim_out:
         try:
-            ch = choi_to_kraus(kraus_to_choi(ch), name=ch.name)
+            ch = choi_to_kraus(kraus_to_choi(ch), ch.dim_in, ch.dim_out, name=ch.name)
         except ValidityError:
             pass  # an (almost) zero composition has no smaller realization
     return ch
@@ -695,7 +654,7 @@ def channel_from_json(obj) -> Channel:
     if not isinstance(name, str):
         raise InvalidInputError("channel name must be a string")
     dim_in, dim_out = obj["dim_in"], obj["dim_out"]
-    if not isinstance(dim_in, int) or not isinstance(dim_out, int):
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in (dim_in, dim_out)):
         raise InvalidInputError("dim_in and dim_out must be integers")
     kraus_rows = obj["kraus"]
     if not isinstance(kraus_rows, list) or not kraus_rows:

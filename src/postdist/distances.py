@@ -479,7 +479,9 @@ def _pure_measure(decode, ancilla: bool, stabilized: bool, postselected: bool) -
 
 
 MEASURE_SPECS = {
+    # Convex in rho, so pure input states are exhaustive.
     "dtrD": _pure_measure(_decode_pure, ancilla=False, stabilized=False, postselected=False),
+    # Over trace-norm-one X, searched on its rank-one extreme points |u><v|.
     "dtr": MeasureSpec(
         _dtr_kernel,
         n_params=lambda d: 4 * d,
@@ -489,6 +491,7 @@ MEASURE_SPECS = {
         postselected=False,
     ),
     "diamond": _pure_measure(_decode_pure, ancilla=True, stabilized=True, postselected=False),
+    # Not convex in rho, so mixed states rho = T T^H / tr: pure ones undershoot.
     "hat-tr": _pure_measure(_decode_density, ancilla=True, stabilized=False, postselected=True),
     "hat-diamond": _pure_measure(_decode_pure, ancilla=True, stabilized=True, postselected=True),
 }
@@ -558,57 +561,6 @@ def distance(
     )
 
 
-def trace_distance_states(
-    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """
-    d_tr^D: sup over density matrices of ||Psi(rho) - Phi(rho)||_1.  The
-    objective is convex in rho, so optimizing over pure states is exhaustive.
-    """
-    return distance("dtrD", chan_a, chan_b, cfg)
-
-
-def trace_distance_operators(
-    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """
-    d_tr: sup over trace-norm-one operators of ||Psi(X) - Phi(X)||_1, optimized
-    over its rank-one extreme points X = |u><v|.
-    """
-    return distance("dtr", chan_a, chan_b, cfg)
-
-
-def diamond_distance(
-    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """
-    d_diamond: the stabilized trace distance, optimized over pure states on
-    H (x) H (an ancilla of the input dimension attains the supremum).
-    """
-    return distance("diamond", chan_a, chan_b, cfg)
-
-
-def postselected_trace_distance(
-    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """
-    hat d_tr: sup of the renormalized objective over all density matrices,
-    parameterized as rho = T T^H / tr (the objective is not convex, so pure
-    states alone would undershoot).
-    """
-    return distance("hat-tr", chan_a, chan_b, cfg)
-
-
-def postselected_diamond_distance(
-    chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> DistanceEstimate:
-    """
-    hat d_diamond: the renormalized objective of the H (x) H extensions,
-    optimized over pure bipartite states (exhaustive for this measure).
-    """
-    return distance("hat-diamond", chan_a, chan_b, cfg)
-
-
 def diamond_norm_channel(ch: Channel) -> float:
     """
     ||Psi||_diamond for a CP trace-nonincreasing map: equals the squared
@@ -651,17 +603,6 @@ def evaluate_witness(measure: str, chan_a: Channel, chan_b: Channel, witness) ->
     anc = spec.ancilla(chan_a.dim_in)
     x = spec.witness_input(witness, chan_a.dim_in * anc, measure)
     return pointwise_distance(chan_a, chan_b, x, anc, spec.postselected)
-
-
-def renormalized_distance(
-    chan_a: Channel, chan_b: Channel, rho: DensityMatrix | PureState
-) -> float:
-    """
-    Pointwise objective of the postselected distances:
-    || Psi(rho)/tr[Psi(rho)] - Phi(rho)/tr[Phi(rho)] ||_1.
-    Both channels must be postselection-valid so the traces stay positive.
-    """
-    return evaluate_witness("hat-tr", chan_a, chan_b, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -310,10 +310,9 @@ def suite_passed(results: dict[str, list[TheoremReport]]) -> bool:
 
 def format_report_line(report: TheoremReport, index: int) -> str:
     status = "PASS" if report.passed else "FAIL"
-    slack = report.rhs - report.lhs
     return (
         f"{report.statement} {index:03d} lhs={report.lhs!r} rhs={report.rhs!r} "
-        f"slack={slack!r} {status}"
+        f"slack={report.slack!r} {status}"
     )
 
 

@@ -26,7 +26,6 @@ from .channels import (
     Channel,
     DensityMatrix,
     PureState,
-    StinespringOp,
     ValidityError,
     apply,
     compose,
@@ -41,7 +40,6 @@ from .channels import (
 )
 from .distances import (
     OptimizerConfig,
-    diamond_distance,
     diamond_norm_channel,
     distance,
     evaluate_witness,
@@ -50,13 +48,8 @@ from .distances import (
     kraus_images,
     maximize,
     pointwise_distance,
-    postselected_diamond_distance,
-    postselected_trace_distance,
     pullback,
     pure_outputs,
-    renormalized_distance,
-    trace_distance_operators,
-    trace_distance_states,
     unit_pairs,
     unit_pairs_gradient,
 )
@@ -149,7 +142,7 @@ def check_state_distance_doubling(
     phase-mixture states, whose best state-objective value must be at least
     half the rank-one value.  Both sides are exact evaluations at witnesses.
     """
-    est = trace_distance_operators(chan_a, chan_b, cfg)
+    est = distance("dtr", chan_a, chan_b, cfg)
     u, v = est.witness
     transfers = [
         evaluate_witness("dtrD", chan_a, chan_b, w) for w in phase_mixture_states(u, v)
@@ -183,10 +176,10 @@ def check_dilation_norm_identity(
     norms of Psi alone, realized as distances to the zero channel).
     """
     exact = diamond_norm_channel(ch)
-    dilation = operator_norm(stinespring(ch).matrix) ** 2
+    dilation = operator_norm(stinespring(ch)) ** 2
     zero = _zero_like(ch)
-    route_diamond = diamond_distance(ch, zero, cfg).value
-    route_states = trace_distance_states(ch, zero, cfg).value
+    route_diamond = distance("diamond", ch, zero, cfg).value
+    route_states = distance("dtrD", ch, zero, cfg).value
     deviation = max(
         abs(exact - route_diamond), abs(exact - route_states), abs(exact - dilation)
     )
@@ -231,7 +224,7 @@ def check_subadditivity(
     for a, b in pairs[1:]:
         comp_a = compose(a, comp_a)
         comp_b = compose(b, comp_b)
-    lhs_est = diamond_distance(comp_a, comp_b, cfg)
+    lhs_est = distance("diamond", comp_a, comp_b, cfg)
     anc = comp_a.dim_in
     carried = lhs_est.witness.density().matrix
     terms = []
@@ -240,7 +233,7 @@ def check_subadditivity(
         ext_a = tensor_with_identity(a, anc)
         ext_b = tensor_with_identity(b, anc)
         t = pointwise_distance(ext_a, ext_b, carried)
-        own = diamond_distance(a, b, cfg).value
+        own = distance("diamond", a, b, cfg).value
         transferred.append(t)
         terms.append(max(own, t))
         carried = apply(ext_b, carried)
@@ -263,27 +256,26 @@ def check_subadditivity(
 # ---------------------------------------------------------------------------
 
 
-def environment_vector(dilation: StinespringOp, iso: np.ndarray, state: PureState) -> np.ndarray:
+def environment_vector(ch: Channel, iso: np.ndarray, state: PureState) -> np.ndarray:
     """
     The environment-side vector (<u| U^H (x) 1_env) A |u> that witnesses how
-    close a dilation is to isometry-times-fixed-vector form; component e equals
-    <u| U^H K_e |u>.
+    close the channel's Stinespring dilation A is to isometry-times-fixed-vector
+    form; component e equals <u| U^H K_e |u>.
     """
     iso = np.asarray(iso, dtype=complex)
-    if iso.shape != (dilation.dim_out, dilation.dim_in):
+    if iso.shape != (ch.dim_out, ch.dim_in):
         raise InvalidInputError(
-            f"isometry shape {iso.shape} does not match dilation "
-            f"({dilation.dim_out}, {dilation.dim_in})"
+            f"isometry shape {iso.shape} does not match dilation ({ch.dim_out}, {ch.dim_in})"
         )
-    if state.dim != dilation.dim_in:
-        raise InvalidInputError(f"state dim {state.dim} does not match input {dilation.dim_in}")
-    a3 = dilation.matrix.reshape(dilation.dim_out, dilation.dim_env, dilation.dim_in)
+    if state.dim != ch.dim_in:
+        raise InvalidInputError(f"state dim {state.dim} does not match input {ch.dim_in}")
+    a3 = stinespring(ch).reshape(ch.dim_out, ch.rank, ch.dim_in)
     return np.einsum("m,mei,i->e", (iso @ state.vector).conj(), a3, state.vector)
 
 
-def _dilation_residual(dilation: StinespringOp, iso: np.ndarray, g: np.ndarray):
-    # ||A - U (x) g||_op and ||g||^2 (T3 and T6).
-    residual = operator_norm(dilation.matrix - np.kron(np.asarray(iso, dtype=complex), g[:, None]))
+def _dilation_residual(ch: Channel, iso: np.ndarray, g: np.ndarray):
+    # ||A - U (x) g||_op for the dilation A of ch, and ||g||^2 (T3 and T6).
+    residual = operator_norm(stinespring(ch) - np.kron(np.asarray(iso, dtype=complex), g[:, None]))
     return residual, float(np.vdot(g, g).real)
 
 
@@ -319,11 +311,10 @@ def check_isometry_approximation(
     checked alongside (the lower edge uses the witness value, which the proof
     bounds pointwise).
     """
-    est = trace_distance_states(ch, isometry(iso, name="ideal_isometry"), cfg)
+    est = distance("dtrD", ch, isometry(iso, name="ideal_isometry"), cfg)
     eps = est.value
-    dilation = stinespring(ch)
-    g = environment_vector(dilation, iso, est.witness)
-    residual, g_sq = _dilation_residual(dilation, iso, g)
+    g = environment_vector(ch, iso, est.witness)
+    residual, g_sq = _dilation_residual(ch, iso, g)
     a_sq = diamond_norm_channel(ch)
     aux = []
     if g_sq < 1.0 - eps - CLOSED_FORM_SLACK:
@@ -405,15 +396,15 @@ def check_postselected_subadditivity(
         )
     comp_a = compose(outer_a, tensor_with_identity(inner_a, anc_dim))
     comp_b = compose(outer_b, tensor_with_identity(inner_b, anc_dim))
-    lhs_est = postselected_diamond_distance(comp_a, comp_b, cfg)
+    lhs_est = distance("hat-diamond", comp_a, comp_b, cfg)
     stab = comp_a.dim_in
     rho = lhs_est.witness.density().matrix
     inner_transfer = pointwise_distance(inner_a, inner_b, rho, anc_dim * stab, True)
     pushed = apply(tensor_with_identity(inner_a, anc_dim * stab), rho)
     pushed = pushed / np.trace(pushed).real
     outer_transfer = pointwise_distance(outer_a, outer_b, pushed, stab, True)
-    est_outer = postselected_diamond_distance(outer_a, outer_b, cfg).value
-    est_inner = postselected_diamond_distance(inner_a, inner_b, cfg).value
+    est_outer = distance("hat-diamond", outer_a, outer_b, cfg).value
+    est_inner = distance("hat-diamond", inner_a, inner_b, cfg).value
     rhs = max(est_outer, outer_transfer) + max(est_inner, inner_transfer)
     return _report(
         "T4",
@@ -441,9 +432,9 @@ def check_postselected_contractivity(
     if not tau.is_trace_preserving():
         raise ValidityError("precondition: tau must be trace-preserving")
     require_postselection(chan_a, chan_b)
-    lhs_est = postselected_diamond_distance(compose(tau, chan_a), compose(tau, chan_b), cfg)
+    lhs_est = distance("hat-diamond", compose(tau, chan_a), compose(tau, chan_b), cfg)
     transfer = evaluate_witness("hat-diamond", chan_a, chan_b, lhs_est.witness)
-    est_rhs = postselected_diamond_distance(chan_a, chan_b, cfg).value
+    est_rhs = distance("hat-diamond", chan_a, chan_b, cfg).value
     return _report(
         "C2",
         f"tau o ({chan_a.name or 'A'}, {chan_b.name or 'B'}) (dim {chan_a.dim_in})",
@@ -485,13 +476,13 @@ def check_postselected_dilation_bound(
     ||A||_op times the unit-channel environment vector.
     """
     ideal = isometry(iso, name="ideal_isometry")
-    eps = postselected_trace_distance(ch, ideal, cfg).value
+    eps = distance("hat-tr", ch, ideal, cfg).value
     k = diamond_norm_channel(ch)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
-    d_est = trace_distance_states(unit, ideal, cfg)
+    d_est = distance("dtrD", unit, ideal, cfg)
     a_norm = math.sqrt(k)
-    g = a_norm * environment_vector(stinespring(unit), iso, d_est.witness)
-    residual, g_sq = _dilation_residual(stinespring(ch), iso, g)
+    g = a_norm * environment_vector(unit, iso, d_est.witness)
+    residual, g_sq = _dilation_residual(ch, iso, g)
     aux = []
     if g_sq < (1.0 - 9.0 * eps) * k - OPTIMIZER_SLACK:
         aux.append(f"norm window low: ||g||^2 = {g_sq!r} < (1 - 9 eps) k = {(1.0 - 9.0 * eps) * k!r}")
@@ -631,9 +622,9 @@ def check_conversion(
         raise ValidityError("precondition: reference must be trace-preserving")
     k = diamond_norm_channel(ch)
     alpha = conversion_factor(reference, cfg)
-    hat_est = postselected_trace_distance(ch, reference, cfg)
+    hat_est = distance("hat-tr", ch, reference, cfg)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
-    state_est = trace_distance_states(unit, reference, cfg)
+    state_est = distance("dtrD", unit, reference, cfg)
     transfer_state = evaluate_witness("dtrD", unit, reference, hat_est.witness)
     state_distance = max(state_est.value, transfer_state)
 
@@ -705,9 +696,9 @@ def nonconvexity_report(epsilon: float) -> TheoremReport:
     optimization alone would be unsound.  Direct evaluation only.
     """
     psi, phi = nonconvexity_pair(epsilon)
-    f00 = renormalized_distance(psi, phi, DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
-    f11 = renormalized_distance(psi, phi, DensityMatrix(np.diag([0.0, 1.0]).astype(complex)))
-    fmid = renormalized_distance(psi, phi, DensityMatrix.maximally_mixed(2))
+    f00 = evaluate_witness("hat-tr", psi, phi, DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
+    f11 = evaluate_witness("hat-tr", psi, phi, DensityMatrix(np.diag([0.0, 1.0]).astype(complex)))
+    fmid = evaluate_witness("hat-tr", psi, phi, DensityMatrix.maximally_mixed(2))
     expected = 2.0 - 4.0 * epsilon
     deviation = max(
         abs(f00), abs(f11), abs(fmid - expected), 0.5 * (f00 + f11) - fmid
@@ -798,7 +789,7 @@ def nonconvexity_curve(epsilon: float, grid: int = 200) -> np.ndarray:
         p = i / grid
         rho = DensityMatrix(np.diag([1.0 - p, p]).astype(complex))
         rows[i, 0] = p
-        rows[i, 1] = renormalized_distance(psi, phi, rho)
+        rows[i, 1] = evaluate_witness("hat-tr", psi, phi, rho)
     return rows
 
 

@@ -29,7 +29,7 @@ from postdist.distances import (
     OptimizerConfig,
     dense_oracle,
     distance,
-    renormalized_distance,
+    evaluate_witness,
 )
 from postdist.suites import FIXED_SWEEP_IDS, STATEMENT_IDS, RunConfig, run_suite
 from postdist.theorems import (
@@ -46,9 +46,9 @@ def test_nonconvexity_values_and_curve_match_closed_form():
     start = time.monotonic()
     for eps in (1.0 / 32.0, 1.0 / 8.0, 1.0 / 4.0):
         psi, phi = nonconvexity_pair(eps)
-        f0 = renormalized_distance(psi, phi, DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
-        f1 = renormalized_distance(psi, phi, DensityMatrix(np.diag([0.0, 1.0]).astype(complex)))
-        fm = renormalized_distance(psi, phi, DensityMatrix.maximally_mixed(2))
+        f0 = evaluate_witness("hat-tr", psi, phi, DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
+        f1 = evaluate_witness("hat-tr", psi, phi, DensityMatrix(np.diag([0.0, 1.0]).astype(complex)))
+        fm = evaluate_witness("hat-tr", psi, phi, DensityMatrix.maximally_mixed(2))
         assert abs(f0) <= 1e-9
         assert abs(f1) <= 1e-9
         assert abs(fm - (2.0 - 4.0 * eps)) <= 1e-9

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from postdist.channels import (
     Channel,
-    ChoiMatrix,
     DensityMatrix,
     ParameterError,
     PureState,
@@ -172,7 +171,7 @@ def test_choi_round_trip_preserves_map():
     rng = np.random.default_rng(21)
     for kind in ("cptp", "postselection"):
         ch = random_channel(2, 3, rank=2, kind=kind, seed=rng)
-        back = choi_to_kraus(kraus_to_choi(ch), name="back")
+        back = choi_to_kraus(kraus_to_choi(ch), ch.dim_in, ch.dim_out, name="back")
         for _ in range(10):
             rho = random_density(2, seed=rng)
             assert np.allclose(apply(ch, rho), apply(back, rho), atol=1e-10)
@@ -181,29 +180,39 @@ def test_choi_round_trip_preserves_map():
 def test_choi_trace_equals_effect_trace():
     ch = random_channel(3, 2, rank=2, kind="postselection", seed=5)
     choi = kraus_to_choi(ch)
-    assert np.trace(choi.matrix).real == pytest.approx(
+    assert np.trace(choi).real == pytest.approx(
         np.trace(ch.effect).real, abs=1e-10
     )
 
 
-def test_choi_rejects_non_cp():
-    with pytest.raises(ValidityError):
-        ChoiMatrix(np.diag([1.0, 1.0, 1.0, -0.2]).astype(complex), dim_in=2, dim_out=2)
+@pytest.mark.parametrize(
+    "choi, error, match",
+    [
+        (np.eye(3, dtype=complex), InvalidInputError, "must have shape"),
+        (np.diag([1.0, np.nan, 1.0, 1.0]).astype(complex), InvalidInputError, "non-finite"),
+        (np.triu(np.ones((4, 4), dtype=complex)), InvalidInputError, "not Hermitian"),
+        (np.diag([1.0, 1.0, 1.0, -0.2]).astype(complex), ValidityError, "not completely positive"),
+    ],
+    ids=["wrong-shape", "non-finite", "non-hermitian", "negative-eigenvalue"],
+)
+def test_choi_rejects_non_cp(choi, error, match):
+    with pytest.raises(error, match=match):
+        choi_to_kraus(choi, dim_in=2, dim_out=2)
 
 
 def test_stinespring_layout_and_consistency():
     ch = random_channel(2, 3, rank=2, kind="cptp", seed=9)
     a = stinespring(ch)
-    assert a.matrix.shape == (ch.dim_out * ch.rank, ch.dim_in)
+    assert a.shape == (ch.dim_out * ch.rank, ch.dim_in)
     # rows are indexed (output, environment)
     for e, op in enumerate(ch.kraus):
         for m in range(ch.dim_out):
-            assert np.allclose(a.matrix[m * ch.rank + e], op[m], atol=0)
+            assert np.allclose(a[m * ch.rank + e], op[m], atol=0)
     # A^H A equals the effect operator
-    assert np.allclose(a.matrix.conj().T @ a.matrix, ch.effect, atol=1e-12)
+    assert np.allclose(a.conj().T @ a, ch.effect, atol=1e-12)
     # tracing out the environment of A rho A^H reproduces the channel
     rho = random_density(2, seed=10)
-    big = a.matrix @ rho.matrix @ a.matrix.conj().T
+    big = a @ rho.matrix @ a.conj().T
     assert np.allclose(
         partial_trace(big, (ch.dim_out, ch.rank), "first"), apply(ch, rho), atol=1e-12
     )
@@ -231,6 +240,25 @@ def test_compose_compresses_rank():
         assert np.allclose(
             apply(composed, rho), apply(tau, apply(psi, rho)), atol=1e-12
         )
+
+
+def test_compose_rank_compression_takes_one_choi_eigendecomposition(monkeypatch):
+    outer = random_channel(3, 3, rank=3, kind="cptp", seed=3)
+    inner = random_channel(2, 3, rank=3, kind="cptp", seed=4)
+    choi_shape = (inner.dim_in * outer.dim_out,) * 2
+    calls = []
+    for fname in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, fname)
+
+        def counted(a, *args, _original=original, _fname=fname, **kwargs):
+            if np.shape(a)[-2:] == choi_shape:
+                calls.append(_fname)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fname, counted)
+    composed = compose(outer, inner)
+    assert outer.rank * inner.rank > composed.dim_in * composed.dim_out >= composed.rank
+    assert calls == ["eigh"]
 
 
 def test_compose_dimension_check():

@@ -26,8 +26,6 @@ from postdist.distances import (
     distance,
     evaluate_witness,
     maximize,
-    renormalized_distance,
-    trace_distance_states,
     unit_rows,
     unit_rows_gradient,
 )
@@ -104,7 +102,7 @@ def test_diamond_norm_channel_is_largest_effect_eigenvalue():
 
 def test_trace_distance_states_on_identical_channels():
     ch = random_channel(3, 3, rank=2, kind="cptp", seed=31)
-    est = trace_distance_states(ch, ch, FAST)
+    est = distance("dtrD", ch, ch, FAST)
     assert est.value == 0.0
 
 
@@ -280,10 +278,10 @@ def test_renormalized_distance_bounds(seed):
     a = random_channel(2, 2, rank=2, kind="postselection", seed=rng)
     b = random_channel(2, 2, rank=2, kind="postselection", seed=rng)
     rho = random_density(2, seed=rng)
-    value = renormalized_distance(a, b, rho)
+    value = evaluate_witness("hat-tr", a, b, rho)
     assert 0.0 <= value <= 2.0 + 1e-12
-    assert renormalized_distance(a, a, rho) == 0.0
-    assert renormalized_distance(b, a, rho) == pytest.approx(value, abs=1e-12)
+    assert evaluate_witness("hat-tr", a, a, rho) == 0.0
+    assert evaluate_witness("hat-tr", b, a, rho) == pytest.approx(value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

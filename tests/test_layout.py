@@ -23,3 +23,21 @@ def test_no_private_names_imported_from_siblings(module):
         if alias.name.startswith("_")
     ]
     assert not private, f"{module} imports private sibling names: {private}"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_no_unused_imports(module):
+    # __init__.py is exempt: its imports are the package's re-exports.
+    tree = ast.parse((PACKAGE / module).read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+    assert not unused, f"{module} imports names it never uses: {unused}"

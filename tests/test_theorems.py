@@ -16,7 +16,6 @@ from postdist.channels import (
     random_channel,
     random_density,
     scale,
-    stinespring,
     teleportation,
 )
 from postdist.distances import OptimizerConfig
@@ -199,13 +198,12 @@ def test_subadditivity_input_validation():
 
 def test_environment_vector_shape_checks():
     ch = noisy_unitary(np.eye(2), 0.01)
-    dil = stinespring(ch)
-    g = environment_vector(dil, np.eye(2), PureState(np.array([1.0, 0.0])))
+    g = environment_vector(ch, np.eye(2), PureState(np.array([1.0, 0.0])))
     assert g.shape == (ch.rank,)
     with pytest.raises(InvalidInputError):
-        environment_vector(dil, np.eye(3), PureState(np.array([1.0, 0.0])))
+        environment_vector(ch, np.eye(3), PureState(np.array([1.0, 0.0])))
     with pytest.raises(InvalidInputError):
-        environment_vector(dil, np.eye(2), PureState(np.array([1.0, 0.0, 0.0])))
+        environment_vector(ch, np.eye(2), PureState(np.array([1.0, 0.0, 0.0])))
 
 
 def test_isometry_approximation_noisy_identity():
