@@ -67,7 +67,6 @@ from .distances import (
     maximize,
 )
 from .theorems import (
-    ConversionResult,
     TheoremReport,
     alpha_necessity_report,
     check_conversion,
@@ -84,7 +83,6 @@ from .theorems import (
     contractivity_curve,
     contractivity_report,
     conversion_factor,
-    conversion_report,
     environment_vector,
     nonconvexity_curve,
     nonconvexity_report,

@@ -164,6 +164,10 @@ class Channel:
         stack = np.stack(ops)
         stack.setflags(write=False)
         effect = np.einsum("emi,emj->ij", stack.conj(), stack)
+        if not np.all(np.isfinite(effect)):
+            raise ValidityError(
+                "not trace-nonincreasing: the effect operator E = sum K^H K is not finite"
+            )
         effect = hermitianize(effect)
         effect.setflags(write=False)
         eigs = npl.eigvalsh(effect)
@@ -195,11 +199,11 @@ class Channel:
     def rank(self) -> int:
         return len(self.kraus)
 
-    def is_trace_preserving(self, atol: float = TRACE_ATOL) -> bool:
-        return operator_norm(self._effect - np.eye(self.dim_in)) <= atol
+    def is_trace_preserving(self) -> bool:
+        return operator_norm(self._effect - np.eye(self.dim_in)) <= TRACE_ATOL
 
-    def is_postselection_valid(self, floor: float = POSTSELECTION_EIG_FLOOR) -> bool:
-        return float(self._effect_eigs[0]) > floor
+    def is_postselection_valid(self) -> bool:
+        return float(self._effect_eigs[0]) > POSTSELECTION_EIG_FLOOR
 
 
 @dataclass(frozen=True)
@@ -316,18 +320,18 @@ def stinespring(ch: Channel) -> np.ndarray:
     return ch.kraus_stack.transpose(1, 0, 2).reshape(ch.dim_out * ch.rank, ch.dim_in)
 
 
-def tensor_with_identity(ch: Channel, anc_dim: int, cap: int = DIM_CAP) -> Channel:
+def tensor_with_identity(ch: Channel, anc_dim: int) -> Channel:
     """Extend by an untouched ancilla: Kraus operators K_e (x) I_anc."""
     if anc_dim < 1:
         raise ParameterError(f"ancilla dimension must be >= 1, got {anc_dim}")
-    if ch.dim_out * anc_dim > cap or ch.dim_in * anc_dim > cap:
+    if ch.dim_out * anc_dim > DIM_CAP or ch.dim_in * anc_dim > DIM_CAP:
         raise CapacityError(
-            f"extension to {ch.dim_in * anc_dim} inputs exceeds dimension cap {cap}"
+            f"extension to {ch.dim_in * anc_dim} inputs exceeds dimension cap {DIM_CAP}"
         )
     if anc_dim == 1:
         return ch
     eye = np.eye(anc_dim, dtype=complex)
-    ops = tuple(tensor(op, eye, cap=cap) for op in ch.kraus)
+    ops = tuple(tensor(op, eye) for op in ch.kraus)
     return Channel(ops, name=ch.name and f"{ch.name} (x) I_{anc_dim}")
 
 
@@ -624,12 +628,16 @@ def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
+    not_pairs = InvalidInputError(f"{context}: entries must be [re, im] number pairs")
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{context}: entries must be [re, im] number pairs") from exc
+        raise not_pairs from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InvalidInputError(f"{context}: expected rows of [re, im] pairs, got shape {arr.shape}")
+    # The float conversion takes strings, booleans and None (as nan), even mixed with numbers.
+    if any(x is None or isinstance(x, (str, bool, np.bool_)) for r in rows for z in r for x in z):
+        raise not_pairs
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{context}: non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]

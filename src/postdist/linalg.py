@@ -102,7 +102,7 @@ def operator_norm(X: np.ndarray) -> float:
     return float(np.max(_gram_singular_values(X)))
 
 
-def tensor(A: np.ndarray, B: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
+def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     Kronecker product with the (i_A, i_B) row-major index convention:
     row (i_A * rows_B + i_B), column (j_A * cols_B + j_B).
@@ -111,8 +111,8 @@ def tensor(A: np.ndarray, B: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
     B = _as_matrix(B, "B")
     rows = A.shape[0] * B.shape[0]
     cols = A.shape[1] * B.shape[1]
-    if rows > cap or cols > cap:
-        raise CapacityError(f"tensor result {rows}x{cols} exceeds dimension cap {cap}")
+    if rows > DIM_CAP or cols > DIM_CAP:
+        raise CapacityError(f"tensor result {rows}x{cols} exceeds dimension cap {DIM_CAP}")
     return np.kron(A, B)
 
 

@@ -32,6 +32,7 @@ from .distances import SEED_MASK, OptimizerConfig
 from .theorems import (
     TheoremReport,
     alpha_necessity_report,
+    check_conversion,
     check_diamond_from_state_distance,
     check_dilation_norm_identity,
     check_isometry_approximation,
@@ -43,7 +44,6 @@ from .theorems import (
     check_subadditivity,
     check_trace_preserving_diamond_bound,
     contractivity_report,
-    conversion_report,
     nonconvexity_report,
 )
 
@@ -215,7 +215,7 @@ def _conversion(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremRe
         else:
             ref = isometry(haar_isometry(rng, d, d), name="target_unitary")
         ch = _noisy_scaled_reference(ref, 0.5, 0.2, rng)
-    return conversion_report(ch, ref, _opt(cfg, rng))
+    return check_conversion(ch, ref, _opt(cfg, rng))
 
 
 # Entries call their checkers by name at run time, so a wrapper installed on a

@@ -399,8 +399,10 @@ def check_postselected_subadditivity(
     lhs_est = distance("hat-diamond", comp_a, comp_b, cfg)
     stab = comp_a.dim_in
     rho = lhs_est.witness.density().matrix
-    inner_transfer = pointwise_distance(inner_a, inner_b, rho, anc_dim * stab, True)
-    pushed = apply(tensor_with_identity(inner_a, anc_dim * stab), rho)
+    ext_a = tensor_with_identity(inner_a, anc_dim * stab)
+    ext_b = tensor_with_identity(inner_b, anc_dim * stab)
+    inner_transfer = pointwise_distance(ext_a, ext_b, rho, 1, True)
+    pushed = apply(ext_a, rho)
     pushed = pushed / np.trace(pushed).real
     outer_transfer = pointwise_distance(outer_a, outer_b, pushed, stab, True)
     est_outer = distance("hat-diamond", outer_a, outer_b, cfg).value
@@ -569,53 +571,25 @@ def conversion_factor(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> 
     return 40.0 / s
 
 
-@dataclass(frozen=True)
-class ConversionResult:
-    """
-    Two-sided conversion between the renormalized trace distance and the
-    subnormalized state distance of the unit-scaled channel, plus the
-    probability-stability bound.  An infinite factor makes both bounds
-    infinite (`right_vacuous`): no finite right bound exists, and the right
-    and probability checks pass vacuously.
-    """
-
-    k: float
-    alpha: float
-    hat_distance: float
-    state_distance: float
-    probability_spread: float
-    right_bound: float
-    probability_bound: float
-    left_ok: bool
-    right_ok: bool
-    probability_ok: bool
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def right_vacuous(self) -> bool:
-        return math.isinf(self.alpha)
-
-    @property
-    def passed(self) -> bool:
-        return self.left_ok and self.right_ok and self.probability_ok
-
-
 def check_conversion(
     ch: Channel, reference: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> ConversionResult:
+) -> TheoremReport:
     """
-    Against a trace-preserving reference with conversion factor alpha and
+    L2: against a trace-preserving reference with conversion factor alpha and
     k = ||Psi||_diamond = lambda_max(E):
 
       (a) max_rho |tr Psi(rho) - k|  <=  alpha k D-hat,
       (b) D-hat / 2                  <=  d_tr^D(Psi/k, reference),
       (c) d_tr^D(Psi/k, reference)   <=  (alpha + 1) D-hat.
 
+    (c) is the reported line; (a) and (b) are auxiliary conditions.
     The spread in (a) is exact: tr Psi(rho) = tr(E rho) covers
     [lambda_min(E), lambda_max(E)], so it is k - lambda_min(E).
     (b) is certified at the state-distance witness through the pointwise chain
     f(rho) <= 2 ||Psi(rho)/k - Phi(rho)||; (c) additionally pools the
-    renormalized witness into the state-distance value.
+    renormalized witness into the state-distance value.  An infinite factor
+    makes both bounds infinite: no finite right bound exists, and (a) and (c)
+    pass vacuously.
     """
     require_postselection(ch)
     if not reference.is_trace_preserving():
@@ -629,9 +603,8 @@ def check_conversion(
     state_distance = max(state_est.value, transfer_state)
 
     # (b) at the state witness: renormalized value vs twice the exact
-    # state-objective value there.
+    # state-objective value there, which is the estimate's own value.
     f_at_state = evaluate_witness("hat-tr", ch, reference, state_est.witness)
-    g_at_state = evaluate_witness("dtrD", unit, reference, state_est.witness)
 
     spread = k - float(ch.effect_eigenvalues[0])
     # Infinite alpha gives infinite bounds; alpha * D-hat would be NaN at D-hat = 0.
@@ -640,134 +613,31 @@ def check_conversion(
     else:
         right_bound = (alpha + 1.0) * hat_est.value
         probability_bound = alpha * k * hat_est.value
-    return ConversionResult(
-        k=k,
-        alpha=alpha,
-        hat_distance=hat_est.value,
-        state_distance=state_distance,
-        probability_spread=spread,
-        right_bound=right_bound,
-        probability_bound=probability_bound,
-        left_ok=0.5 * f_at_state <= g_at_state + CLOSED_FORM_SLACK,
-        right_ok=state_distance <= right_bound + OPTIMIZER_SLACK,
-        probability_ok=spread <= probability_bound + OPTIMIZER_SLACK,
-        witnesses={
-            "hat_witness": hat_est.witness,
-            "state_witness": state_est.witness,
-            "left_pointwise": (f_at_state, g_at_state),
-        },
-    )
-
-
-def conversion_report(
-    ch: Channel, reference: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
-    """ConversionResult reduced to one report line (headline: right bound)."""
-    res = check_conversion(ch, reference, cfg)
     aux = []
-    if not res.left_ok:
+    if not 0.5 * f_at_state <= state_est.value + CLOSED_FORM_SLACK:
         aux.append("left bound failed: D-hat / 2 exceeds the state distance")
-    if not res.probability_ok:
+    if not spread <= probability_bound + OPTIMIZER_SLACK:
         aux.append(
-            f"probability spread {res.probability_spread!r} exceeds "
-            f"alpha k D-hat = {res.probability_bound!r}"
+            f"probability spread {spread!r} exceeds alpha k D-hat = {probability_bound!r}"
         )
     return _report(
         "L2",
         f"{ch.name or 'channel'} vs {reference.name or 'reference'} "
-        f"(dim {ch.dim_in}, alpha={res.alpha!r})",
-        res.state_distance,
-        res.right_bound,
+        f"(dim {ch.dim_in}, alpha={alpha!r})",
+        state_distance,
+        right_bound,
         OPTIMIZER_SLACK,
         aux=aux,
-        witnesses={"result": res},
-    )
-
-
-# ---------------------------------------------------------------------------
-# counterexample reports
-# ---------------------------------------------------------------------------
-
-
-def nonconvexity_report(epsilon: float) -> TheoremReport:
-    """
-    CE1: the renormalized objective vanishes at both basis projectors but
-    equals 2 - 4 eps at their midpoint, so it is not convex and pure-state
-    optimization alone would be unsound.  Direct evaluation only.
-    """
-    psi, phi = nonconvexity_pair(epsilon)
-    f00 = evaluate_witness("hat-tr", psi, phi, DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
-    f11 = evaluate_witness("hat-tr", psi, phi, DensityMatrix(np.diag([0.0, 1.0]).astype(complex)))
-    fmid = evaluate_witness("hat-tr", psi, phi, DensityMatrix.maximally_mixed(2))
-    expected = 2.0 - 4.0 * epsilon
-    deviation = max(
-        abs(f00), abs(f11), abs(fmid - expected), 0.5 * (f00 + f11) - fmid
-    )
-    return _report(
-        "CE1",
-        f"nonconvexity pair, epsilon={epsilon!r}",
-        deviation,
-        1e-9,
-        0.0,
-        witnesses={"f00": f00, "f11": f11, "fmid": fmid, "expected_mid": expected},
-    )
-
-
-def contractivity_counterexample(epsilon: float) -> tuple[float, float]:
-    """
-    CE2 values: the renormalized diamond distance of the constant pair before
-    (1) and after (2/(1+eps)) the filter, by direct evaluation at a maximally
-    entangled state (all four compositions are constant channels, so any
-    faithful input attains the supremum; no optimization involved).
-    """
-    psi, phi, tau = contractivity_triple(epsilon)
-    ent = _max_entangled(3)
-    before = evaluate_witness("hat-diamond", psi, phi, ent)
-    after = evaluate_witness("hat-diamond", compose(tau, psi), compose(tau, phi), ent)
-    return before, after
-
-
-def contractivity_report(epsilon: float) -> TheoremReport:
-    """CE2: postprocessing strictly increases the renormalized distance."""
-    before, after = contractivity_counterexample(epsilon)
-    expected_after = 2.0 / (1.0 + epsilon)
-    deviation = max(
-        abs(before - 1.0),
-        abs(after - expected_after),
-        before - after,
-        (2.0 - 2.0 * epsilon) - after,
-    )
-    return _report(
-        "CE2",
-        f"contractivity triple, epsilon={epsilon!r}",
-        deviation,
-        1e-9,
-        0.0,
-        witnesses={"before": before, "after": after, "expected_after": expected_after},
-    )
-
-
-def alpha_necessity_report(cfg: OptimizerConfig = OptimizerConfig()) -> TheoremReport:
-    """
-    CE3: a pair at renormalized distance zero whose unit-scaled state distance
-    is 1/2, with an infinite conversion factor; no finite factor can relate the
-    two, so the right conversion bound is necessarily vacuous here.
-    """
-    psi, phi = conversion_pair()
-    res = check_conversion(psi, phi, cfg)
-    deviation = max(
-        res.hat_distance,
-        abs(res.state_distance - 0.5),
-        0.0 if math.isinf(res.alpha) else math.inf,
-        0.0 if res.right_vacuous else math.inf,
-    )
-    return _report(
-        "CE3",
-        "conversion pair (dim 2)",
-        deviation,
-        CLOSED_FORM_SLACK,
-        0.0,
-        witnesses={"result": res},
+        witnesses={
+            "k": k,
+            "alpha": alpha,
+            "hat_distance": hat_est.value,
+            "probability_spread": spread,
+            "probability_bound": probability_bound,
+            "hat_witness": hat_est.witness,
+            "state_witness": state_est.witness,
+            "left_pointwise": (f_at_state, state_est.value),
+        },
     )
 
 
@@ -794,6 +664,84 @@ def nonconvexity_curve(epsilon: float, grid: int = 200) -> np.ndarray:
 
 
 def contractivity_curve(epsilon: float) -> tuple[float, float, float]:
-    """(epsilon, before, after) for the contractivity counterexample."""
-    before, after = contractivity_counterexample(epsilon)
+    """
+    (epsilon, before, after): the renormalized diamond distance of the
+    constant pair before (1) and after (2/(1+eps)) the filter, by direct
+    evaluation at a maximally entangled state (all four compositions are
+    constant channels, so any faithful input attains the supremum; no
+    optimization involved).
+    """
+    psi, phi, tau = contractivity_triple(epsilon)
+    ent = _max_entangled(3)
+    before = evaluate_witness("hat-diamond", psi, phi, ent)
+    after = evaluate_witness("hat-diamond", compose(tau, psi), compose(tau, phi), ent)
     return float(epsilon), before, after
+
+
+# ---------------------------------------------------------------------------
+# counterexample reports
+# ---------------------------------------------------------------------------
+
+
+def nonconvexity_report(epsilon: float) -> TheoremReport:
+    """
+    CE1: the renormalized objective vanishes at both basis projectors but
+    equals 2 - 4 eps at their midpoint, so it is not convex and pure-state
+    optimization alone would be unsound.  Direct evaluation only.
+    """
+    f00, fmid, f11 = nonconvexity_curve(epsilon, 2)[:, 1].tolist()
+    expected = 2.0 - 4.0 * epsilon
+    deviation = max(
+        abs(f00), abs(f11), abs(fmid - expected), 0.5 * (f00 + f11) - fmid
+    )
+    return _report(
+        "CE1",
+        f"nonconvexity pair, epsilon={epsilon!r}",
+        deviation,
+        1e-9,
+        0.0,
+        witnesses={"f00": f00, "f11": f11, "fmid": fmid, "expected_mid": expected},
+    )
+
+
+def contractivity_report(epsilon: float) -> TheoremReport:
+    """CE2: postprocessing strictly increases the renormalized distance."""
+    _, before, after = contractivity_curve(epsilon)
+    expected_after = 2.0 / (1.0 + epsilon)
+    deviation = max(
+        abs(before - 1.0),
+        abs(after - expected_after),
+        before - after,
+        (2.0 - 2.0 * epsilon) - after,
+    )
+    return _report(
+        "CE2",
+        f"contractivity triple, epsilon={epsilon!r}",
+        deviation,
+        1e-9,
+        0.0,
+        witnesses={"before": before, "after": after, "expected_after": expected_after},
+    )
+
+
+def alpha_necessity_report(cfg: OptimizerConfig = OptimizerConfig()) -> TheoremReport:
+    """
+    CE3: a pair at renormalized distance zero whose unit-scaled state distance
+    is 1/2, with an infinite conversion factor; no finite factor can relate the
+    two, so the right conversion bound is necessarily vacuous here.
+    """
+    psi, phi = conversion_pair()
+    conv = check_conversion(psi, phi, cfg)
+    deviation = max(
+        conv.witnesses["hat_distance"],
+        abs(conv.lhs - 0.5),
+        0.0 if math.isinf(conv.witnesses["alpha"]) else math.inf,
+    )
+    return _report(
+        "CE3",
+        "conversion pair (dim 2)",
+        deviation,
+        CLOSED_FORM_SLACK,
+        0.0,
+        witnesses={"conversion": conv},
+    )

@@ -34,7 +34,7 @@ from postdist.distances import (
 from postdist.suites import FIXED_SWEEP_IDS, STATEMENT_IDS, RunConfig, run_suite
 from postdist.theorems import (
     check_conversion,
-    contractivity_counterexample,
+    contractivity_curve,
     conversion_factor,
     nonconvexity_curve,
 )
@@ -68,7 +68,7 @@ def test_nonconvexity_values_and_curve_match_closed_form():
 def test_contractivity_failure_direct_and_optimizer():
     start = time.monotonic()
     for eps in (1.0 / 10.0, 1.0 / 3.0, 1.0 / 2.0):
-        before, after = contractivity_counterexample(eps)
+        _, before, after = contractivity_curve(eps)
         assert abs(before - 1.0) <= 1e-9
         assert abs(after - 2.0 / (1.0 + eps)) <= 1e-9
         psi, phi, tau = contractivity_triple(eps)
@@ -100,10 +100,10 @@ def test_teleportation_probability_and_conversion():
             _, prob = apply_renormalized(tele, random_density(dim, seed=rng))
             assert abs(prob - dim ** -2) <= 1e-12
         assert distance("hat-diamond", tele, ident, STRONG).value <= 1e-5
-        res = check_conversion(tele, ident, STRONG)
-        assert res.passed
-        assert res.k == (1.0 / dim) ** 2
-        assert res.probability_spread < 1e-12
+        rep = check_conversion(tele, ident, STRONG)
+        assert rep.passed
+        assert rep.witnesses["k"] == (1.0 / dim) ** 2
+        assert rep.witnesses["probability_spread"] < 1e-12
     assert time.monotonic() - start < 30.0
 
 

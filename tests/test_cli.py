@@ -142,6 +142,15 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert "dim_in and dim_out must be integers" in capsys.readouterr().err
     assert main(["example", "isometry", "--matrix", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # np.asarray(..., dtype=float) converts strings and booleans, even mixed with
+    # numbers, and null to nan.
+    for entries in ('["1", "0"]', "[true, false]", "[true, 0.5]", "[null, 0.0]"):
+        bad.write_text(f'{{"name": "b", "dim_in": 1, "dim_out": 1, "kraus": [[[{entries}]]]}}')
+        assert main(["dist", "dtrD", str(bad), str(bad), *FAST]) == 2
+        assert "entries must be [re, im] number pairs" in capsys.readouterr().err
+        bad.write_text(f"[[{entries}]]")
+        assert main(["example", "isometry", "--matrix", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert "entries must be [re, im] number pairs" in capsys.readouterr().err
 
 
 def test_example_parameter_errors_exit_two(tmp_path, capsys):
@@ -174,14 +183,23 @@ def test_example_parameter_errors_exit_two(tmp_path, capsys):
 
 
 def test_invalid_channel_exits_three(tmp_path, capsys):
-    obj = {"name": "big", "dim_in": 1, "dim_out": 1, "kraus": [[[[2.0, 0.0]]]]}
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(obj))
-    good = _write_channel_json(
-        tmp_path / "good.json", random_channel(1, 1, rank=1, kind="cptp", seed=1)
+    cases = (
+        [[[[2.0, 0.0]]]],
+        # The effect operators overflow to nan and to inf, where the check
+        # lambda_max(E) > 1 + 1e-9 alone is False.
+        [[[[1e200, 0.0], [1e200, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
+        [[[[1e155, 1e155], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]],
     )
-    assert main(["dist", "dtrD", str(path), good, *FAST]) == 3
-    assert "error:" in capsys.readouterr().err
+    path = tmp_path / "big.json"
+    for kraus in cases:
+        dim = len(kraus[0])
+        path.write_text(json.dumps({"name": "big", "dim_in": dim, "dim_out": dim, "kraus": kraus}))
+        good = _write_channel_json(
+            tmp_path / "good.json", random_channel(dim, dim, rank=1, kind="cptp", seed=1)
+        )
+        for measure in ("dtrD", "hat-tr"):
+            assert main(["dist", measure, str(path), good, *FAST]) == 3
+            assert "error: not trace-nonincreasing" in capsys.readouterr().err
 
 
 def test_postselection_invalid_pair_exits_three(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postdist.linalg import (
-    DIM_CAP,
     CapacityError,
     InvalidInputError,
     hermitian_eig,
@@ -202,7 +201,7 @@ def test_hermitian_eig_rejects_bad_input():
 def test_tensor_capacity():
     with pytest.raises(CapacityError):
         tensor(np.eye(70), np.eye(70))
-    assert tensor(np.eye(64), np.eye(64), cap=DIM_CAP).shape == (4096, 4096)
+    assert tensor(np.eye(64), np.eye(64)).shape == (4096, 4096)
 
 
 def test_partial_trace_rejects_bad_dims():

@@ -15,6 +15,7 @@ from postdist.suites import (
     run_suite,
     suite_passed,
 )
+from postdist.theorems import TheoremReport
 
 SMALL = RunConfig(seed=7, trials=2, dims=(2,), restarts=4, max_iterations=80)
 
@@ -112,3 +113,6 @@ def test_statement_ids_cover_runners():
         reports = run_statement(sid, small)
         assert reports, sid
         assert all(r.statement == sid for r in reports)
+        # An np.float64 lhs or rhs would print as np.float64(...) in the report.
+        assert all(type(r) is TheoremReport for r in reports), sid
+        assert all(type(r.lhs) is float and type(r.rhs) is float for r in reports), sid

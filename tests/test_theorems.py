@@ -20,6 +20,7 @@ from postdist.channels import (
 )
 from postdist.distances import OptimizerConfig
 from postdist.linalg import InvalidInputError
+from postdist.suites import format_report_line
 from postdist.theorems import (
     TheoremReport,
     alpha_necessity_report,
@@ -37,7 +38,6 @@ from postdist.theorems import (
     contractivity_curve,
     contractivity_report,
     conversion_factor,
-    conversion_report,
     environment_vector,
     nonconvexity_curve,
     nonconvexity_report,
@@ -343,14 +343,15 @@ def test_conversion_factor_requires_trace_preserving():
 
 
 def test_conversion_teleportation_vs_identity():
-    res = check_conversion(teleportation(2), isometry(np.eye(2), name="identity"), CFG)
-    assert res.passed
-    assert res.k == 0.25
-    assert res.alpha == 8.0
-    assert not res.right_vacuous
-    assert res.hat_distance == 0.0
-    assert res.state_distance <= 1e-9
-    assert res.probability_spread <= 1e-9
+    rep = check_conversion(teleportation(2), isometry(np.eye(2), name="identity"), CFG)
+    assert rep.statement == "L2"
+    assert rep.passed
+    assert rep.witnesses["k"] == 0.25
+    assert rep.witnesses["alpha"] == 8.0
+    assert not math.isinf(rep.rhs)
+    assert rep.witnesses["hat_distance"] == 0.0
+    assert rep.lhs <= 1e-9
+    assert rep.witnesses["probability_spread"] <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["cptp", "postselection"])
@@ -360,24 +361,47 @@ def test_probability_spread_is_closed_form(kind, dim_in, dim_out):
     seed = 10 * dim_in + dim_out
     ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=seed)
     ref = random_channel(dim_in, dim_out, rank=2, kind="cptp", seed=seed + 1)
-    res = check_conversion(ch, ref, FAST)
+    rep = check_conversion(ch, ref, FAST)
+    k = rep.witnesses["k"]
+    spread = rep.witnesses["probability_spread"]
     _, vecs = np.linalg.eigh(ch.effect)
-    assert res.probability_spread == res.k - ch.effect_eigenvalues[0]
+    assert spread == k - ch.effect_eigenvalues[0]
     rng = np.random.default_rng(seed)
     for _ in range(20):
         prob = np.trace(apply(ch, random_density(dim_in, seed=rng))).real
-        assert abs(prob - res.k) <= res.probability_spread + 1e-12
+        assert abs(prob - k) <= spread + 1e-12
     bottom = np.outer(vecs[:, 0], vecs[:, 0].conj())
-    attained = abs(np.trace(apply(ch, bottom)).real - res.k)
-    assert attained == pytest.approx(res.probability_spread, abs=1e-12)
+    attained = abs(np.trace(apply(ch, bottom)).real - k)
+    assert attained == pytest.approx(spread, abs=1e-12)
 
 
 def test_conversion_report_random_channel():
     ch = random_channel(2, 2, rank=2, kind="postselection", seed=140)
-    rep = conversion_report(ch, depolarizing(0.3), FAST)
+    rep = check_conversion(ch, depolarizing(0.3), FAST)
     assert rep.statement == "L2"
     assert rep.passed
     assert not rep.aux_violations
+
+
+def test_conversion_failure_lines(monkeypatch):
+    # A factor far too small for this pair fails the right bound and the
+    # probability bound.  The report line, aux text and description are pinned
+    # byte for byte, as `verify` prints them.
+    ref = random_channel(2, 2, rank=2, kind="cptp", seed=104)
+    noise = random_channel(2, 2, rank=1, kind="postselection", seed=1104)
+    ch = Channel(tuple(np.sqrt(0.5) * op for op in (*ref.kraus, *noise.kraus)), name="mix")
+    monkeypatch.setattr("postdist.theorems.conversion_factor", lambda reference, cfg: 1e-6)
+    rep = check_conversion(ch, ref, FAST)
+    assert not rep.passed
+    assert format_report_line(rep, 0) == (
+        "L2 000 lhs=0.7067807379673514 rhs=0.6659041526315743 "
+        "slack=-0.040876585335777094 FAIL"
+    )
+    assert rep.aux_violations == (
+        "probability spread 0.4026741061985213 exceeds "
+        "alpha k D-hat = 6.655738645021574e-07",
+    )
+    assert rep.description == "mix vs random_cptp(d2->d2,r2) (dim 2, alpha=1e-06)"
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +428,11 @@ def test_contractivity_report_third():
 def test_alpha_necessity_report():
     rep = alpha_necessity_report(CFG)
     assert rep.passed
-    res = rep.witnesses["result"]
-    assert math.isinf(res.alpha)
-    assert res.right_vacuous
-    assert res.hat_distance <= 1e-9
-    assert res.state_distance == pytest.approx(0.5, abs=1e-6)
+    conv = rep.witnesses["conversion"]
+    assert math.isinf(conv.witnesses["alpha"])
+    assert math.isinf(conv.rhs)
+    assert conv.witnesses["hat_distance"] <= 1e-9
+    assert conv.lhs == pytest.approx(0.5, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
