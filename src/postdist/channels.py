@@ -14,7 +14,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ from .linalg import (
     hermitianize,
     is_hermitian,
     operator_norm,
-    tensor,
 )
 
 # A channel may be used for postselection only if its effect operator is
@@ -124,46 +123,34 @@ class DensityMatrix:
 @dataclass(frozen=True)
 class Channel:
     """
-    CP trace-nonincreasing map given by Kraus operators (dim_out x dim_in each).
+    CP trace-nonincreasing map given by its Kraus operators, held as one
+    read-only (rank, dim_out, dim_in) complex array.
 
     Construction validates shape consistency, finiteness and the
     trace-nonincreasing property lambda_max(E) <= 1 + 1e-9 for the effect
     operator E = sum K^H K.  Instances are immutable.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     name: str = ""
-    dim_in: int = field(init=False)
-    dim_out: int = field(init=False)
 
     def __post_init__(self):
         if len(self.kraus) == 0:
             raise ValidityError("empty channel: at least one Kraus operator is required")
-        ops = []
-        shape = None
-        for idx, op in enumerate(self.kraus):
-            op = np.asarray(op, dtype=complex)
-            if op.ndim != 2 or op.shape[0] == 0 or op.shape[1] == 0:
-                raise InvalidInputError(f"Kraus operator {idx} must be a nonempty matrix")
-            if shape is None:
-                shape = op.shape
-            elif op.shape != shape:
-                raise InvalidInputError(
-                    f"Kraus operator {idx} has shape {op.shape}, expected {shape}"
-                )
-            if not np.all(np.isfinite(op)):
-                raise InvalidInputError(f"Kraus operator {idx} has non-finite entries")
-            op = op.copy()
-            op.setflags(write=False)
-            ops.append(op)
-        if max(shape) > DIM_CAP:
-            raise CapacityError(f"Kraus shape {shape} exceeds dimension cap {DIM_CAP}")
-        object.__setattr__(self, "kraus", tuple(ops))
-        object.__setattr__(self, "dim_out", shape[0])
-        object.__setattr__(self, "dim_in", shape[1])
-        stack = np.stack(ops)
-        stack.setflags(write=False)
-        effect = np.einsum("emi,emj->ij", stack.conj(), stack)
+        shapes = sorted({np.shape(op) for op in self.kraus})
+        if len(shapes) != 1 or len(shapes[0]) != 2 or 0 in shapes[0]:
+            raise InvalidInputError(
+                f"Kraus operators must be nonempty matrices of one shape, got shapes {shapes}"
+            )
+        # A C-ordered copy whatever the inputs' strides: einsum's summation order follows them.
+        kraus = np.array(self.kraus, dtype=complex, order="C")
+        if not np.all(np.isfinite(kraus)):
+            raise InvalidInputError("Kraus operators have non-finite entries")
+        if max(shapes[0]) > DIM_CAP:
+            raise CapacityError(f"Kraus shape {shapes[0]} exceeds dimension cap {DIM_CAP}")
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
+        effect = np.einsum("emi,emj->ij", kraus.conj(), kraus)
         if not np.all(np.isfinite(effect)):
             raise ValidityError(
                 "not trace-nonincreasing: the effect operator E = sum K^H K is not finite"
@@ -172,7 +159,6 @@ class Channel:
         effect.setflags(write=False)
         eigs = npl.eigvalsh(effect)
         eigs.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_effect", effect)
         object.__setattr__(self, "_effect_eigs", eigs)
         if eigs[-1] > 1.0 + TRACE_ATOL:
@@ -181,9 +167,16 @@ class Channel:
             )
 
     @property
-    def kraus_stack(self) -> np.ndarray:
-        """All Kraus operators as one (rank, dim_out, dim_in) array."""
-        return self._stack
+    def rank(self) -> int:
+        return self.kraus.shape[0]
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus.shape[1]
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus.shape[2]
 
     @property
     def effect(self) -> np.ndarray:
@@ -195,12 +188,8 @@ class Channel:
         """Eigenvalues of the effect operator, ascending."""
         return self._effect_eigs
 
-    @property
-    def rank(self) -> int:
-        return len(self.kraus)
-
     def is_trace_preserving(self) -> bool:
-        return operator_norm(self._effect - np.eye(self.dim_in)) <= TRACE_ATOL
+        return float(np.max(np.abs(self._effect_eigs - 1.0))) <= TRACE_ATOL
 
     def is_postselection_valid(self) -> bool:
         return float(self._effect_eigs[0]) > POSTSELECTION_EIG_FLOOR
@@ -262,8 +251,8 @@ def _input_matrix(ch: Channel, rho: DensityMatrix | np.ndarray) -> np.ndarray:
 def apply(ch: Channel, rho: DensityMatrix | np.ndarray) -> np.ndarray:
     """Apply the channel: sum_e K_e rho K_e^H (no renormalization)."""
     m = _input_matrix(ch, rho)
-    tmp = ch.kraus_stack @ m
-    return np.einsum("eij,ekj->ik", tmp, ch.kraus_stack.conj())
+    tmp = ch.kraus @ m
+    return np.einsum("eij,ekj->ik", tmp, ch.kraus.conj())
 
 
 def apply_renormalized(ch: Channel, rho: DensityMatrix | np.ndarray) -> tuple[DensityMatrix, float]:
@@ -282,7 +271,7 @@ def apply_renormalized(ch: Channel, rho: DensityMatrix | np.ndarray) -> tuple[De
 def kraus_to_choi(ch: Channel) -> np.ndarray:
     """Unnormalized Choi matrix J = sum_ij |i><j| (x) Psi(|i><j|)."""
     # J = sum_e v_e v_e^H with v_e[(i, m)] = K_e[m, i].
-    vecs = ch.kraus_stack.transpose(0, 2, 1).reshape(ch.rank, -1)
+    vecs = ch.kraus.transpose(0, 2, 1).reshape(ch.rank, -1)
     return np.einsum("ep,eq->pq", vecs, vecs.conj())
 
 
@@ -302,13 +291,12 @@ def choi_to_kraus(choi: np.ndarray, dim_in: int, dim_out: int, name: str = "") -
     w, V = hermitian_eig(m)
     if w[0] < -TRACE_ATOL:
         raise ValidityError(f"not completely positive: Choi eigenvalue {w[0]:.3e}")
-    ops = []
-    for lam, vec in zip(w, V.T):
-        if lam > KRAUS_TRUNCATION_ATOL:
-            ops.append(np.sqrt(lam) * vec.reshape(dim_in, dim_out).T)
-    if not ops:
+    keep = w > KRAUS_TRUNCATION_ATOL
+    if not keep.any():
         raise ValidityError("empty channel: Choi matrix has no eigenvalue above 1e-12")
-    return Channel(tuple(ops), name=name)
+    # K_e[m, i] = sqrt(lambda_e) v_e[(i, m)] for each kept eigenpair.
+    ops = (np.sqrt(w[keep]) * V[:, keep]).T.reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
+    return Channel(ops, name=name)
 
 
 def stinespring(ch: Channel) -> np.ndarray:
@@ -317,7 +305,7 @@ def stinespring(ch: Channel) -> np.ndarray:
     equal to the Kraus rank, with A[(m, e), i] = K_e[m, i]: tracing out the
     environment factor of A rho A^H reproduces the channel.
     """
-    return ch.kraus_stack.transpose(1, 0, 2).reshape(ch.dim_out * ch.rank, ch.dim_in)
+    return ch.kraus.transpose(1, 0, 2).reshape(ch.dim_out * ch.rank, ch.dim_in)
 
 
 def tensor_with_identity(ch: Channel, anc_dim: int) -> Channel:
@@ -330,8 +318,7 @@ def tensor_with_identity(ch: Channel, anc_dim: int) -> Channel:
         )
     if anc_dim == 1:
         return ch
-    eye = np.eye(anc_dim, dtype=complex)
-    ops = tuple(tensor(op, eye) for op in ch.kraus)
+    ops = np.kron(ch.kraus, np.eye(anc_dim, dtype=complex))
     return Channel(ops, name=ch.name and f"{ch.name} (x) I_{anc_dim}")
 
 
@@ -363,7 +350,7 @@ def scale(ch: Channel, factor: float, name: str = "") -> Channel:
     if not np.isfinite(factor) or factor <= 0:
         raise ParameterError(f"scale factor must be positive and finite, got {factor!r}")
     root = np.sqrt(float(factor))
-    return Channel(tuple(root * op for op in ch.kraus), name=name or ch.name)
+    return Channel(root * ch.kraus, name=name or ch.name)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +419,7 @@ def random_channel(
                 f"no isometry into {dim_out}*{rank} dimensions from {dim_in}"
             )
         blocks = haar_isometry(rng, dim_out * rank, dim_in).reshape(dim_out, rank, dim_in)
-        ops = tuple(blocks[:, e, :] for e in range(rank))
-        return Channel(ops, name=f"random_cptp(d{dim_in}->d{dim_out},r{rank})")
+        return Channel(blocks.transpose(1, 0, 2), name=f"random_cptp(d{dim_in}->d{dim_out},r{rank})")
     if kind == "postselection":
         delta = 0.01
         raw = [_ginibre(rng, dim_out, dim_in) for _ in range(rank)]

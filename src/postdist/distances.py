@@ -188,15 +188,6 @@ def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: boo
     return (stack.conj().transpose(0, 2, 1) @ s_images).sum(axis=1)
 
 
-def _kraus_stacks(chan_a: Channel, chan_b: Channel) -> tuple[np.ndarray, np.ndarray]:
-    if (chan_a.dim_in, chan_a.dim_out) != (chan_b.dim_in, chan_b.dim_out):
-        raise InvalidInputError(
-            f"channel dimensions differ: ({chan_a.dim_in}->{chan_a.dim_out}) vs "
-            f"({chan_b.dim_in}->{chan_b.dim_out})"
-        )
-    return chan_a.kraus_stack, chan_b.kraus_stack
-
-
 # ---------------------------------------------------------------------------
 # batched objectives and their closed-form gradients
 # ---------------------------------------------------------------------------
@@ -213,7 +204,7 @@ def _kraus_stacks(chan_a: Channel, chan_b: Channel) -> tuple[np.ndarray, np.ndar
 
 
 def _pure_kernel(chan_a: Channel, chan_b: Channel, ancilla: bool, joint: bool, renormalize: bool):
-    ka, kb = _kraus_stacks(chan_a, chan_b)
+    ka, kb = chan_a.kraus, chan_b.kraus
     ea, eb = chan_a.effect, chan_b.effect
     d = chan_a.dim_in
     anc = d if ancilla else 1
@@ -262,7 +253,7 @@ def _dtr_kernel(chan_a: Channel, chan_b: Channel):
     # || Delta ||_1 for Delta = sum_e A_e u v^H A_e^H - B_e u v^H B_e^H: with the
     # polar factor W = U V^H of Delta and N = sum_e A_e^H W A_e - B_e^H W B_e,
     # the complex gradients are N v (in u) and N^H u (in v).
-    ka, kb = _kraus_stacks(chan_a, chan_b)
+    ka, kb = chan_a.kraus, chan_b.kraus
     d = chan_a.dim_in
 
     def difference(x: np.ndarray):
@@ -514,7 +505,11 @@ def _checked_pair(
     # dimension cap, postselection validity (postselected only).
     if spec.postselected:
         chan_a, chan_b = _canonical_pair(chan_a, chan_b)
-    _kraus_stacks(chan_a, chan_b)
+    if (chan_a.dim_in, chan_a.dim_out) != (chan_b.dim_in, chan_b.dim_out):
+        raise InvalidInputError(
+            f"channel dimensions differ: ({chan_a.dim_in}->{chan_a.dim_out}) vs "
+            f"({chan_b.dim_in}->{chan_b.dim_out})"
+        )
     if cap is not None and chan_a.dim_in > cap:
         raise CapacityError(f"input dimension {chan_a.dim_in} exceeds cap {cap}")
     if spec.postselected:
@@ -527,7 +522,7 @@ def _canonical_pair(chan_a: Channel, chan_b: Channel) -> tuple[Channel, Channel]
     # bit-for-bit symmetric (the objective itself is symmetric only in exact
     # arithmetic).
     def key(ch: Channel):
-        return (ch.dim_in, ch.dim_out, ch.rank, ch.kraus_stack.tobytes())
+        return (ch.dim_in, ch.dim_out, ch.rank, ch.kraus.tobytes())
 
     return (chan_b, chan_a) if key(chan_b) < key(chan_a) else (chan_a, chan_b)
 

@@ -514,7 +514,7 @@ def check_postselected_dilation_bound(
 def _objective_output_separation(ch: Channel):
     # With S = sign(Psi(uu^H) - Psi(vv^H)) and M = sum_e K_e^H S K_e, the
     # complex gradients are 2 M u in u and -2 M v in v.
-    stack = ch.kraus_stack
+    stack = ch.kraus
     d = ch.dim_in
 
     def difference(x: np.ndarray):
@@ -551,20 +551,15 @@ def output_separation(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> 
 def conversion_factor(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
     """
     The factor connecting renormalized closeness to probability stability:
-    8 when the channel is a single square unitary Kraus operator, otherwise
-    40 / s for the output separation s, and infinity when the outputs never
-    separate (s below 1e-9).  Requires a trace-preserving channel.
+    8 when the channel has a single square Kraus operator (unitary within
+    TRACE_ATOL, by trace preservation), otherwise 40 / s for the output
+    separation s, and infinity when the outputs never separate (s below
+    1e-9).  Requires a trace-preserving channel.
     """
     if not ch.is_trace_preserving():
         raise ValidityError("precondition: conversion factor is defined for trace-preserving maps")
     if ch.rank == 1 and ch.dim_in == ch.dim_out:
-        op = ch.kraus[0]
-        eye = np.eye(ch.dim_in)
-        if (
-            operator_norm(op.conj().T @ op - eye) <= 1e-10
-            and operator_norm(op @ op.conj().T - eye) <= 1e-10
-        ):
-            return 8.0
+        return 8.0
     s = output_separation(ch, cfg)
     if s < SEPARATION_FLOOR:
         return math.inf

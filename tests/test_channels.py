@@ -1,5 +1,6 @@
 # tests/test_channels.py
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postdist.channels import (
+    TRACE_ATOL,
     Channel,
     DensityMatrix,
     ParameterError,
@@ -23,6 +25,7 @@ from postdist.channels import (
     conversion_pair,
     gallery,
     GALLERY_NAMES,
+    haar_isometry,
     isometry,
     kraus_to_choi,
     nonconvexity_pair,
@@ -38,7 +41,14 @@ from postdist.channels import (
     validate,
     write_channel,
 )
-from postdist.linalg import CapacityError, InvalidInputError, partial_trace, trace_norm
+from postdist.distances import MEASURE_SPECS, MEASURES
+from postdist.linalg import (
+    CapacityError,
+    InvalidInputError,
+    operator_norm,
+    partial_trace,
+    trace_norm,
+)
 
 
 def _rand_density(seed, dim):
@@ -104,6 +114,89 @@ def test_channel_rejects_bad_kraus():
         Channel((np.full((2, 2), np.inf),))
     with pytest.raises(ValidityError):
         Channel((1.1 * np.eye(2),))  # effect 1.21 I
+
+
+def test_kraus_is_one_read_only_c_ordered_array():
+    ch = Channel((0.5 * np.eye(3, 2), 0.2 * np.ones((3, 2))))
+    assert [f.name for f in dataclasses.fields(Channel)] == ["kraus", "name"]
+    assert isinstance(ch.kraus, np.ndarray) and ch.kraus.dtype == complex
+    assert ch.kraus.shape == (ch.rank, ch.dim_out, ch.dim_in) == (2, 3, 2)
+    assert ch.kraus.flags.c_contiguous
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 1.0
+
+
+def test_channel_keeps_its_own_copy_of_the_operators():
+    ops = [0.5 * np.eye(2, dtype=complex), 0.3 * np.ones((2, 2), dtype=complex)]
+    stacked = np.stack(ops)
+    from_list, from_array = Channel(ops), Channel(stacked)
+    before = from_list.kraus.copy()
+    ops[0][0, 0] = 0.0
+    stacked[:] = 0.0
+    assert np.array_equal(from_list.kraus, before)
+    assert np.array_equal(from_array.kraus, before)
+
+
+def _kernel_values(chan_a, chan_b):
+    # Every measure's objective and gradient at a fixed batch, then the effect
+    # operator and one output of the first channel.
+    rng = np.random.default_rng(17)
+    values = []
+    for m in MEASURES:
+        spec = MEASURE_SPECS[m]
+        x = rng.standard_normal((32, spec.n_params(chan_a.dim_in)))
+        values.extend(f(x) for f in spec.kernel(chan_a, chan_b))
+    return values + [chan_a.effect, apply(chan_a, random_density(chan_a.dim_in, seed=rng))]
+
+
+def _assert_bit_equal(values, reference):
+    assert len(values) == len(reference)
+    for got, want in zip(values, reference):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_values_do_not_depend_on_operator_strides():
+    a = random_channel(3, 3, rank=3, kind="postselection", seed=21)
+    b = random_channel(3, 3, rank=2, kind="postselection", seed=22)
+    fortran = Channel(tuple(np.asfortranarray(op) for op in a.kraus))
+    c_ordered = Channel(tuple(np.ascontiguousarray(op) for op in a.kraus))
+    _assert_bit_equal(_kernel_values(fortran, b), _kernel_values(c_ordered, b))
+
+
+def test_compressed_composition_gives_c_ordered_kernel_values():
+    # The Choi route of `compose` extracts its Kraus operators as transposed views.
+    outer = random_channel(2, 2, rank=3, kind="postselection", seed=23)
+    inner = random_channel(2, 2, rank=3, kind="postselection", seed=24)
+    comp = compose(outer, inner)
+    assert comp.rank <= 4 < outer.rank * inner.rank
+    c_ordered = Channel([np.array(op, order="C") for op in comp.kraus])
+    other = random_channel(2, 2, rank=2, kind="postselection", seed=25)
+    _assert_bit_equal(_kernel_values(comp, other), _kernel_values(c_ordered, other))
+
+
+def test_trace_preserving_at_the_tolerance_edge():
+    cptp = random_channel(3, 3, rank=2, kind="cptp", seed=26)
+    assert cptp.is_trace_preserving()
+    assert scale(cptp, 1 - 5e-10).is_trace_preserving()
+    assert not scale(cptp, 1 - 2e-9).is_trace_preserving()
+
+
+def test_trace_preserving_agrees_with_the_effect_operator_norm():
+    channels = [
+        *gallery("nonconvexity_pair", epsilon=0.2),
+        *gallery("contractivity_triple", epsilon=0.3),
+        *gallery("conversion_pair"),
+        *gallery("teleportation", dim=3),
+        *gallery("isometry", matrix=haar_isometry(np.random.default_rng(28), 3, 2)),
+    ]
+    for seed in range(6):
+        for kind in ("cptp", "postselection"):
+            channels.append(random_channel(2 + seed % 2, 3, rank=2, kind=kind, seed=seed))
+    cptp = random_channel(2, 2, rank=2, kind="cptp", seed=27)
+    channels += [scale(cptp, f) for f in (1 - 5e-10, 1 - 9e-10, 1 - 1.1e-9, 1 - 2e-9)]
+    flags = [ch.is_trace_preserving() for ch in channels]
+    assert flags == [operator_norm(ch.effect - np.eye(ch.dim_in)) <= TRACE_ATOL for ch in channels]
+    assert True in flags and False in flags
 
 
 def test_validate_reports():
@@ -413,7 +506,7 @@ def test_channel_file_round_trip_bit_exact(tmp_path):
     write_channel(ch, path)
     back = read_channel(path)
     assert back.name == ch.name
-    assert (back.kraus_stack == ch.kraus_stack).all()
+    assert (back.kraus == ch.kraus).all()
     # writing the re-read channel reproduces the file byte for byte
     path2 = tmp_path / "ch2.json"
     write_channel(back, path2)
@@ -463,4 +556,4 @@ def test_channel_json_rejects_non_tni(tmp_path):
 def test_serialization_round_trip_property(seed):
     ch = random_channel(2, 2, rank=2, kind="postselection", seed=seed)
     back = channel_from_json(json.loads(json.dumps(channel_to_json(ch))))
-    assert (back.kraus_stack == ch.kraus_stack).all()
+    assert (back.kraus == ch.kraus).all()

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postdist.channels import (
+    Channel,
     DensityMatrix,
     PureState,
     apply,
     conversion_pair,
+    haar_isometry,
     isometry,
     nonconvexity_pair,
     random_channel,
@@ -18,6 +20,7 @@ from postdist.channels import (
     teleportation,
 )
 from postdist.distances import (
+    MEASURE_SPECS,
     MEASURES,
     DistanceEstimate,
     OptimizerConfig,
@@ -400,3 +403,44 @@ def test_dtrD_dtr_chain_by_witness_transfer(seed, kind, dim):
             bound += weight * evaluate_witness("dtrD", a, b, PureState.normalized(w))
     assert high.value <= bound + 1e-12
 
+
+def _rotated_witness(witness, w: np.ndarray):
+    # The witness of the input rotated by w: W psi, (W u, W v) or W rho W^H.
+    if isinstance(witness, PureState):
+        return PureState(w @ witness.vector)
+    if isinstance(witness, DensityMatrix):
+        return DensityMatrix(w @ witness.matrix @ w.conj().T)
+    return tuple(_rotated_witness(x, w) for x in witness)
+
+
+@settings(max_examples=6, deadline=None)
+@given(PROPERTY_SEEDS, st.sampled_from(["cptp", "postselection"]), st.sampled_from([2, 3]))
+def test_unitary_covariance_at_a_witness(seed, kind, dim):
+    # V o Psi o U vs V o Phi o U at a witness equals Psi vs Phi at the witness
+    # rotated by U (U (x) 1 on the stabilized space): the trace norm and the
+    # output traces do not see V.
+    rng = np.random.default_rng(seed)
+    a, b = _pair(seed, dim, kind)
+    u, v = haar_isometry(rng, dim, dim), haar_isometry(rng, dim, dim)
+    rot_a, rot_b = Channel(v @ a.kraus @ u), Channel(v @ b.kraus @ u)
+    for m in MEASURES:
+        spec = MEASURE_SPECS[m]
+        anc = spec.ancilla(dim)
+        witness = spec.decode(rng.standard_normal(spec.n_params(dim)), dim * anc)
+        moved = _rotated_witness(witness, np.kron(u, np.eye(anc)))
+        assert evaluate_witness(m, rot_a, rot_b, witness) == pytest.approx(
+            evaluate_witness(m, a, b, moved), abs=1e-12
+        )
+
+
+@settings(max_examples=6, deadline=None)
+@given(PROPERTY_SEEDS, st.sampled_from([2, 3]))
+def test_hat_tr_triangle_inequality_at_a_witness(seed, dim):
+    # The renormalized outputs at one input obey the trace norm's triangle
+    # inequality, so any A-C witness is a fair point to check it at.
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_channel(dim, dim, rank=2, kind="postselection", seed=rng) for _ in range(3))
+    rho = random_density(dim, seed=rng)
+    assert evaluate_witness("hat-tr", a, c, rho) <= (
+        evaluate_witness("hat-tr", a, b, rho) + evaluate_witness("hat-tr", b, c, rho) + 1e-12
+    )

@@ -4,11 +4,14 @@
 # private helper can be renamed or removed without touching its siblings.
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "postdist"
+README = PACKAGE.parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
@@ -41,3 +44,14 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_readme_dotted_names_resolve():
+    names = sorted(set(re.findall(r"postdist\.([a-z_]+)\.([A-Za-z_]\w*)", README.read_text())))
+    assert names
+    missing = [
+        f"postdist.{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"postdist.{module}"), name)
+    ]
+    assert not missing, f"README.md names what the package lacks: {missing}"

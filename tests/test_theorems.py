@@ -11,6 +11,7 @@ from postdist.channels import (
     ValidityError,
     apply,
     conversion_pair,
+    haar_isometry,
     isometry,
     nonconvexity_pair,
     random_channel,
@@ -314,6 +315,18 @@ def test_postselected_isometry_requires_valid_channel():
 
 def test_conversion_factor_unitary_is_eight():
     assert conversion_factor(isometry(PAULI_Z), FAST) == 8.0
+
+
+def test_conversion_factor_rank_one_square_rule():
+    rng = np.random.default_rng(31)
+    # Trace preservation (within TRACE_ATOL) makes a square single Kraus
+    # operator unitary, so this nearly unitary channel takes the factor 8.
+    near_unitary = scale(isometry(haar_isometry(rng, 3, 3)), 1 - 5e-10)
+    assert near_unitary.is_trace_preserving()
+    assert conversion_factor(near_unitary, FAST) == 8.0
+    # A rank-one isometry into a larger space is not unitary: 40 / s.
+    tall = isometry(haar_isometry(rng, 4, 3))
+    assert conversion_factor(tall, FAST) == 40.0 / output_separation(tall, FAST)
 
 
 def test_conversion_factor_dephasing():
