@@ -1,5 +1,9 @@
 # tests/test_suites.py
 
+import math
+import re
+from pathlib import Path
+
 import pytest
 
 from postdist.channels import ParameterError
@@ -116,3 +120,26 @@ def test_statement_ids_cover_runners():
         # An np.float64 lhs or rhs would print as np.float64(...) in the report.
         assert all(type(r) is TheoremReport for r in reports), sid
         assert all(type(r.lhs) is float and type(r.rhs) is float for r in reports), sid
+
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_seed0_trials20.txt"
+REPORT_LINE = re.compile(r"(\S+ \d{3}) lhs=(\S+) rhs=(\S+) slack=\S+ (PASS|FAIL)")
+
+
+def test_verify_report_matches_the_golden_report():
+    # The checked-in file is the stdout of
+    # `python -m postdist verify --suite all --seed 0 --trials 20`
+    # (OPENBLAS_NUM_THREADS=1).  Report lines must keep their ids and verdicts
+    # with lhs and rhs within 1e-9; every other line (aux, totals) is exact.
+    golden = GOLDEN_REPORT.read_text().splitlines()
+    lines = format_suite_results(run_suite(STATEMENT_IDS, RunConfig(seed=0, trials=20))).splitlines()
+    assert len(lines) == len(golden)
+    for line, want in zip(lines, golden):
+        got, expected = REPORT_LINE.fullmatch(line), REPORT_LINE.fullmatch(want)
+        if expected is None:
+            assert line == want
+            continue
+        assert got is not None, line
+        assert (got[1], got[4]) == (expected[1], expected[4]), line
+        for value, reference in ((got[2], expected[2]), (got[3], expected[3])):
+            assert math.isclose(float(value), float(reference), rel_tol=0.0, abs_tol=1e-9), line
