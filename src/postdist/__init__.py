@@ -63,6 +63,7 @@ from .distances import (
     dense_oracle,
     diamond_norm_channel,
     distance,
+    distance_batch,
     evaluate_witness,
     maximize,
 )

@@ -120,7 +120,7 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """
     CP trace-nonincreasing map given by its Kraus operators, held as one
@@ -128,7 +128,8 @@ class Channel:
 
     Construction validates shape consistency, finiteness and the
     trace-nonincreasing property lambda_max(E) <= 1 + 1e-9 for the effect
-    operator E = sum K^H K.  Instances are immutable.
+    operator E = sum K^H K.  Instances are immutable; equality and hashing
+    are by identity.
     """
 
     kraus: np.ndarray

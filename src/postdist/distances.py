@@ -159,8 +159,8 @@ def herm_trace_norms(x: np.ndarray) -> np.ndarray:
 
 
 def kraus_images(stack: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """K_e u for a Kraus stack (rank, dim_out, dim_in) and inputs u as (batch, dim_in, anc)."""
-    return np.einsum("eij,mja->meia", stack, inputs)
+    """K_e u for inputs u as (batch, dim_in, anc) and a Kraus stack, shared or one per input."""
+    return np.einsum("eij,mja->meia" if stack.ndim == 3 else "meij,mja->meia", stack, inputs)
 
 
 def pure_outputs(images: np.ndarray, joint: bool = False) -> np.ndarray:
@@ -185,28 +185,41 @@ def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: boo
         s_images = (sign[:, None] @ images.reshape(m, e, o * a, 1)).reshape(m, e, o, a)
     else:
         s_images = sign[:, None] @ images
-    return (stack.conj().transpose(0, 2, 1) @ s_images).sum(axis=1)
+    return (np.swapaxes(stack.conj(), -1, -2) @ s_images).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # batched objectives and their closed-form gradients
 # ---------------------------------------------------------------------------
 #
-# Each kernel maps the channel pair to (fn, grad), the objective and its
-# gradient over a batch of real parameter rows, built on the same decode ->
-# images -> outputs steps.  Four measures share the pure-input kernel, with
-# the input u held as a (dim_in, anc) matrix: anc = 1 for dtrD, the ancilla
-# for the stabilized measures (`joint` outputs on dim_out (x) anc), and the
-# Ginibre factor's second index for hat-tr (traced out of the outputs).
+# Each kernel maps channel pairs, one per problem, to (fn, grad), the objective
+# and its gradient over a batch of real parameter rows and their problem
+# indices, built on the same decode -> images -> outputs steps.  One pair's
+# Kraus stack is shared by all rows; several pairs' are padded with zero
+# operators to one rank and gathered per row.  Four measures share the
+# pure-input kernel, with the input u held as a (dim_in, anc) matrix: anc = 1
+# for dtrD, the ancilla for the stabilized measures (`joint` outputs on
+# dim_out (x) anc), and the Ginibre factor's second index for hat-tr (traced
+# out of the outputs).
 # `renormalize` divides each output by its trace.  The trace norm is
 # differentiated through its sign factor (Hermitian differences) or its polar
 # factor (dtr).
 
 
-def _pure_kernel(chan_a: Channel, chan_b: Channel, ancilla: bool, joint: bool, renormalize: bool):
-    ka, kb = chan_a.kraus, chan_b.kraus
-    ea, eb = chan_a.effect, chan_b.effect
-    d = chan_a.dim_in
+def _per_row(arrays: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    # Maps row problem indices to operands: the one problem's array as it is,
+    # or several zero-padded along axis 0 to one length, stacked and gathered.
+    if len(arrays) == 1:
+        return lambda problem: arrays[0]
+    n = max(a.shape[0] for a in arrays)
+    stack = np.stack([np.pad(a, [(0, n - a.shape[0])] + [(0, 0)] * (a.ndim - 1)) for a in arrays])
+    return lambda problem: stack[problem]
+
+
+def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
+    ka, kb = _per_row([a.kraus for a, _ in pairs]), _per_row([b.kraus for _, b in pairs])
+    ea, eb = _per_row([a.effect for a, _ in pairs]), _per_row([b.effect for _, b in pairs])
+    d = pairs[0][0].dim_in
     anc = d if ancilla else 1
 
     def output(images: np.ndarray, bad: np.ndarray):
@@ -219,66 +232,69 @@ def _pure_kernel(chan_a: Channel, chan_b: Channel, ancilla: bool, joint: bool, r
         tr = np.where(small, 1.0, tr)[:, None, None]
         return out / tr, tr, bad | small
 
-    def fn(x: np.ndarray) -> np.ndarray:
+    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         u, _, bad = unit_rows(x, d * anc)
         u3 = u.reshape(-1, d, anc)
         # One channel's images at a time keeps the oracle's peak memory down.
-        out_a, _, bad = output(kraus_images(ka, u3), bad)
-        out_b, _, bad = output(kraus_images(kb, u3), bad)
+        out_a, _, bad = output(kraus_images(ka(problem), u3), bad)
+        out_b, _, bad = output(kraus_images(kb(problem), u3), bad)
         vals = herm_trace_norms(out_a - out_b)
         vals[bad] = -np.inf
         return vals
 
-    def grad(x: np.ndarray) -> np.ndarray:
+    def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         u, norms, bad = unit_rows(x, d * anc)
         u3 = u.reshape(-1, d, anc)
-        ya, yb = kraus_images(ka, u3), kraus_images(kb, u3)
+        stack_a, stack_b = ka(problem), kb(problem)
+        ya, yb = kraus_images(stack_a, u3), kraus_images(stack_b, u3)
         out_a, tr_a, bad = output(ya, bad)
         out_b, tr_b, bad = output(yb, bad)
         sign = herm_sign(out_a - out_b)
-        pa, pb = pullback(ka, ya, sign, joint), pullback(kb, yb, sign, joint)
+        pa, pb = pullback(stack_a, ya, sign, joint), pullback(stack_b, yb, sign, joint)
         if renormalize:
             # Quotient rule for || P/p - Q/q ||_1 with p = <u, E_a u>, q = <u, E_b u>;
             # tr(S P/p) weighs the E_a u term.
             sa = np.einsum("mij,mji->m", sign, out_a).real[:, None, None]
             sb = np.einsum("mij,mji->m", sign, out_b).real[:, None, None]
-            pa, pb = (pa - sa * (ea @ u3)) / tr_a, (pb - sb * (eb @ u3)) / tr_b
+            pa, pb = (pa - sa * (ea(problem) @ u3)) / tr_a, (pb - sb * (eb(problem) @ u3)) / tr_b
         g = 2.0 * (pa - pb)
         return unit_rows_gradient(g.reshape(-1, d * anc), u, norms, bad)
 
     return fn, grad
 
 
-def _dtr_kernel(chan_a: Channel, chan_b: Channel):
+def _dtr_kernel(pairs: list):
     # || Delta ||_1 for Delta = sum_e A_e u v^H A_e^H - B_e u v^H B_e^H: with the
     # polar factor W = U V^H of Delta and N = sum_e A_e^H W A_e - B_e^H W B_e,
     # the complex gradients are N v (in u) and N^H u (in v).
-    ka, kb = chan_a.kraus, chan_b.kraus
-    d = chan_a.dim_in
+    ka, kb = _per_row([a.kraus for a, _ in pairs]), _per_row([b.kraus for _, b in pairs])
+    d = pairs[0][0].dim_in
 
-    def difference(x: np.ndarray):
+    def difference(x: np.ndarray, problem: np.ndarray):
         w, norms, bad = unit_pairs(x, d)
-        ya, yb = kraus_images(ka, w[:, :, None]), kraus_images(kb, w[:, :, None])
+        twice = np.repeat(problem, 2)  # u and v of row i are rows 2i and 2i + 1 of w
+        ya, yb = kraus_images(ka(twice), w[:, :, None]), kraus_images(kb(twice), w[:, :, None])
         diff = np.einsum("meik,melk->mil", ya[0::2], ya[1::2].conj()) - np.einsum(
             "meik,melk->mil", yb[0::2], yb[1::2].conj()
         )
         return diff, (w, norms, bad), ya, yb
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        diff, (_, _, bad), _, _ = difference(x)
+    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
+        diff, (_, _, bad), _, _ = difference(x, problem)
         # singular values of Delta as the square roots of its Gram eigenvalues
         w = npl.eigvalsh(np.einsum("mji,mjk->mik", diff.conj(), diff))
         vals = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
         vals[bad] = -np.inf
         return vals
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        diff, rows, ya, yb = difference(x)
+    def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
+        diff, rows, ya, yb = difference(x, problem)
         left, _, right = npl.svd(diff)
         polar = left @ right
         polar_h = polar.conj().transpose(0, 2, 1)
-        gu = pullback(ka, ya[1::2], polar) - pullback(kb, yb[1::2], polar)
-        gv = pullback(ka, ya[0::2], polar_h) - pullback(kb, yb[0::2], polar_h)
+        stack_a, stack_b = ka(problem), kb(problem)
+        gu = pullback(stack_a, ya[1::2], polar) - pullback(stack_b, yb[1::2], polar)
+        gv = pullback(stack_a, ya[0::2], polar_h) - pullback(stack_b, yb[0::2], polar_h)
         return unit_pairs_gradient(gu, gv, *rows)
 
     return fn, grad
@@ -294,13 +310,14 @@ _LINE_SEARCH = np.array([2.0, 1.0, 0.5, 0.125])
 
 class AscentResult(NamedTuple):
     """
-    Output of `maximize`.  `values` and `points` hold every restart's final
-    objective value and parameter row; `winner` is the maximal value with
-    smallest-index tie-break; `converged` means the two best restarts agree
-    within the value tolerance.  `iterations` counts lockstep ascent steps
-    (at most `max_iterations`), and `evaluations` counts objective points:
-    the starting points, one per gradient, one per Barzilai-Borwein trial
-    and four per line search.
+    One problem's output of `maximize`.  `values` and `points` hold every
+    restart's final objective value and parameter row; `winner` is the maximal
+    value with smallest-index tie-break; `converged` means the two best
+    restarts agree within the value tolerance.  `iterations` counts the
+    lockstep ascent steps the problem took part in (at most `max_iterations`),
+    and `evaluations` counts its objective points: the starting points, one
+    per gradient taken (a restart whose last step held keeps its gradient), one
+    per Barzilai-Borwein trial and four per line search.
     """
 
     values: np.ndarray
@@ -311,35 +328,45 @@ class AscentResult(NamedTuple):
     evaluations: int
 
 
-def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentResult:
+def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> list[AscentResult]:
     """
-    Run all restarts of a gradient-ascent loop in lockstep.
+    Run all restarts of a gradient-ascent loop in lockstep, for one or more
+    problems: one `OptimizerConfig` and one `AscentResult` per problem.
 
-    `value_fn` maps a batch of parameter rows to objective values and
-    `grad_fn` to their gradients (rows of length `n_params`).  Restart r
-    starts from its own rng stream derived from (master_seed, r).  Each step
-    first tries one Barzilai-Borwein point x + t g, with t = s.s / -(s.y) for
-    the restart's last change of point s and of gradient y (Barzilai and
-    Borwein, IMA J. Numer. Anal. 8:141, 1988), where its previous step moved
-    it and -(s.y) > 0.  A restart without that point, or whose point does not
-    raise its value, tries four step lengths along the normalized gradient
-    instead and keeps the best if it improves.  Only a rise is ever kept, so
-    each restart's value never falls.  A restart stops at a zero gradient, a
-    step below the step tolerance, or five steps in a row that gain less than
-    the value tolerance.
+    `value_fn(x, problem)` maps a batch of parameter rows and each row's
+    problem index to objective values and `grad_fn(x, problem)` to their
+    gradients (rows of length `n_params`).  Restart r of a problem starts from
+    its own rng stream derived from (master_seed, r).  Each step first tries
+    one Barzilai-Borwein point x + t g, with t = s.s / -(s.y) for the
+    restart's last change of point s and of gradient y (Barzilai and Borwein,
+    IMA J. Numer. Anal. 8:141, 1988), where its previous step moved it and
+    -(s.y) > 0.  A restart without that point, or whose point does not raise
+    its value, tries four step lengths along the normalized gradient instead
+    and keeps the best if it improves.  Only a rise is ever kept, so each
+    restart's value never falls.  A restart stops at a zero gradient, a step
+    below the step tolerance, or five steps in a row that gain less than the
+    value tolerance, and a problem stops after `max_iterations` steps.  Every
+    rule reads only the restart's own rows, so when the objective evaluates
+    each row on its own, a problem's result does not depend on its batch mates.
     """
-    reps = cfg.restarts
-    seed = cfg.master_seed & SEED_MASK
-    x = np.array([np.random.default_rng([seed, r]).standard_normal(n_params) for r in range(reps)])
+    counts = [cfg.restarts for cfg in cfgs]
+    starts = np.cumsum([0] + counts[:-1])
+    problem = np.repeat(np.arange(len(cfgs)), counts)
+    seeds = [[cfg.master_seed & SEED_MASK, r] for cfg in cfgs for r in range(cfg.restarts)]
+    x = np.array([np.random.default_rng(seed).standard_normal(n_params) for seed in seeds])
     x /= np.maximum(npl.norm(x, axis=1), 1e-12)[:, None]
-    values = value_fn(x)
-    evaluations = reps
-    iterations = 0
-    alpha = np.full(reps, 0.25)
-    stall = np.zeros(reps, dtype=int)
-    active = np.ones(reps, dtype=bool)
+    step_tol = np.array([cfg.step_tolerance for cfg in cfgs])[problem]
+    value_tol = np.array([cfg.value_tolerance for cfg in cfgs])[problem]
+    caps = np.array([cfg.max_iterations for cfg in cfgs])[problem]
+    values = value_fn(x, problem)
+    work = np.ones(problem.size, dtype=int)  # objective points per row
+    taken = np.zeros(problem.size, dtype=int)  # ascent steps per row
+    alpha = np.full(problem.size, 0.25)
+    stall = np.zeros(problem.size, dtype=int)
+    active = caps > 0
     # Each restart's point and gradient one step back: s = 0 at first and after a held step.
     prev_x, prev_g = x.copy(), np.zeros_like(x)
+    stale = np.ones(problem.size, dtype=bool)  # the gradient at x is not prev_g
     n_steps = _LINE_SEARCH.size
 
     def move(r, new_x, new_values, step):
@@ -348,27 +375,33 @@ def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentRe
         x[r] = new_x / np.where(norms > 1e-12, norms, 1.0)[:, None]
         gain = new_values - values[r]
         values[r] = new_values
-        alpha[r] = np.minimum(np.maximum(step, 10.0 * cfg.step_tolerance), 4.0)
-        stall[r] = np.where(gain < cfg.value_tolerance, stall[r] + 1, 0)
+        alpha[r] = np.minimum(np.maximum(step, 10.0 * step_tol[r]), 4.0)
+        stall[r] = np.where(gain < value_tol[r], stall[r] + 1, 0)
+        stale[r] = True
 
-    while iterations < cfg.max_iterations:
+    while True:
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        iterations += 1
+        taken[idx] += 1
         xa = x[idx]
-        grad = grad_fn(xa)
+        grad = prev_g[idx]  # a copy, current where the restart has not moved since
+        fresh = stale[idx]
+        if fresh.any():
+            grad[fresh] = grad_fn(xa[fresh], problem[idx[fresh]])
+            stale[idx] = False
         gnorm = npl.norm(grad, axis=1)
         flat = gnorm <= 1e-9
         s, y = xa - prev_x[idx], grad - prev_g[idx]
         prev_x[idx], prev_g[idx] = xa, grad
         curvature = -(s * y).sum(axis=1)
         search = ~flat
-        trial = np.flatnonzero(search & (curvature > 0))
+        tried = search & (curvature > 0)
+        trial = np.flatnonzero(tried)
         if trial.size:
             t = (s[trial] * s[trial]).sum(axis=1) / curvature[trial]
             trial_x = xa[trial] + t[:, None] * grad[trial]
-            trial_vals = value_fn(trial_x)
+            trial_vals = value_fn(trial_x, problem[idx[trial]])
             up = trial_vals > values[idx[trial]] + 1e-15
             move(idx[trial[up]], trial_x[up], trial_vals[up], t[up] * gnorm[trial[up]])
             search[trial[up]] = False
@@ -378,7 +411,8 @@ def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentRe
             steps = alpha[idx[rest], None] * _LINE_SEARCH[None, :]
             dirs = grad[rest] / gnorm[rest, None]
             cand = xa[rest, None, :] + steps[:, :, None] * dirs[:, None, :]
-            cand_vals = value_fn(cand.reshape(-1, n_params)).reshape(rest.size, n_steps)
+            cand_problem = np.repeat(problem[idx[rest]], n_steps)
+            cand_vals = value_fn(cand.reshape(-1, n_params), cand_problem).reshape(-1, n_steps)
             pick = np.argmax(cand_vals, axis=1)
             rows = np.arange(rest.size)
             best_vals = cand_vals[rows, pick]
@@ -388,12 +422,22 @@ def maximize(value_fn, grad_fn, n_params: int, cfg: OptimizerConfig) -> AscentRe
             alpha[r] *= 0.125
             stall[r] += 1
 
-        evaluations += idx.size + trial.size + n_steps * rest.size
-        active[idx] = ~flat & (alpha[idx] >= cfg.step_tolerance) & (stall[idx] < 5)
-    winner = int(np.argmax(values))
-    top = np.sort(values)[::-1]
-    converged = reps == 1 or bool(top[0] - top[1] <= cfg.value_tolerance)
-    return AscentResult(values, x, winner, converged, iterations, evaluations)
+        work[idx] += n_steps * search + tried + fresh
+        moving = ~flat & (alpha[idx] >= step_tol[idx]) & (stall[idx] < 5)
+        active[idx] = moving & (taken[idx] < caps[idx])
+    # A restart steps from the first pass until it stops, so a problem's
+    # passes are those of its longest-running restart.
+    iterations = np.maximum.reduceat(taken, starts)
+    evaluations = np.add.reduceat(work, starts)
+    results = []
+    for p, cfg in enumerate(cfgs):
+        rows = slice(starts[p], starts[p] + cfg.restarts)
+        top = np.sort(values[rows])[::-1]
+        converged = cfg.restarts == 1 or bool(top[0] - top[1] <= cfg.value_tolerance)
+        winner = int(np.argmax(values[rows]))
+        steps, evals = int(iterations[p]), int(evaluations[p])
+        results.append(AscentResult(values[rows], x[rows], winner, converged, steps, evals))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +478,9 @@ def _pair_input(witness, dim: int, measure: str) -> np.ndarray:
 
 class MeasureSpec(NamedTuple):
     """
-    One measure.  `kernel` maps a channel pair to (fn, grad): its batched
-    objective and gradient over `n_params(dim_in)` real parameters.
+    One measure.  `kernel` maps channel pairs of one shape, one per problem, to
+    (fn, grad): the batched objective and gradient over `n_params(dim_in)`
+    real parameters, each row on its problem's pair (see `maximize`).
     `decode(x, dim)` turns the winning row into a witness, and
     `witness_input(witness, dim, measure)` a witness into the input operator,
     where dim is that of the input space: dim_in, squared when `stabilized`.
@@ -460,7 +505,7 @@ def _pure_measure(decode, ancilla: bool, stabilized: bool, postselected: bool) -
     # stabilized ones keep the ancilla in the outputs, the postselected ones
     # renormalize them.
     return MeasureSpec(
-        lambda a, b: _pure_kernel(a, b, ancilla, stabilized, postselected),
+        lambda pairs: _pure_kernel(pairs, ancilla, stabilized, postselected),
         n_params=lambda d: 2 * d * (d if ancilla else 1),
         decode=decode,
         witness_input=_state_input,
@@ -536,24 +581,44 @@ def distance(
     measure: str, chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
 ) -> DistanceEstimate:
     """Estimate a measure by its tag (dtrD, dtr, diamond, hat-tr, hat-diamond)."""
-    spec = _spec(measure)
-    cap = STABILIZED_DIM_CAP if spec.stabilized else UNSTABILIZED_DIM_CAP
-    chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, cap)
-    d = chan_a.dim_in
-    res = maximize(*spec.kernel(chan_a, chan_b), spec.n_params(d), cfg)
-    witness = spec.decode(res.points[res.winner], d * spec.ancilla(d))
-    best = res.values[res.winner]
-    return DistanceEstimate(
-        measure=measure,
-        value=evaluate_witness(measure, chan_a, chan_b, witness),
-        witness=witness,
-        restarts_used=cfg.restarts,
-        converged=res.converged,
-        iterations=res.iterations,
-        evaluations=res.evaluations,
-        agreeing_restarts=int(np.count_nonzero(res.values >= best - cfg.value_tolerance)),
-        restart_spread=float(best - res.values[np.isfinite(res.values)].min(initial=best)),
-    )
+    return distance_batch([(measure, chan_a, chan_b, cfg)])[0]
+
+
+def distance_batch(requests: list[tuple]) -> list[DistanceEstimate]:
+    """
+    `distance` for a list of (measure, chan_a, chan_b, cfg) requests, answered
+    in order.  Requests of one measure and one (dim_in, dim_out) share one
+    lockstep `maximize`, and each estimate is bit-identical to the one its
+    request gets from `distance` alone.
+    """
+    groups: dict[tuple, list] = {}
+    for i, (measure, chan_a, chan_b, cfg) in enumerate(requests):
+        spec = _spec(measure)
+        cap = STABILIZED_DIM_CAP if spec.stabilized else UNSTABILIZED_DIM_CAP
+        chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, cap)
+        groups.setdefault((measure, chan_a.dim_in, chan_a.dim_out), []).append(
+            (i, (chan_a, chan_b), cfg)
+        )
+    estimates = [None] * len(requests)
+    for (measure, d, _), members in groups.items():
+        spec = MEASURE_SPECS[measure]
+        kernel = spec.kernel([pair for _, pair, _ in members])
+        results = maximize(*kernel, spec.n_params(d), [cfg for _, _, cfg in members])
+        for (i, (chan_a, chan_b), cfg), res in zip(members, results):
+            witness = spec.decode(res.points[res.winner], d * spec.ancilla(d))
+            best = res.values[res.winner]
+            estimates[i] = DistanceEstimate(
+                measure=measure,
+                value=evaluate_witness(measure, chan_a, chan_b, witness),
+                witness=witness,
+                restarts_used=cfg.restarts,
+                converged=res.converged,
+                iterations=res.iterations,
+                evaluations=res.evaluations,
+                agreeing_restarts=int(np.count_nonzero(res.values >= best - cfg.value_tolerance)),
+                restart_spread=float(best - res.values[np.isfinite(res.values)].min(initial=best)),
+            )
+    return estimates
 
 
 def diamond_norm_channel(ch: Channel) -> float:
@@ -624,11 +689,12 @@ def dense_oracle(
         raise InvalidInputError("oracle needs at least one sample")
     spec = _spec(measure)
     chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, ORACLE_DIM_CAP)
-    fn, _ = spec.kernel(chan_a, chan_b)
+    fn, _ = spec.kernel([(chan_a, chan_b)])
     n_params = spec.n_params(chan_a.dim_in)
     rng = np.random.default_rng([seed & SEED_MASK, 1])
     best = -np.inf
     for start in range(0, samples, _ORACLE_CHUNK):
         take = min(_ORACLE_CHUNK, samples - start)
-        best = max(best, float(np.max(fn(rng.standard_normal((take, n_params))))))
+        points = rng.standard_normal((take, n_params))
+        best = max(best, float(np.max(fn(points, np.zeros(take, dtype=int)))))
     return best

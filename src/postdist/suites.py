@@ -3,7 +3,8 @@
 """
 Seeded verification suites: each statement is one `STATEMENTS` entry whose
 builder draws random instances from the regime the statement speaks about and
-runs them through the corresponding checker from `theorems`.
+hands them to the corresponding checker from `theorems`; `run_statement` runs
+all of a statement's instances in lockstep (see `theorems.run_checks`).
 
 Instance streams are independent per (seed, statement, index), so changing the
 trial count or running a subset of statements never reshuffles the instances
@@ -30,6 +31,7 @@ from .channels import (
 )
 from .distances import SEED_MASK, OptimizerConfig
 from .theorems import (
+    CheckSteps,
     TheoremReport,
     alpha_necessity_report,
     check_conversion,
@@ -45,6 +47,7 @@ from .theorems import (
     check_trace_preserving_diamond_bound,
     contractivity_report,
     nonconvexity_report,
+    run_checks,
 )
 
 NONCONVEXITY_EPSILONS = (1.0 / 32.0, 1.0 / 8.0, 1.0 / 4.0)
@@ -149,31 +152,32 @@ def _scaled_isometry_case(cfg: RunConfig, rng: np.random.Generator, idx: int):
 class Statement(NamedTuple):
     """
     One verified statement.  `build(cfg, rng, idx)` draws instance `idx` from
-    its own stream `rng` and returns the checker's report; `sweep` is the fixed
-    instance count of a counterexample sweep, None for a corpus of cfg.trials.
+    its own stream `rng` and returns the checker's steps (or, for a check that
+    needs no estimate, its report); `sweep` is the fixed instance count of a
+    counterexample sweep, None for a corpus of cfg.trials.
     """
 
-    build: Callable[[RunConfig, np.random.Generator, int], TheoremReport]
+    build: Callable[[RunConfig, np.random.Generator, int], CheckSteps | TheoremReport]
     sweep: int | None = None
 
 
-def _doubling(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+def _doubling(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
     d = _dim(cfg, idx)
     kind_a = "cptp" if idx % 2 == 0 else "postselection"
     kind_b = "postselection" if idx % 3 == 0 else "cptp"
     a = random_channel(d, d, rank=2, kind=kind_a, seed=rng)
     b = random_channel(d, d, rank=2, kind=kind_b, seed=rng)
-    return check_state_distance_doubling(a, b, _opt(cfg, rng))
+    return check_state_distance_doubling.steps(a, b, _opt(cfg, rng))
 
 
-def _dilation_norm(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+def _dilation_norm(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
     d = _dim(cfg, idx)
     kind = "cptp" if idx % 2 == 0 else "postselection"
     ch = random_channel(d, d, rank=1 + idx % 3, kind=kind, seed=rng)
-    return check_dilation_norm_identity(ch, _opt(cfg, rng, boost=True))
+    return check_dilation_norm_identity.steps(ch, _opt(cfg, rng, boost=True))
 
 
-def _subadditivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+def _subadditivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
     d = _dim(cfg, idx)
     pairs = []
     for _ in range(2 + idx % 2):
@@ -183,27 +187,29 @@ def _subadditivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> Theore
             a = scale(a, 0.9)
             b = scale(b, 0.95)
         pairs.append((a, b))
-    return check_subadditivity(pairs, _opt(cfg, rng))
+    return check_subadditivity.steps(pairs, _opt(cfg, rng))
 
 
-def _weak_subadditivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+def _weak_subadditivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
     d = _dim(cfg, idx)
     inner_a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
     inner_b = random_channel(d, d, rank=2, kind="postselection", seed=rng)
     outer_a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
     outer_b = random_channel(d, d, rank=2, kind="cptp", seed=rng)
-    return check_postselected_subadditivity(inner_a, inner_b, outer_a, outer_b, cfg=_opt(cfg, rng))
+    return check_postselected_subadditivity.steps(
+        inner_a, inner_b, outer_a, outer_b, cfg=_opt(cfg, rng)
+    )
 
 
-def _weak_contractivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+def _weak_contractivity(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
     d = _dim(cfg, idx)
     tau = random_channel(d, d, rank=2, kind="cptp", seed=rng)
     a = random_channel(d, d, rank=2, kind="postselection", seed=rng)
     b = random_channel(d, d, rank=2, kind="postselection", seed=rng)
-    return check_postselected_contractivity(tau, a, b, _opt(cfg, rng))
+    return check_postselected_contractivity.steps(tau, a, b, _opt(cfg, rng))
 
 
-def _conversion(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremReport:
+def _conversion(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
     if idx < 2:
         d = 2 + idx
         ch = teleportation(d)
@@ -215,11 +221,9 @@ def _conversion(cfg: RunConfig, rng: np.random.Generator, idx: int) -> TheoremRe
         else:
             ref = isometry(haar_isometry(rng, d, d), name="target_unitary")
         ch = _noisy_scaled_reference(ref, 0.5, 0.2, rng)
-    return check_conversion(ch, ref, _opt(cfg, rng))
+    return check_conversion.steps(ch, ref, _opt(cfg, rng))
 
 
-# Entries call their checkers by name at run time, so a wrapper installed on a
-# checker's module attribute (as perfbench's tracer does) sees every call.
 # The order is part of every corpus: _instance_rng seeds each instance with
 # its statement's position here.
 STATEMENTS = {
@@ -227,20 +231,30 @@ STATEMENTS = {
     "F2": Statement(_dilation_norm),
     "T1": Statement(_subadditivity),
     "T2": Statement(
-        lambda cfg, rng, idx: check_trace_preserving_diamond_bound(*_isometry_case(cfg, rng, idx))
+        lambda cfg, rng, idx: check_trace_preserving_diamond_bound.steps(
+            *_isometry_case(cfg, rng, idx)
+        )
     ),
     "T3": Statement(
-        lambda cfg, rng, idx: check_isometry_approximation(*_isometry_case(cfg, rng, idx, True))
+        lambda cfg, rng, idx: check_isometry_approximation.steps(
+            *_isometry_case(cfg, rng, idx, True)
+        )
     ),
     "C1": Statement(
-        lambda cfg, rng, idx: check_diamond_from_state_distance(*_isometry_case(cfg, rng, idx, True))
+        lambda cfg, rng, idx: check_diamond_from_state_distance.steps(
+            *_isometry_case(cfg, rng, idx, True)
+        )
     ),
     "T4": Statement(_weak_subadditivity),
     "T5": Statement(
-        lambda cfg, rng, idx: check_postselected_diamond_bound(*_scaled_isometry_case(cfg, rng, idx))
+        lambda cfg, rng, idx: check_postselected_diamond_bound.steps(
+            *_scaled_isometry_case(cfg, rng, idx)
+        )
     ),
     "T6": Statement(
-        lambda cfg, rng, idx: check_postselected_dilation_bound(*_scaled_isometry_case(cfg, rng, idx))
+        lambda cfg, rng, idx: check_postselected_dilation_bound.steps(
+            *_scaled_isometry_case(cfg, rng, idx)
+        )
     ),
     "C2": Statement(_weak_contractivity),
     "L2": Statement(_conversion),
@@ -253,7 +267,7 @@ STATEMENTS = {
         sweep=len(CONTRACTIVITY_EPSILONS),
     ),
     "CE3": Statement(
-        lambda cfg, rng, idx: alpha_necessity_report(_opt(cfg, rng, boost=True)), sweep=1
+        lambda cfg, rng, idx: alpha_necessity_report.steps(_opt(cfg, rng, boost=True)), sweep=1
     ),
 }
 
@@ -295,7 +309,9 @@ def run_statement(statement: str, cfg: RunConfig = RunConfig()) -> list[TheoremR
             f"unknown statement id {statement!r}; known: {', '.join(STATEMENT_IDS)}"
         )
     count = cfg.trials if entry.sweep is None else entry.sweep
-    return [entry.build(cfg, _instance_rng(cfg, statement, idx), idx) for idx in range(count)]
+    return run_checks(
+        [entry.build(cfg, _instance_rng(cfg, statement, idx), idx) for idx in range(count)]
+    )
 
 
 def run_suite(

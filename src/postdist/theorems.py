@@ -12,11 +12,16 @@ or renormalization identities), which guarantees domination in exact
 arithmetic; the reported right-hand value is the maximum of the transferred
 evaluation and the independent estimate, so it both certifies the check and
 remains a genuine lower bound of the quantity it names.
+
+Each checker's steps yield their independent `distance` requests at once (see
+`checker`), so `run_checks` can batch many instances' estimates in lockstep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +46,7 @@ from .channels import (
 from .distances import (
     OptimizerConfig,
     diamond_norm_channel,
-    distance,
+    distance_batch,
     evaluate_witness,
     herm_sign,
     herm_trace_norms,
@@ -103,6 +108,45 @@ def _report(statement, description, lhs, rhs, slack_tolerance, aux=(), witnesses
     )
 
 
+# A checker's steps yield lists of (measure, chan_a, chan_b, cfg) requests, are
+# sent back the estimates of each, and return the report.
+CheckSteps = Generator[list, list, TheoremReport]
+
+
+def run_checks(checks: list) -> list[TheoremReport]:
+    """
+    Run checker steps in lockstep and return their reports in order (items
+    that are reports already pass through): each round answers every live
+    checker's requests of the round before with one `distance_batch` call.
+    """
+    reports = list(checks)
+    sent = {i: None for i, c in enumerate(checks) if isinstance(c, Generator)}
+    while sent:
+        asked = []
+        for i, estimates in sent.items():
+            try:
+                asked.append((i, checks[i].send(estimates)))
+            except StopIteration as stop:
+                reports[i] = stop.value
+        answers = iter(distance_batch([r for _, requests in asked for r in requests]))
+        sent = {i: [next(answers) for _ in requests] for i, requests in asked}
+    return reports
+
+
+def checker(steps):
+    """
+    Make a checker from its steps (a generator function of the same
+    arguments), which it keeps as `.steps`; a call runs one instance.
+    """
+
+    @functools.wraps(steps)
+    def check(*args, **kwargs) -> TheoremReport:
+        return run_checks([steps(*args, **kwargs)])[0]
+
+    check.steps = steps
+    return check
+
+
 def _zero_like(ch: Channel) -> Channel:
     return Channel((np.zeros((ch.dim_out, ch.dim_in), dtype=complex),), name="zero")
 
@@ -134,15 +178,16 @@ def phase_mixture_states(u: PureState, v: PureState) -> list[PureState]:
     return states
 
 
+@checker
 def check_state_distance_doubling(
     chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     d_tr <= 2 d_tr^D: the rank-one witness (u, v) is transferred to the four
     phase-mixture states, whose best state-objective value must be at least
     half the rank-one value.  Both sides are exact evaluations at witnesses.
     """
-    est = distance("dtr", chan_a, chan_b, cfg)
+    (est,) = yield [("dtr", chan_a, chan_b, cfg)]
     u, v = est.witness
     transfers = [
         evaluate_witness("dtrD", chan_a, chan_b, w) for w in phase_mixture_states(u, v)
@@ -167,9 +212,10 @@ def check_state_distance_doubling(
 # ---------------------------------------------------------------------------
 
 
+@checker
 def check_dilation_norm_identity(
     ch: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     ||Psi||_diamond = ||Psi||_tr^D = ||A||_op^2: the exact effect-spectrum
     value against two independent optimizer routes (stabilized and state-input
@@ -178,8 +224,8 @@ def check_dilation_norm_identity(
     exact = diamond_norm_channel(ch)
     dilation = operator_norm(stinespring(ch)) ** 2
     zero = _zero_like(ch)
-    route_diamond = distance("diamond", ch, zero, cfg).value
-    route_states = distance("dtrD", ch, zero, cfg).value
+    diamond_est, states_est = yield [("diamond", ch, zero, cfg), ("dtrD", ch, zero, cfg)]
+    route_diamond, route_states = diamond_est.value, states_est.value
     deviation = max(
         abs(exact - route_diamond), abs(exact - route_states), abs(exact - dilation)
     )
@@ -203,9 +249,10 @@ def check_dilation_norm_identity(
 # ---------------------------------------------------------------------------
 
 
+@checker
 def check_subadditivity(
     pairs: list[tuple[Channel, Channel]], cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     d_diamond(composition, composition) <= sum of the pairwise distances.
     The left witness is telescoped through the chain: term i is evaluated at
@@ -224,18 +271,17 @@ def check_subadditivity(
     for a, b in pairs[1:]:
         comp_a = compose(a, comp_a)
         comp_b = compose(b, comp_b)
-    lhs_est = distance("diamond", comp_a, comp_b, cfg)
+    lhs_est, *own_ests = yield [("diamond", a, b, cfg) for a, b in [(comp_a, comp_b), *pairs]]
     anc = comp_a.dim_in
     carried = lhs_est.witness.density().matrix
     terms = []
     transferred = []
-    for a, b in pairs:
+    for (a, b), own in zip(pairs, own_ests):
         ext_a = tensor_with_identity(a, anc)
         ext_b = tensor_with_identity(b, anc)
         t = pointwise_distance(ext_a, ext_b, carried)
-        own = distance("diamond", a, b, cfg).value
         transferred.append(t)
-        terms.append(max(own, t))
+        terms.append(max(own.value, t))
         carried = apply(ext_b, carried)
     return _report(
         "T1",
@@ -279,15 +325,15 @@ def _dilation_residual(ch: Channel, iso: np.ndarray, g: np.ndarray):
     return residual, float(np.vdot(g, g).real)
 
 
-def _isometry_diamond_report(statement, ch, iso, cfg, postselected, bound) -> TheoremReport:
+def _isometry_diamond_steps(statement, ch, iso, cfg, postselected, bound) -> CheckSteps:
     # C1 / T2 / T5: the diamond distance (renormalized when `postselected`) to
     # the isometry channel against bound(eps), eps the matching state distance.
     ideal = isometry(iso, name="ideal_isometry")
     state_measure, diamond_measure = (
         ("hat-tr", "hat-diamond") if postselected else ("dtrD", "diamond")
     )
-    eps = distance(state_measure, ch, ideal, cfg).value
-    lhs = distance(diamond_measure, ch, ideal, cfg)
+    eps_est, lhs = yield [(state_measure, ch, ideal, cfg), (diamond_measure, ch, ideal, cfg)]
+    eps = eps_est.value
     return _report(
         statement,
         f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",
@@ -301,9 +347,10 @@ def _isometry_diamond_report(statement, ch, iso, cfg, postselected, bound) -> Th
     )
 
 
+@checker
 def check_isometry_approximation(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     With eps the state-input distance to the isometry channel, the dilation is
     within 2 sqrt(eps) of U (x) g in operator norm, where g is extracted at the
@@ -311,7 +358,7 @@ def check_isometry_approximation(
     checked alongside (the lower edge uses the witness value, which the proof
     bounds pointwise).
     """
-    est = distance("dtrD", ch, isometry(iso, name="ideal_isometry"), cfg)
+    (est,) = yield [("dtrD", ch, isometry(iso, name="ideal_isometry"), cfg)]
     eps = est.value
     g = environment_vector(ch, iso, est.witness)
     residual, g_sq = _dilation_residual(ch, iso, g)
@@ -339,27 +386,29 @@ def check_isometry_approximation(
     )
 
 
+@checker
 def check_diamond_from_state_distance(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """d_diamond <= 4 sqrt(eps) + eps against an isometry channel."""
-    return _isometry_diamond_report(
+    return (yield from _isometry_diamond_steps(
         "C1", ch, iso, cfg, False, lambda eps: 4.0 * math.sqrt(max(eps, 0.0)) + eps
-    )
+    ))
 
 
+@checker
 def check_trace_preserving_diamond_bound(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     The trace-preserving strengthening d_diamond <= sqrt(2 eps); requires the
     channel to actually be trace-preserving.
     """
     if not ch.is_trace_preserving():
         raise ValidityError("precondition: the approximating channel must be trace-preserving")
-    return _isometry_diamond_report(
+    return (yield from _isometry_diamond_steps(
         "T2", ch, iso, cfg, False, lambda eps: math.sqrt(2.0 * max(eps, 0.0))
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +417,7 @@ def check_trace_preserving_diamond_bound(
 # ---------------------------------------------------------------------------
 
 
+@checker
 def check_postselected_subadditivity(
     inner_a: Channel,
     inner_b: Channel,
@@ -375,7 +425,7 @@ def check_postselected_subadditivity(
     outer_b: Channel,
     anc_dim: int = 1,
     cfg: OptimizerConfig = OptimizerConfig(),
-) -> TheoremReport:
+) -> CheckSteps:
     """
     hat d_diamond(outer_a o (inner_a (x) I), outer_b o (inner_b (x) I))
     <= hat d_diamond(outer_a, outer_b) + hat d_diamond(inner_a, inner_b),
@@ -396,7 +446,8 @@ def check_postselected_subadditivity(
         )
     comp_a = compose(outer_a, tensor_with_identity(inner_a, anc_dim))
     comp_b = compose(outer_b, tensor_with_identity(inner_b, anc_dim))
-    lhs_est = distance("hat-diamond", comp_a, comp_b, cfg)
+    pairs = ((comp_a, comp_b), (outer_a, outer_b), (inner_a, inner_b))
+    lhs_est, outer_est, inner_est = yield [("hat-diamond", a, b, cfg) for a, b in pairs]
     stab = comp_a.dim_in
     rho = lhs_est.witness.density().matrix
     ext_a = tensor_with_identity(inner_a, anc_dim * stab)
@@ -405,8 +456,7 @@ def check_postselected_subadditivity(
     pushed = apply(ext_a, rho)
     pushed = pushed / np.trace(pushed).real
     outer_transfer = pointwise_distance(outer_a, outer_b, pushed, stab, True)
-    est_outer = distance("hat-diamond", outer_a, outer_b, cfg).value
-    est_inner = distance("hat-diamond", inner_a, inner_b, cfg).value
+    est_outer, est_inner = outer_est.value, inner_est.value
     rhs = max(est_outer, outer_transfer) + max(est_inner, inner_transfer)
     return _report(
         "T4",
@@ -423,9 +473,10 @@ def check_postselected_subadditivity(
     )
 
 
+@checker
 def check_postselected_contractivity(
     tau: Channel, chan_a: Channel, chan_b: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     For trace-preserving tau: hat d_diamond(tau o A, tau o B) <= hat
     d_diamond(A, B).  The right side is the max of its estimate and the left
@@ -434,9 +485,10 @@ def check_postselected_contractivity(
     if not tau.is_trace_preserving():
         raise ValidityError("precondition: tau must be trace-preserving")
     require_postselection(chan_a, chan_b)
-    lhs_est = distance("hat-diamond", compose(tau, chan_a), compose(tau, chan_b), cfg)
+    pairs = ((compose(tau, chan_a), compose(tau, chan_b)), (chan_a, chan_b))
+    lhs_est, rhs_est = yield [("hat-diamond", a, b, cfg) for a, b in pairs]
     transfer = evaluate_witness("hat-diamond", chan_a, chan_b, lhs_est.witness)
-    est_rhs = distance("hat-diamond", chan_a, chan_b, cfg).value
+    est_rhs = rhs_est.value
     return _report(
         "C2",
         f"tau o ({chan_a.name or 'A'}, {chan_b.name or 'B'}) (dim {chan_a.dim_in})",
@@ -456,21 +508,23 @@ def check_postselected_contractivity(
 # ---------------------------------------------------------------------------
 
 
+@checker
 def check_postselected_diamond_bound(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     T5: with eps-hat the renormalized trace distance to the isometry channel,
     the renormalized diamond distance is at most 24 sqrt(eps) + 18 eps.
     """
-    return _isometry_diamond_report(
+    return (yield from _isometry_diamond_steps(
         "T5", ch, iso, cfg, True, lambda eps: 24.0 * math.sqrt(max(eps, 0.0)) + 18.0 * eps
-    )
+    ))
 
 
+@checker
 def check_postselected_dilation_bound(
     ch: Channel, iso: np.ndarray, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     T6: with eps-hat the renormalized trace distance to the isometry channel,
     the dilation residual ||A - U (x) g||_op is at most 6 ||A||_op sqrt(eps),
@@ -478,10 +532,10 @@ def check_postselected_dilation_bound(
     ||A||_op times the unit-channel environment vector.
     """
     ideal = isometry(iso, name="ideal_isometry")
-    eps = distance("hat-tr", ch, ideal, cfg).value
     k = diamond_norm_channel(ch)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
-    d_est = distance("dtrD", unit, ideal, cfg)
+    eps_est, d_est = yield [("hat-tr", ch, ideal, cfg), ("dtrD", unit, ideal, cfg)]
+    eps = eps_est.value
     a_norm = math.sqrt(k)
     g = a_norm * environment_vector(unit, iso, d_est.witness)
     residual, g_sq = _dilation_residual(ch, iso, g)
@@ -523,13 +577,13 @@ def _objective_output_separation(ch: Channel):
         outputs = pure_outputs(images)
         return outputs[0::2] - outputs[1::2], (w, norms, bad), images
 
-    def fn(x: np.ndarray) -> np.ndarray:
+    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         diff, (_, _, bad), _ = difference(x)
         vals = herm_trace_norms(diff)
         vals[bad] = -np.inf
         return vals
 
-    def grad(x: np.ndarray) -> np.ndarray:
+    def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         diff, rows, images = difference(x)
         sign = herm_sign(diff)
         gu = 2.0 * pullback(stack, images[0::2], sign)
@@ -544,7 +598,7 @@ def output_separation(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> 
     Largest trace distance between two outputs on pure inputs (the objective is
     jointly convex in the two states, so pure pairs are exhaustive).
     """
-    res = maximize(*_objective_output_separation(ch), cfg)
+    (res,) = maximize(*_objective_output_separation(ch), [cfg])
     return float(res.values[res.winner])
 
 
@@ -566,9 +620,10 @@ def conversion_factor(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> 
     return 40.0 / s
 
 
+@checker
 def check_conversion(
     ch: Channel, reference: Channel, cfg: OptimizerConfig = OptimizerConfig()
-) -> TheoremReport:
+) -> CheckSteps:
     """
     L2: against a trace-preserving reference with conversion factor alpha and
     k = ||Psi||_diamond = lambda_max(E):
@@ -591,9 +646,8 @@ def check_conversion(
         raise ValidityError("precondition: reference must be trace-preserving")
     k = diamond_norm_channel(ch)
     alpha = conversion_factor(reference, cfg)
-    hat_est = distance("hat-tr", ch, reference, cfg)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
-    state_est = distance("dtrD", unit, reference, cfg)
+    hat_est, state_est = yield [("hat-tr", ch, reference, cfg), ("dtrD", unit, reference, cfg)]
     transfer_state = evaluate_witness("dtrD", unit, reference, hat_est.witness)
     state_distance = max(state_est.value, transfer_state)
 
@@ -719,14 +773,15 @@ def contractivity_report(epsilon: float) -> TheoremReport:
     )
 
 
-def alpha_necessity_report(cfg: OptimizerConfig = OptimizerConfig()) -> TheoremReport:
+@checker
+def alpha_necessity_report(cfg: OptimizerConfig = OptimizerConfig()) -> CheckSteps:
     """
     CE3: a pair at renormalized distance zero whose unit-scaled state distance
     is 1/2, with an infinite conversion factor; no finite factor can relate the
     two, so the right conversion bound is necessarily vacuous here.
     """
     psi, phi = conversion_pair()
-    conv = check_conversion(psi, phi, cfg)
+    conv = yield from check_conversion.steps(psi, phi, cfg)
     deviation = max(
         conv.witnesses["hat_distance"],
         abs(conv.lhs - 0.5),

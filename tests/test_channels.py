@@ -137,6 +137,16 @@ def test_channel_keeps_its_own_copy_of_the_operators():
     assert np.array_equal(from_array.kraus, before)
 
 
+def test_channel_equality_is_identity():
+    # Comparing the Kraus arrays by value would raise (ambiguous truth value)
+    # and leave channels unhashable; identity lets them key dicts and sets.
+    ch, copy = teleportation(2), teleportation(2)
+    assert ch == ch
+    assert ch != copy
+    assert hash(ch) == hash(ch)
+    assert len({ch, copy, ch}) == 2
+
+
 def _kernel_values(chan_a, chan_b):
     # Every measure's objective and gradient at a fixed batch, then the effect
     # operator and one output of the first channel.
@@ -145,7 +155,7 @@ def _kernel_values(chan_a, chan_b):
     for m in MEASURES:
         spec = MEASURE_SPECS[m]
         x = rng.standard_normal((32, spec.n_params(chan_a.dim_in)))
-        values.extend(f(x) for f in spec.kernel(chan_a, chan_b))
+        values.extend(f(x, np.zeros(len(x), dtype=int)) for f in spec.kernel([(chan_a, chan_b)]))
     return values + [chan_a.effect, apply(chan_a, random_density(chan_a.dim_in, seed=rng))]
 
 

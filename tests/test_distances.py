@@ -1,5 +1,7 @@
 # tests/test_distances.py
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from postdist.channels import (
     DensityMatrix,
     PureState,
     apply,
+    compose,
     conversion_pair,
     haar_isometry,
     isometry,
@@ -27,6 +30,7 @@ from postdist.distances import (
     dense_oracle,
     diamond_norm_channel,
     distance,
+    distance_batch,
     evaluate_witness,
     maximize,
     unit_rows,
@@ -241,6 +245,47 @@ def test_optimizer_deterministic():
         assert distance(m, a, b, FAST).value == distance(m, a, b, FAST).value
 
 
+def _witness_arrays(witness):
+    parts = witness if isinstance(witness, tuple) else (witness,)
+    return [w.vector if isinstance(w, PureState) else w.matrix for w in parts]
+
+
+def test_distance_batch_matches_separate_estimates_bit_for_bit():
+    # Several problems share one lockstep run per (measure, dims), with their
+    # Kraus stacks padded to one rank: mixed measures, output dims, budgets
+    # (one boosted as F2 and CE3 boost theirs) and ranks (a postselection
+    # channel of rank r holds r + 1 operators; the composition is compose's
+    # compressed Choi rank).
+    rng = np.random.default_rng(23)
+    budgets = (
+        dict(restarts=6, max_iterations=150),
+        dict(restarts=4, max_iterations=1000, step_tolerance=1e-10, value_tolerance=1e-11),
+        dict(restarts=3, max_iterations=20),
+    )
+    requests = []
+    for d_in, d_out in ((2, 2), (2, 3), (3, 3)):
+        ref = random_channel(d_in, d_out, rank=2, kind="postselection", seed=rng)
+        chans = [
+            random_channel(d_in, d_out, rank=r, kind="postselection", seed=rng) for r in (1, 3)
+        ]
+        chans.append(compose(random_channel(d_out, d_out, rank=2, kind="cptp", seed=rng), ref))
+        for m in MEASURES if d_in == 2 else ("dtrD", "dtr", "hat-tr"):
+            for k, ch in enumerate(chans):
+                seed = int(rng.integers(0, 2**62))
+                cfg = OptimizerConfig(master_seed=seed, **budgets[(k + len(requests)) % 3])
+                requests.append((m, ch, ref, cfg))
+    assert {ch.rank for _, ch, _, _ in requests} == {2, 4, 6}
+    batched = distance_batch(requests)
+    for request, got in zip(requests, batched):
+        want = distance(*request)
+        for field in dataclasses.fields(DistanceEstimate):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "witness":
+                assert all(map(np.array_equal, _witness_arrays(a), _witness_arrays(b)))
+            else:
+                assert a == b, (request[0], field.name, a, b)
+
+
 # ---------------------------------------------------------------------------
 # capacity limits
 # ---------------------------------------------------------------------------
@@ -300,7 +345,7 @@ def _rayleigh(dim, seed):
     a = (g + g.conj().T) / 2
     calls = {"rows": 0, "start": None}
 
-    def value_fn(x):
+    def value_fn(x, problem):
         calls["rows"] += x.shape[0]
         u, _, bad = unit_rows(x, dim)
         vals = np.einsum("mi,ij,mj->m", u.conj(), a, u).real
@@ -309,7 +354,7 @@ def _rayleigh(dim, seed):
             calls["start"] = vals.copy()
         return vals
 
-    def grad_fn(x):
+    def grad_fn(x, problem):
         calls["rows"] += x.shape[0]
         u, norms, bad = unit_rows(x, dim)
         return unit_rows_gradient(2.0 * u @ a.T, u, norms, bad)
@@ -325,14 +370,14 @@ RAYLEIGH_CFG = OptimizerConfig(
 @pytest.mark.parametrize("dim, seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
 def test_maximize_finds_the_largest_eigenvalue(dim, seed):
     a, value_fn, grad_fn, _ = _rayleigh(dim, seed)
-    res = maximize(value_fn, grad_fn, 2 * dim, RAYLEIGH_CFG)
+    (res,) = maximize(value_fn, grad_fn, 2 * dim, [RAYLEIGH_CFG])
     assert res.values[res.winner] == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
 
 
 @pytest.mark.parametrize("dim, seed", [(3, 0), (5, 1)])
 def test_maximize_never_lowers_a_restart(dim, seed):
     _, value_fn, grad_fn, calls = _rayleigh(dim, seed)
-    res = maximize(value_fn, grad_fn, 2 * dim, RAYLEIGH_CFG)
+    (res,) = maximize(value_fn, grad_fn, 2 * dim, [RAYLEIGH_CFG])
     assert calls["start"].shape == (RAYLEIGH_CFG.restarts,)
     assert np.all(res.values >= calls["start"])
     # A run capped at k iterations is the first k steps of a longer one, so
@@ -340,7 +385,7 @@ def test_maximize_never_lowers_a_restart(dim, seed):
     previous = calls["start"]
     for cap in range(1, 40):
         cfg = OptimizerConfig(master_seed=3, restarts=8, max_iterations=cap, value_tolerance=1e-12)
-        values = maximize(*_rayleigh(dim, seed)[1:3], 2 * dim, cfg).values
+        values = maximize(*_rayleigh(dim, seed)[1:3], 2 * dim, [cfg])[0].values
         assert np.all(values >= previous)
         previous = values
 
@@ -350,7 +395,7 @@ def test_maximize_never_lowers_a_restart(dim, seed):
 def test_maximize_counts_every_row_it_evaluates(dim, seed, max_iterations):
     _, value_fn, grad_fn, calls = _rayleigh(dim, seed)
     cfg = OptimizerConfig(master_seed=3, restarts=8, max_iterations=max_iterations)
-    res = maximize(value_fn, grad_fn, 2 * dim, cfg)
+    (res,) = maximize(value_fn, grad_fn, 2 * dim, [cfg])
     assert res.evaluations == calls["rows"]
     assert res.iterations <= max_iterations
 

@@ -46,6 +46,11 @@ def assert_gradient_matches(fn, grad, n_params: int, seed: int) -> None:
     assert np.all(err <= RTOL), err
 
 
+def _one_problem(kernel):
+    # The kernels take each row's problem index; every row here is problem 0.
+    return tuple(lambda x, f=f: f(x, np.zeros(len(x), dtype=int)) for f in kernel)
+
+
 def _pair(kind: str, dim_in: int, dim_out: int, seed: int):
     return (
         random_channel(dim_in, dim_out, rank=2, kind=kind, seed=2 * seed),
@@ -61,7 +66,7 @@ PAIRS = [("cptp", 2, 2), ("cptp", 3, 3), ("postselection", 2, 2), ("postselectio
 def test_measure_gradient_matches_central_differences(measure, kind, dim_in, dim_out):
     a, b = _pair(kind, dim_in, dim_out, seed=dim_in + 10 * dim_out)
     spec = MEASURE_SPECS[measure]
-    fn, grad = spec.kernel(a, b)
+    fn, grad = _one_problem(spec.kernel([(a, b)]))
     assert_gradient_matches(fn, grad, spec.n_params(dim_in), seed=dim_in)
 
 
@@ -72,7 +77,7 @@ def test_measure_value_matches_witness_evaluation(measure, kind, dim_in, dim_out
     spec = MEASURE_SPECS[measure]
     if spec.postselected:
         a, b = _canonical_pair(a, b)
-    fn, _ = spec.kernel(a, b)
+    fn, _ = _one_problem(spec.kernel([(a, b)]))
     rows = np.random.default_rng(dim_in).standard_normal((VALUE_ROWS, spec.n_params(dim_in)))
     dim = dim_in * spec.ancilla(dim_in)
     reference = [evaluate_witness(measure, a, b, spec.decode(row, dim)) for row in rows]
@@ -82,7 +87,8 @@ def test_measure_value_matches_witness_evaluation(measure, kind, dim_in, dim_out
 @pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
 def test_output_separation_value_matches_direct_evaluation(kind, dim_in, dim_out):
     ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=7 * dim_in + dim_out)
-    fn, _, n_params = _objective_output_separation(ch)
+    *kernel, n_params = _objective_output_separation(ch)
+    fn, _ = _one_problem(kernel)
     rows = np.random.default_rng(dim_in).standard_normal((VALUE_ROWS, n_params))
     reference = []
     for row in rows:
@@ -94,14 +100,15 @@ def test_output_separation_value_matches_direct_evaluation(kind, dim_in, dim_out
 @pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
 def test_output_separation_gradient_matches_central_differences(kind, dim_in, dim_out):
     ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=7 * dim_in + dim_out)
-    fn, grad, n_params = _objective_output_separation(ch)
+    *kernel, n_params = _objective_output_separation(ch)
+    fn, grad = _one_problem(kernel)
     assert_gradient_matches(fn, grad, n_params, seed=dim_in)
 
 
 def test_gradient_is_zero_on_degenerate_rows():
     a, b = _pair("postselection", 2, 2, seed=3)
     for spec in MEASURE_SPECS.values():
-        _, grad = spec.kernel(a, b)
+        _, grad = _one_problem(spec.kernel([(a, b)]))
         g = grad(np.zeros((2, spec.n_params(a.dim_in))))
         assert np.all(g == 0.0)
 

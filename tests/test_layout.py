@@ -46,6 +46,17 @@ def test_no_unused_imports(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_undeclared_dependencies(module):
+    # numpy is the only runtime dependency pyproject.toml declares; scipy may
+    # be installed beside it, but the package must not come to rely on it.
+    nodes = list(ast.walk(ast.parse((PACKAGE / module).read_text())))
+    names = [(n.lineno, a.name) for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    names += [(n.lineno, n.module) for n in nodes if isinstance(n, ast.ImportFrom) and n.level == 0]
+    scipy = [f"line {line}: {name}" for line, name in names if name.split(".")[0] == "scipy"]
+    assert not scipy, f"{module} imports scipy: {scipy}"
+
+
 def test_readme_dotted_names_resolve():
     names = sorted(set(re.findall(r"postdist\.([a-z_]+)\.([A-Za-z_]\w*)", README.read_text())))
     assert names

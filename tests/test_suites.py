@@ -1,11 +1,14 @@
 # tests/test_suites.py
 
+import dataclasses
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from postdist import theorems
 from postdist.channels import ParameterError
 from postdist.linalg import InvalidInputError
 from postdist.suites import (
@@ -132,7 +135,8 @@ def test_verify_report_matches_the_golden_report():
     # (OPENBLAS_NUM_THREADS=1).  Report lines must keep their ids and verdicts
     # with lhs and rhs within 1e-9; every other line (aux, totals) is exact.
     golden = GOLDEN_REPORT.read_text().splitlines()
-    lines = format_suite_results(run_suite(STATEMENT_IDS, RunConfig(seed=0, trials=20))).splitlines()
+    report = format_suite_results(run_suite(STATEMENT_IDS, RunConfig(seed=0, trials=20)))
+    lines = report.splitlines()
     assert len(lines) == len(golden)
     for line, want in zip(lines, golden):
         got, expected = REPORT_LINE.fullmatch(line), REPORT_LINE.fullmatch(want)
@@ -143,3 +147,52 @@ def test_verify_report_matches_the_golden_report():
         assert (got[1], got[4]) == (expected[1], expected[4]), line
         for value, reference in ((got[2], expected[2]), (got[3], expected[3])):
             assert math.isclose(float(value), float(reference), rel_tol=0.0, abs_tol=1e-9), line
+
+
+def _same(a, b) -> bool:
+    # Bit-for-bit equality through reports, witnesses and estimates.
+    if dataclasses.is_dataclass(a):
+        names = [f.name for f in dataclasses.fields(a)]
+        return type(a) is type(b) and all(_same(getattr(a, n), getattr(b, n)) for n in names)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b or (a != a and b != b)
+
+
+# One statement per checker family: C1 stands for T2 and T5, whose checkers
+# run the same steps with another measure pair or bound.
+CHECKERS = [
+    ("L1", "check_state_distance_doubling"),
+    ("F2", "check_dilation_norm_identity"),
+    ("T1", "check_subadditivity"),
+    ("T3", "check_isometry_approximation"),
+    ("C1", "check_diamond_from_state_distance"),
+    ("T4", "check_postselected_subadditivity"),
+    ("T6", "check_postselected_dilation_bound"),
+    ("C2", "check_postselected_contractivity"),
+    ("L2", "check_conversion"),
+    ("CE3", "alpha_necessity_report"),
+]
+
+
+@pytest.mark.parametrize("sid, name", CHECKERS)
+def test_public_checker_reproduces_its_lockstep_instance(monkeypatch, sid, name):
+    # run_statement runs every instance's estimates in shared lockstep batches;
+    # calling the public checker on one instance's arguments runs it alone.
+    check = getattr(theorems, name)
+    steps, calls = check.steps, []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return steps(*args, **kwargs)
+
+    monkeypatch.setattr(check, "steps", recording)
+    batched = run_statement(sid, RunConfig(seed=5, trials=4, restarts=4, max_iterations=60))
+    monkeypatch.undo()
+    assert len(calls) == len(batched)
+    for (args, kwargs), report in zip(calls, batched):
+        assert _same(check(*args, **kwargs), report)
