@@ -596,9 +596,8 @@ def distance_batch(requests: list[tuple]) -> list[DistanceEstimate]:
         spec = _spec(measure)
         cap = STABILIZED_DIM_CAP if spec.stabilized else UNSTABILIZED_DIM_CAP
         chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, cap)
-        groups.setdefault((measure, chan_a.dim_in, chan_a.dim_out), []).append(
-            (i, (chan_a, chan_b), cfg)
-        )
+        key = (measure, chan_a.dim_in, chan_a.dim_out)
+        groups.setdefault(key, []).append((i, (chan_a, chan_b), cfg))
     estimates = [None] * len(requests)
     for (measure, d, _), members in groups.items():
         spec = MEASURE_SPECS[measure]

@@ -119,29 +119,37 @@ def _noisy_scaled_reference(
     return Channel(tuple(ops), name=f"near_{reference.name or 'reference'}")
 
 
-def _isometry_case(cfg: RunConfig, rng: np.random.Generator, idx: int, rescale_odd: bool = False):
+def _isometry_case(check, rescale_odd: bool = False):
     """
-    T2 / T3 / C1 checker arguments: the trace-preserving (1-eta) U . U^H +
-    eta . depolarizing for a Haar isometry U from d to d (even idx) or d + 1
-    (odd idx) outputs; with `rescale_odd`, odd instances are also scaled by a
-    factor in [0.85, 1).
+    The T2 / T3 / C1 instance builder for `check`: the trace-preserving
+    (1-eta) U . U^H + eta . depolarizing for a Haar isometry U from d to d
+    (even idx) or d + 1 (odd idx) outputs; with `rescale_odd`, odd instances
+    are also scaled by a factor in [0.85, 1).
     """
-    d = _dim(cfg, idx)
-    u = haar_isometry(rng, d if idx % 2 == 0 else d + 1, d)
-    eta = float(rng.uniform(0.01, 0.15))
-    ops = (np.sqrt(1.0 - eta) * u, *depolarizing_kraus(d, u.shape[0], eta))
-    ch = Channel(ops, name=f"noisy_isometry(eta={eta!r})")
-    if rescale_odd and idx % 2 == 1:
-        ch = scale(ch, float(rng.uniform(0.85, 1.0)))
-    return ch, u, _opt(cfg, rng)
+
+    def build(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
+        d = _dim(cfg, idx)
+        u = haar_isometry(rng, d if idx % 2 == 0 else d + 1, d)
+        eta = float(rng.uniform(0.01, 0.15))
+        ops = (np.sqrt(1.0 - eta) * u, *depolarizing_kraus(d, u.shape[0], eta))
+        ch = Channel(ops, name=f"noisy_isometry(eta={eta!r})")
+        if rescale_odd and idx % 2 == 1:
+            ch = scale(ch, float(rng.uniform(0.85, 1.0)))
+        return check.steps(ch, u, _opt(cfg, rng))
+
+    return build
 
 
-def _scaled_isometry_case(cfg: RunConfig, rng: np.random.Generator, idx: int):
-    """T5 / T6 checker arguments: U as above, scaled by c in [0.7, 1) and noised."""
-    d = _dim(cfg, idx)
-    u = haar_isometry(rng, d if idx % 2 == 0 else d + 1, d)
-    ch = _noisy_scaled_reference(isometry(u, name="target"), 0.7, 0.1, rng)
-    return ch, u, _opt(cfg, rng)
+def _scaled_isometry_case(check):
+    """The T5 / T6 instance builder for `check`: U as above, scaled by c in [0.7, 1) and noised."""
+
+    def build(cfg: RunConfig, rng: np.random.Generator, idx: int) -> CheckSteps:
+        d = _dim(cfg, idx)
+        u = haar_isometry(rng, d if idx % 2 == 0 else d + 1, d)
+        ch = _noisy_scaled_reference(isometry(u, name="target"), 0.7, 0.1, rng)
+        return check.steps(ch, u, _opt(cfg, rng))
+
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +238,12 @@ STATEMENTS = {
     "L1": Statement(_doubling),
     "F2": Statement(_dilation_norm),
     "T1": Statement(_subadditivity),
-    "T2": Statement(
-        lambda cfg, rng, idx: check_trace_preserving_diamond_bound.steps(
-            *_isometry_case(cfg, rng, idx)
-        )
-    ),
-    "T3": Statement(
-        lambda cfg, rng, idx: check_isometry_approximation.steps(
-            *_isometry_case(cfg, rng, idx, True)
-        )
-    ),
-    "C1": Statement(
-        lambda cfg, rng, idx: check_diamond_from_state_distance.steps(
-            *_isometry_case(cfg, rng, idx, True)
-        )
-    ),
+    "T2": Statement(_isometry_case(check_trace_preserving_diamond_bound)),
+    "T3": Statement(_isometry_case(check_isometry_approximation, rescale_odd=True)),
+    "C1": Statement(_isometry_case(check_diamond_from_state_distance, rescale_odd=True)),
     "T4": Statement(_weak_subadditivity),
-    "T5": Statement(
-        lambda cfg, rng, idx: check_postselected_diamond_bound.steps(
-            *_scaled_isometry_case(cfg, rng, idx)
-        )
-    ),
-    "T6": Statement(
-        lambda cfg, rng, idx: check_postselected_dilation_bound.steps(
-            *_scaled_isometry_case(cfg, rng, idx)
-        )
-    ),
+    "T5": Statement(_scaled_isometry_case(check_postselected_diamond_bound)),
+    "T6": Statement(_scaled_isometry_case(check_postselected_dilation_bound)),
     "C2": Statement(_weak_contractivity),
     "L2": Statement(_conversion),
     "CE1": Statement(
