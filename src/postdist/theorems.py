@@ -20,6 +20,7 @@ Each checker's steps yield their independent `distance` requests at once (see
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from collections.abc import Generator
 from dataclasses import dataclass, field
@@ -144,6 +145,7 @@ def checker(steps):
         return run_checks([steps(*args, **kwargs)])[0]
 
     check.steps = steps
+    check.__signature__ = inspect.signature(steps).replace(return_annotation="TheoremReport")
     return check
 
 

@@ -1,6 +1,7 @@
 # tests/test_suites.py
 
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -185,6 +186,9 @@ def test_public_checker_reproduces_its_lockstep_instance(monkeypatch, sid, name)
     # calling the public checker on one instance's arguments runs it alone.
     check = getattr(theorems, name)
     steps, calls = check.steps, []
+    signature = inspect.signature(check)
+    assert signature.parameters == inspect.signature(steps).parameters
+    assert signature.return_annotation == "TheoremReport"
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
