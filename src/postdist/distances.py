@@ -185,7 +185,7 @@ def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: boo
         s_images = (sign[:, None] @ images.reshape(m, e, o * a, 1)).reshape(m, e, o, a)
     else:
         s_images = sign[:, None] @ images
-    return (np.swapaxes(stack.conj(), -1, -2) @ s_images).sum(axis=1)
+    return (stack.conj().swapaxes(-1, -2) @ s_images).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
