@@ -66,6 +66,7 @@ from .distances import (
     distance_batch,
     evaluate_witness,
     maximize,
+    output_separation,
 )
 from .theorems import (
     TheoremReport,
@@ -87,7 +88,6 @@ from .theorems import (
     environment_vector,
     nonconvexity_curve,
     nonconvexity_report,
-    output_separation,
     phase_mixture_states,
 )
 from .suites import (

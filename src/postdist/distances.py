@@ -24,7 +24,7 @@ renormalized counterpart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,13 +62,15 @@ class OptimizerConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        counts = (self.restarts, self.max_iterations, self.master_seed)
         tolerances = (self.step_tolerance, self.value_tolerance)
-        if self.restarts < 1 or self.max_iterations < 0 or not all(
+        integral = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts)
+        if not integral or self.restarts < 1 or self.max_iterations < 0 or not all(
             math.isfinite(t) and t >= 0.0 for t in tolerances
         ):
             raise InvalidInputError(
-                "optimizer needs restarts >= 1, max_iterations >= 0 and finite tolerances "
-                f">= 0, got {self}"
+                "optimizer needs integers restarts >= 1, max_iterations >= 0 and master_seed, "
+                f"and finite tolerances >= 0, got {self}"
             )
 
 
@@ -300,6 +302,36 @@ def _dtr_kernel(pairs: list):
     return fn, grad
 
 
+def _objective_output_separation(ch: Channel):
+    # (fn, grad, n_params) of one channel's output separation (L2's conversion
+    # factor, not a measure): || Psi(uu^H) - Psi(vv^H) ||_1 over rows [u | v].
+    # With S = sign(Psi(uu^H) - Psi(vv^H)) and M = sum_e K_e^H S K_e, the
+    # complex gradients are 2 M u in u and -2 M v in v.
+    stack = ch.kraus
+    d = ch.dim_in
+
+    def difference(x: np.ndarray):
+        w, norms, bad = unit_pairs(x, d)
+        images = kraus_images(stack, w[:, :, None])
+        outputs = pure_outputs(images)
+        return outputs[0::2] - outputs[1::2], (w, norms, bad), images
+
+    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
+        diff, (_, _, bad), _ = difference(x)
+        vals = herm_trace_norms(diff)
+        vals[bad] = -np.inf
+        return vals
+
+    def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
+        diff, rows, images = difference(x)
+        sign = herm_sign(diff)
+        gu = 2.0 * pullback(stack, images[0::2], sign)
+        gv = -2.0 * pullback(stack, images[1::2], sign)
+        return unit_pairs_gradient(gu, gv, *rows)
+
+    return fn, grad, 4 * d
+
+
 # ---------------------------------------------------------------------------
 # multi-start maximizer
 # ---------------------------------------------------------------------------
@@ -331,7 +363,8 @@ class AscentResult(NamedTuple):
 def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> list[AscentResult]:
     """
     Run all restarts of a gradient-ascent loop in lockstep, for one or more
-    problems: one `OptimizerConfig` and one `AscentResult` per problem.
+    problems of one budget: one `OptimizerConfig` and one `AscentResult` per
+    problem, the configs differing only in `master_seed`.
 
     `value_fn(x, problem)` maps a batch of parameter rows and each row's
     problem index to objective values and `grad_fn(x, problem)` to their
@@ -349,21 +382,20 @@ def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> l
     rule reads only the restart's own rows, so when the objective evaluates
     each row on its own, a problem's result does not depend on its batch mates.
     """
-    counts = [cfg.restarts for cfg in cfgs]
-    starts = np.cumsum([0] + counts[:-1])
-    problem = np.repeat(np.arange(len(cfgs)), counts)
-    seeds = [[cfg.master_seed & SEED_MASK, r] for cfg in cfgs for r in range(cfg.restarts)]
+    if not cfgs or any(replace(c, master_seed=cfgs[0].master_seed) != cfgs[0] for c in cfgs):
+        raise InvalidInputError("maximize needs one or more configs differing only in master_seed")
+    cfg = cfgs[0]
+    n = cfg.restarts
+    problem = np.repeat(np.arange(len(cfgs)), n)
+    seeds = [[c.master_seed & SEED_MASK, r] for c in cfgs for r in range(n)]
     x = np.array([np.random.default_rng(seed).standard_normal(n_params) for seed in seeds])
     x /= np.maximum(npl.norm(x, axis=1), 1e-12)[:, None]
-    step_tol = np.array([cfg.step_tolerance for cfg in cfgs])[problem]
-    value_tol = np.array([cfg.value_tolerance for cfg in cfgs])[problem]
-    caps = np.array([cfg.max_iterations for cfg in cfgs])[problem]
     values = value_fn(x, problem)
     work = np.ones(problem.size, dtype=int)  # objective points per row
     taken = np.zeros(problem.size, dtype=int)  # ascent steps per row
     alpha = np.full(problem.size, 0.25)
     stall = np.zeros(problem.size, dtype=int)
-    active = caps > 0
+    active = np.full(problem.size, cfg.max_iterations > 0)
     # Each restart's point and gradient one step back: s = 0 at first and after a held step.
     prev_x, prev_g = x.copy(), np.zeros_like(x)
     stale = np.ones(problem.size, dtype=bool)  # the gradient at x is not prev_g
@@ -375,8 +407,8 @@ def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> l
         x[r] = new_x / np.where(norms > 1e-12, norms, 1.0)[:, None]
         gain = new_values - values[r]
         values[r] = new_values
-        alpha[r] = np.minimum(np.maximum(step, 10.0 * step_tol[r]), 4.0)
-        stall[r] = np.where(gain < value_tol[r], stall[r] + 1, 0)
+        alpha[r] = np.minimum(np.maximum(step, 10.0 * cfg.step_tolerance), 4.0)
+        stall[r] = np.where(gain < cfg.value_tolerance, stall[r] + 1, 0)
         stale[r] = True
 
     while True:
@@ -423,21 +455,18 @@ def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> l
             stall[r] += 1
 
         work[idx] += n_steps * search + tried + fresh
-        moving = ~flat & (alpha[idx] >= step_tol[idx]) & (stall[idx] < 5)
-        active[idx] = moving & (taken[idx] < caps[idx])
+        moving = ~flat & (alpha[idx] >= cfg.step_tolerance) & (stall[idx] < 5)
+        active[idx] = moving & (taken[idx] < cfg.max_iterations)
     # A restart steps from the first pass until it stops, so a problem's
     # passes are those of its longest-running restart.
-    iterations = np.maximum.reduceat(taken, starts)
-    evaluations = np.add.reduceat(work, starts)
-    results = []
-    for p, cfg in enumerate(cfgs):
-        rows = slice(starts[p], starts[p] + cfg.restarts)
-        top = np.sort(values[rows])[::-1]
-        converged = cfg.restarts == 1 or bool(top[0] - top[1] <= cfg.value_tolerance)
-        winner = int(np.argmax(values[rows]))
-        steps, evals = int(iterations[p]), int(evaluations[p])
-        results.append(AscentResult(values[rows], x[rows], winner, converged, steps, evals))
-    return results
+    iterations, evaluations = taken.reshape(-1, n).max(axis=1), work.reshape(-1, n).sum(axis=1)
+    values, x = values.reshape(-1, n), x.reshape(-1, n, n_params)
+    top = np.sort(values, axis=1)[:, ::-1]
+    converged = [n == 1 or bool(t[0] - t[1] <= cfg.value_tolerance) for t in top]
+    return [
+        AscentResult(v, p, int(np.argmax(v)), c, int(i), int(e))
+        for v, p, c, i, e in zip(values, x, converged, iterations, evaluations)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +616,20 @@ def distance(
 def distance_batch(requests: list[tuple]) -> list[DistanceEstimate]:
     """
     `distance` for a list of (measure, chan_a, chan_b, cfg) requests, answered
-    in order.  Requests of one measure and one (dim_in, dim_out) share one
-    lockstep `maximize`, and each estimate is bit-identical to the one its
-    request gets from `distance` alone.
+    in order.  Requests of one measure, one (dim_in, dim_out) and one budget
+    (configs that differ only in `master_seed`) share one lockstep `maximize`,
+    and each estimate is bit-identical to the one its request gets from
+    `distance` alone.
     """
     groups: dict[tuple, list] = {}
     for i, (measure, chan_a, chan_b, cfg) in enumerate(requests):
         spec = _spec(measure)
         cap = STABILIZED_DIM_CAP if spec.stabilized else UNSTABILIZED_DIM_CAP
         chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, cap)
-        key = (measure, chan_a.dim_in, chan_a.dim_out)
+        key = (measure, chan_a.dim_in, chan_a.dim_out, replace(cfg, master_seed=0))
         groups.setdefault(key, []).append((i, (chan_a, chan_b), cfg))
     estimates = [None] * len(requests)
-    for (measure, d, _), members in groups.items():
+    for (measure, d, _, _), members in groups.items():
         spec = MEASURE_SPECS[measure]
         kernel = spec.kernel([pair for _, pair, _ in members])
         results = maximize(*kernel, spec.n_params(d), [cfg for _, _, cfg in members])
@@ -627,6 +657,15 @@ def diamond_norm_channel(ch: Channel) -> float:
     operator.  Exact (no optimization).
     """
     return float(ch.effect_eigenvalues[-1])
+
+
+def output_separation(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
+    """
+    Largest trace distance between two outputs on pure inputs (the objective is
+    jointly convex in the two states, so pure pairs are exhaustive).
+    """
+    (res,) = maximize(*_objective_output_separation(ch), [cfg])
+    return float(res.values[res.winner])
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,9 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if not self.dims:
-            raise ParameterError("dims must name at least one dimension")
+        integral = all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in self.dims)
+        if not self.dims or not integral or min(self.dims) < 1:
+            raise ParameterError(f"dims must name one or more positive integers, got {self.dims}")
         OptimizerConfig(self.restarts, self.max_iterations, value_tolerance=self.value_tolerance)
 
 

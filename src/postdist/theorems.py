@@ -49,15 +49,8 @@ from .distances import (
     diamond_norm_channel,
     distance_batch,
     evaluate_witness,
-    herm_sign,
-    herm_trace_norms,
-    kraus_images,
-    maximize,
+    output_separation,
     pointwise_distance,
-    pullback,
-    pure_outputs,
-    unit_pairs,
-    unit_pairs_gradient,
 )
 from .linalg import InvalidInputError, operator_norm
 
@@ -565,43 +558,6 @@ def check_postselected_dilation_bound(
 # ---------------------------------------------------------------------------
 # conversion between renormalized and subnormalized closeness
 # ---------------------------------------------------------------------------
-
-
-def _objective_output_separation(ch: Channel):
-    # With S = sign(Psi(uu^H) - Psi(vv^H)) and M = sum_e K_e^H S K_e, the
-    # complex gradients are 2 M u in u and -2 M v in v.
-    stack = ch.kraus
-    d = ch.dim_in
-
-    def difference(x: np.ndarray):
-        w, norms, bad = unit_pairs(x, d)
-        images = kraus_images(stack, w[:, :, None])
-        outputs = pure_outputs(images)
-        return outputs[0::2] - outputs[1::2], (w, norms, bad), images
-
-    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        diff, (_, _, bad), _ = difference(x)
-        vals = herm_trace_norms(diff)
-        vals[bad] = -np.inf
-        return vals
-
-    def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        diff, rows, images = difference(x)
-        sign = herm_sign(diff)
-        gu = 2.0 * pullback(stack, images[0::2], sign)
-        gv = -2.0 * pullback(stack, images[1::2], sign)
-        return unit_pairs_gradient(gu, gv, *rows)
-
-    return fn, grad, 4 * d
-
-
-def output_separation(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
-    """
-    Largest trace distance between two outputs on pure inputs (the objective is
-    jointly convex in the two states, so pure pairs are exhaustive).
-    """
-    (res,) = maximize(*_objective_output_separation(ch), [cfg])
-    return float(res.values[res.winner])
 
 
 def conversion_factor(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:

@@ -400,6 +400,34 @@ def test_maximize_counts_every_row_it_evaluates(dim, seed, max_iterations):
     assert res.iterations <= max_iterations
 
 
+def test_maximize_takes_configs_of_one_budget():
+    # Problems of one run share every setting but master_seed; distance_batch
+    # splits requests of several budgets into runs of one each.
+    _, value_fn, grad_fn, _ = _rayleigh(3, 0)
+    others = (
+        dict(restarts=4),
+        dict(max_iterations=100),
+        dict(step_tolerance=1e-10),
+        dict(value_tolerance=1e-9),
+    )
+    for other in others:
+        cfgs = [RAYLEIGH_CFG, dataclasses.replace(RAYLEIGH_CFG, master_seed=4, **other)]
+        with pytest.raises(InvalidInputError):
+            maximize(value_fn, grad_fn, 6, cfgs)
+    with pytest.raises(InvalidInputError):
+        maximize(value_fn, grad_fn, 6, [])
+    seeds_only = [RAYLEIGH_CFG, dataclasses.replace(RAYLEIGH_CFG, master_seed=4)]
+    assert len(maximize(value_fn, grad_fn, 6, seeds_only)) == 2
+
+
+def test_optimizer_config_takes_integer_counts():
+    for bad in ({"restarts": 2.5}, {"max_iterations": 2.5}, {"master_seed": 1.5}, {"restarts": True}):
+        with pytest.raises(InvalidInputError):
+            OptimizerConfig(**bad)
+    cfg = OptimizerConfig(restarts=np.int64(3), max_iterations=np.int32(20), master_seed=np.uint64(7))
+    assert distance("dtrD", *_pair(1), cfg).restarts_used == 3
+
+
 # ---------------------------------------------------------------------------
 # properties from the measures' own structure
 # ---------------------------------------------------------------------------

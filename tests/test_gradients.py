@@ -16,11 +16,11 @@ from postdist.distances import (
     MEASURES,
     OptimizerConfig,
     _canonical_pair,
+    _objective_output_separation,
     distance,
     evaluate_witness,
 )
 from postdist.linalg import trace_norm
-from postdist.theorems import _objective_output_separation
 
 GRADIENT_STEP = 1e-6
 RTOL = 1e-6

@@ -66,3 +66,32 @@ def test_readme_dotted_names_resolve():
         if not hasattr(importlib.import_module(f"postdist.{module}"), name)
     ]
     assert not missing, f"README.md names what the package lacks: {missing}"
+
+
+def _identifiers(module: str) -> set[str]:
+    # Every name a module reads, imports or takes as an attribute.
+    nodes = list(ast.walk(ast.parse((PACKAGE / module).read_text())))
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    return names | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_only_distances_runs_the_optimizer():
+    # `maximize` runs one budget per call; the other modules reach it only
+    # through distances' estimates, and theorems needs none of its kernel kit.
+    callers = sorted(
+        p.name
+        for p in PACKAGE.glob("*.py")
+        if p.name not in ("distances.py", "__init__.py") and "maximize" in _identifiers(p.name)
+    )
+    assert not callers, f"modules that name maximize: {callers}"
+    kit = {
+        "kraus_images",
+        "pure_outputs",
+        "pullback",
+        "herm_sign",
+        "herm_trace_norms",
+        "unit_pairs",
+        "unit_pairs_gradient",
+    }
+    assert not kit & _identifiers("theorems.py"), sorted(kit & _identifiers("theorems.py"))

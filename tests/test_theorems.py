@@ -19,7 +19,7 @@ from postdist.channels import (
     scale,
     teleportation,
 )
-from postdist.distances import OptimizerConfig
+from postdist.distances import OptimizerConfig, output_separation
 from postdist.linalg import InvalidInputError
 from postdist.suites import format_report_line
 from postdist.theorems import (
@@ -42,7 +42,6 @@ from postdist.theorems import (
     environment_vector,
     nonconvexity_curve,
     nonconvexity_report,
-    output_separation,
     phase_mixture_states,
 )
 
