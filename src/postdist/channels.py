@@ -377,16 +377,19 @@ def haar_isometry(rng: np.random.Generator, dim_out: int, dim_in: int) -> np.nda
     return q * phases.conj()
 
 
-def depolarizing_kraus(dim_in: int, dim_out: int, weight: float) -> list[np.ndarray]:
-    # Effect operator of this set is weight * identity for any dims.
-    amp = np.sqrt(weight / dim_out)
-    ops = []
-    for m in range(dim_out):
-        for i in range(dim_in):
-            op = np.zeros((dim_out, dim_in), dtype=complex)
-            op[m, i] = amp
-            ops.append(op)
+def _matrix_units(weights) -> np.ndarray:
+    # Kraus set sqrt(w[m, i]) |m><i| over the nonzero weights, in (m, i) order;
+    # its effect operator is diag(sum_m w[m, i]).
+    w = np.asarray(weights, dtype=float)
+    m, i = np.nonzero(w)
+    ops = np.zeros((m.size, *w.shape), dtype=complex)
+    ops[np.arange(m.size), m, i] = np.sqrt(w[m, i])
     return ops
+
+
+def depolarizing_kraus(dim_in: int, dim_out: int, weight: float) -> np.ndarray:
+    # Effect operator of this set is weight * identity for any dims.
+    return _matrix_units(np.full((dim_out, dim_in), weight / dim_out))
 
 
 def random_channel(
@@ -457,12 +460,6 @@ def random_pure(dim: int, seed: int | np.random.Generator = 0) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _basis_op(dim_out: int, dim_in: int, m: int, i: int, amp: complex) -> np.ndarray:
-    op = np.zeros((dim_out, dim_in), dtype=complex)
-    op[m, i] = amp
-    return op
-
-
 def nonconvexity_pair(epsilon: float) -> tuple[Channel, Channel]:
     """
     Qubit pair with effect operators diag(1-eps, eps) and diag(eps, 1-eps):
@@ -471,23 +468,15 @@ def nonconvexity_pair(epsilon: float) -> tuple[Channel, Channel]:
     """
     if not (0.0 < epsilon < 0.5):
         raise ParameterError(f"nonconvexity_pair needs 0 < epsilon < 1/2, got {epsilon!r}")
-    keep0 = _basis_op(2, 2, 0, 0, 1.0)
-    keep1 = _basis_op(2, 2, 1, 1, 1.0)
-    a = np.sqrt(1.0 - epsilon)
-    b = np.sqrt(epsilon)
-    psi = Channel((a * keep0, b * keep1), name=f"nonconvexity_psi(epsilon={epsilon!r})")
-    phi = Channel((b * keep0, a * keep1), name=f"nonconvexity_phi(epsilon={epsilon!r})")
+    psi = Channel(
+        _matrix_units(np.diag([1.0 - epsilon, epsilon])),
+        name=f"nonconvexity_psi(epsilon={epsilon!r})",
+    )
+    phi = Channel(
+        _matrix_units(np.diag([epsilon, 1.0 - epsilon])),
+        name=f"nonconvexity_phi(epsilon={epsilon!r})",
+    )
     return psi, phi
-
-
-def _constant_channel(weights: list[tuple[int, float]], dim: int, name: str) -> Channel:
-    # Constant map rho -> sigma * tr(rho) with sigma diagonal in the basis.
-    ops = []
-    for level, weight in weights:
-        amp = np.sqrt(weight)
-        for i in range(dim):
-            ops.append(_basis_op(dim, dim, level, i, amp))
-    return Channel(tuple(ops), name=name)
 
 
 def contractivity_triple(epsilon: float) -> tuple[Channel, Channel, Channel]:
@@ -499,11 +488,14 @@ def contractivity_triple(epsilon: float) -> tuple[Channel, Channel, Channel]:
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"contractivity_triple needs 0 < epsilon < 1, got {epsilon!r}")
-    psi = _constant_channel(
-        [(0, 0.5), (1, 0.5)], 3, name=f"contractivity_psi(epsilon={epsilon!r})"
+    # Constant maps rho -> sigma tr(rho): weight sigma[m, m] on every |m><i|.
+    psi = Channel(
+        _matrix_units(np.outer([0.5, 0.5, 0.0], np.ones(3))),
+        name=f"contractivity_psi(epsilon={epsilon!r})",
     )
-    phi = _constant_channel(
-        [(0, 0.5), (2, 0.5)], 3, name=f"contractivity_phi(epsilon={epsilon!r})"
+    phi = Channel(
+        _matrix_units(np.outer([0.5, 0.0, 0.5], np.ones(3))),
+        name=f"contractivity_phi(epsilon={epsilon!r})",
     )
     proj = np.diag([0.0, 1.0, 1.0]).astype(complex)
     tau = Channel(
@@ -519,11 +511,9 @@ def conversion_pair() -> tuple[Channel, Channel]:
     but unequal subnormalized behavior: the reference map sends every state to
     |0><0|, the other keeps only half the weight plus the |0> component.
     """
-    to_zero = [_basis_op(2, 2, 0, 0, 1.0), _basis_op(2, 2, 0, 1, 1.0)]
-    phi = Channel(tuple(to_zero), name="conversion_phi")
-    half = np.sqrt(0.5)
-    psi_ops = [half * op for op in to_zero] + [half * _basis_op(2, 2, 0, 0, 1.0)]
-    psi = Channel(tuple(psi_ops), name="conversion_psi")
+    phi = Channel(_matrix_units([[1.0, 1.0], [0.0, 0.0]]), name="conversion_phi")
+    psi_ops = (_matrix_units([[0.5, 0.5], [0.0, 0.0]]), _matrix_units([[0.5, 0.0], [0.0, 0.0]]))
+    psi = Channel(np.concatenate(psi_ops), name="conversion_psi")
     return psi, phi
 
 
@@ -560,47 +550,30 @@ def isometry(u: np.ndarray, name: str = "") -> Channel:
     return Channel((u,), name=name or "isometry")
 
 
-GALLERY_NAMES = (
-    "nonconvexity_pair",
-    "contractivity_triple",
-    "conversion_pair",
-    "alpha_necessity_pair",
-    "teleportation",
-    "isometry",
-)
+# Gallery name -> (builder returning a tuple of channels, its required parameters).
+_GALLERY = {
+    "nonconvexity_pair": (nonconvexity_pair, ("epsilon",)),
+    "contractivity_triple": (contractivity_triple, ("epsilon",)),
+    "conversion_pair": (conversion_pair, ()),
+    "alpha_necessity_pair": (alpha_necessity_pair, ()),
+    "teleportation": (lambda dim: (teleportation(dim),), ("dim",)),
+    "isometry": (lambda matrix: (isometry(matrix),), ("matrix",)),
+}
+GALLERY_NAMES = tuple(_GALLERY)
 
 
 def gallery(name: str, **params) -> tuple[Channel, ...]:
     """Named example channels; returns a tuple even for single channels."""
-    if name == "nonconvexity_pair":
-        return nonconvexity_pair(_require_param(params, "epsilon"))
-    if name == "contractivity_triple":
-        return contractivity_triple(_require_param(params, "epsilon"))
-    if name == "conversion_pair":
-        _forbid_params(params)
-        return conversion_pair()
-    if name == "alpha_necessity_pair":
-        _forbid_params(params)
-        return alpha_necessity_pair()
-    if name == "teleportation":
-        return (teleportation(int(_require_param(params, "dim"))),)
-    if name == "isometry":
-        return (isometry(_require_param(params, "matrix")),)
-    raise ParameterError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
-
-
-def _require_param(params: dict, key: str):
-    if key not in params:
-        raise ParameterError(f"missing required parameter {key!r}")
-    extra = set(params) - {key}
+    if name not in _GALLERY:
+        raise ParameterError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
+    build, required = _GALLERY[name]
+    for key in required:
+        if key not in params:
+            raise ParameterError(f"missing required parameter {key!r}")
+    extra = set(params) - set(required)
     if extra:
         raise ParameterError(f"unexpected parameters {sorted(extra)}")
-    return params[key]
-
-
-def _forbid_params(params: dict) -> None:
-    if params:
-        raise ParameterError(f"unexpected parameters {sorted(params)}")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +581,10 @@ def _forbid_params(params: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    """Row-major nested lists with every entry as an [re, im] pair."""
+def matrix_to_pairs(m: np.ndarray) -> list:
+    """Row-major nested lists (any number of axes) with every entry as an [re, im] pair."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
@@ -635,7 +608,7 @@ def channel_to_json(ch: Channel) -> dict:
         "name": ch.name,
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "kraus": [matrix_to_pairs(op) for op in ch.kraus],
+        "kraus": matrix_to_pairs(ch.kraus),
     }
 
 

@@ -66,29 +66,19 @@ def _optimizer_flags(args) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
-def _witness_summary(witness) -> str:
+def _witness_codec(witness) -> tuple[str, dict]:
+    # The stdout summary, such as `pure(dim=2)`, and the --out JSON object of a witness.
     if isinstance(witness, PureState):
-        return f"pure(dim={witness.dim})"
-    if isinstance(witness, DensityMatrix):
-        return f"density(dim={witness.dim})"
-    if isinstance(witness, tuple) and len(witness) == 2:
-        return f"pure_pair(dim={witness[0].dim})"
-    return type(witness).__name__
-
-
-def _witness_json(witness) -> dict:
-    if isinstance(witness, PureState):
-        return {"type": "pure", "vector": matrix_to_pairs(witness.vector[None, :])[0]}
-    if isinstance(witness, DensityMatrix):
-        return {"type": "density", "matrix": matrix_to_pairs(witness.matrix)}
-    if isinstance(witness, tuple) and len(witness) == 2:
+        kind, dim, arrays = "pure", witness.dim, {"vector": witness.vector}
+    elif isinstance(witness, DensityMatrix):
+        kind, dim, arrays = "density", witness.dim, {"matrix": witness.matrix}
+    elif isinstance(witness, tuple) and len(witness) == 2:
         left, right = witness
-        return {
-            "type": "pure_pair",
-            "left": matrix_to_pairs(left.vector[None, :])[0],
-            "right": matrix_to_pairs(right.vector[None, :])[0],
-        }
-    raise InvalidInputError(f"unserializable witness of type {type(witness).__name__}")
+        kind, dim, arrays = "pure_pair", left.dim, {"left": left.vector, "right": right.vector}
+    else:
+        raise InvalidInputError(f"unserializable witness of type {type(witness).__name__}")
+    payload = {"type": kind, **{key: matrix_to_pairs(a) for key, a in arrays.items()}}
+    return f"{kind}(dim={dim})", payload
 
 
 def _cmd_dist(args) -> int:
@@ -96,10 +86,10 @@ def _cmd_dist(args) -> int:
     chan_b = read_channel(args.channel_b)
     cfg = OptimizerConfig(master_seed=args.seed, **_optimizer_flags(args))
     est = distance(args.measure, chan_a, chan_b, cfg)
+    summary, witness_json = _witness_codec(est.witness)
     print(
         f"measure={est.measure} value={est.value!r} "
-        f"converged={est.converged} restarts={est.restarts_used} "
-        f"witness={_witness_summary(est.witness)}"
+        f"converged={est.converged} restarts={est.restarts_used} witness={summary}"
     )
     if args.out is not None:
         payload = {
@@ -111,7 +101,7 @@ def _cmd_dist(args) -> int:
             "evaluations": est.evaluations,
             "agreeing_restarts": est.agreeing_restarts,
             "restart_spread": est.restart_spread,
-            "witness": _witness_json(est.witness),
+            "witness": witness_json,
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0

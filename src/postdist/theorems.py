@@ -147,10 +147,7 @@ def _zero_like(ch: Channel) -> Channel:
 
 
 def _max_entangled(dim: int) -> PureState:
-    v = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        v[i * dim + i] = 1.0
-    return PureState.normalized(v)
+    return PureState.normalized(np.eye(dim, dtype=complex).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
