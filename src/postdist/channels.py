@@ -27,6 +27,7 @@ from .linalg import (
     hermitian_eig,
     hermitianize,
     is_hermitian,
+    is_integer,
     operator_norm,
 )
 
@@ -311,8 +312,8 @@ def stinespring(ch: Channel) -> np.ndarray:
 
 def tensor_with_identity(ch: Channel, anc_dim: int) -> Channel:
     """Extend by an untouched ancilla: Kraus operators K_e (x) I_anc."""
-    if anc_dim < 1:
-        raise ParameterError(f"ancilla dimension must be >= 1, got {anc_dim}")
+    if not is_integer(anc_dim) or anc_dim < 1:
+        raise ParameterError(f"ancilla dimension must be an integer >= 1, got {anc_dim!r}")
     if ch.dim_out * anc_dim > DIM_CAP or ch.dim_in * anc_dim > DIM_CAP:
         raise CapacityError(
             f"extension to {ch.dim_in * anc_dim} inputs exceeds dimension cap {DIM_CAP}"
@@ -412,8 +413,10 @@ def random_channel(
     embedding Kraus operator when dim_out >= dim_in (keeping the rank low) and
     a depolarizing set otherwise.
     """
-    if dim_in < 1 or dim_out < 1 or rank < 1:
-        raise ParameterError("dimensions and rank must be positive")
+    if not all(is_integer(n) and n >= 1 for n in (dim_in, dim_out, rank)):
+        raise ParameterError(
+            f"dimensions and rank must be positive integers, got {dim_in!r}, {dim_out!r}, {rank!r}"
+        )
     if max(dim_in, dim_out * rank) > DIM_CAP:
         raise CapacityError(f"requested dilation exceeds dimension cap {DIM_CAP}")
     rng = _as_rng(seed)
@@ -532,8 +535,8 @@ def teleportation(dim: int) -> Channel:
     Post-selected teleportation without correction: the identity relabeling
     damped by 1/dim, so every input succeeds with probability dim**-2.
     """
-    if dim < 2:
-        raise ParameterError(f"teleportation needs dim >= 2, got {dim}")
+    if not is_integer(dim) or dim < 2:
+        raise ParameterError(f"teleportation needs an integer dim >= 2, got {dim!r}")
     if dim > DIM_CAP:
         raise CapacityError(f"teleportation dim {dim} exceeds dimension cap {DIM_CAP}")
     return Channel((np.eye(dim, dtype=complex) / dim,), name=f"teleportation(dim={dim})")
@@ -622,7 +625,7 @@ def channel_from_json(obj) -> Channel:
     if not isinstance(name, str):
         raise InvalidInputError("channel name must be a string")
     dim_in, dim_out = obj["dim_in"], obj["dim_out"]
-    if not all(isinstance(d, int) and not isinstance(d, bool) for d in (dim_in, dim_out)):
+    if not (is_integer(dim_in) and is_integer(dim_out)):
         raise InvalidInputError("dim_in and dim_out must be integers")
     kraus_rows = obj["kraus"]
     if not isinstance(kraus_rows, list) or not kraus_rows:

@@ -38,7 +38,7 @@ from .channels import (
     require_postselection,
     tensor_with_identity,
 )
-from .linalg import CapacityError, InvalidInputError, trace_norm
+from .linalg import CapacityError, InvalidInputError, is_integer, trace_norm
 
 # Input-dimension policy: unstabilized objectives stay cheap up to dim 8;
 # stabilized ones square the space, so they stop at dim-4 inputs.
@@ -64,7 +64,7 @@ class OptimizerConfig:
     def __post_init__(self):
         counts = (self.restarts, self.max_iterations, self.master_seed)
         tolerances = (self.step_tolerance, self.value_tolerance)
-        integral = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts)
+        integral = all(map(is_integer, counts))
         if not integral or self.restarts < 1 or self.max_iterations < 0 or not all(
             math.isfinite(t) and t >= 0.0 for t in tolerances
         ):
@@ -723,8 +723,10 @@ def dense_oracle(
     pairs, or normalized Ginibre density factors).  Independent of the
     optimizer; used to cross-check it at tiny dimensions.
     """
-    if samples < 1:
-        raise InvalidInputError("oracle needs at least one sample")
+    if not (is_integer(samples) and is_integer(seed)) or samples < 1:
+        raise InvalidInputError(
+            f"oracle needs an integer samples >= 1 and an integer seed, got {samples!r}, {seed!r}"
+        )
     spec = _spec(measure)
     chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, ORACLE_DIM_CAP)
     fn, _ = spec.kernel([(chan_a, chan_b)])

@@ -21,6 +21,11 @@ class CapacityError(ValueError):
     """Raised when a requested dimension exceeds the configured cap."""
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; bools are not sizes or counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_matrix(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:

@@ -30,6 +30,7 @@ from .channels import (
     teleportation,
 )
 from .distances import SEED_MASK, OptimizerConfig
+from .linalg import is_integer
 from .theorems import (
     CheckSteps,
     TheoremReport,
@@ -66,10 +67,12 @@ class RunConfig:
     value_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        integral = all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in self.dims)
-        if not self.dims or not integral or min(self.dims) < 1:
+        if not (is_integer(self.seed) and is_integer(self.trials)) or self.trials < 1:
+            raise ParameterError(
+                "seed must be an integer and trials an integer >= 1, "
+                f"got seed={self.seed!r}, trials={self.trials!r}"
+            )
+        if not self.dims or not all(map(is_integer, self.dims)) or min(self.dims) < 1:
             raise ParameterError(f"dims must name one or more positive integers, got {self.dims}")
         OptimizerConfig(self.restarts, self.max_iterations, value_tolerance=self.value_tolerance)
 

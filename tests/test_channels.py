@@ -23,6 +23,7 @@ from postdist.channels import (
     compose,
     contractivity_triple,
     conversion_pair,
+    depolarizing_kraus,
     gallery,
     GALLERY_NAMES,
     haar_isometry,
@@ -396,6 +397,14 @@ def test_tensor_with_identity():
         tensor_with_identity(ch, 3000)
 
 
+def test_tensor_with_identity_rejects_non_integer_ancilla():
+    ch = teleportation(2)
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ParameterError):
+            tensor_with_identity(ch, bad)
+    assert tensor_with_identity(ch, np.int64(2)).dim_in == 4
+
+
 def test_contraction_under_trace_nonincreasing_maps():
     # ||Psi(X)||_1 <= ||X||_1 for CP trace-nonincreasing Psi and Hermitian X.
     rng = np.random.default_rng(6)
@@ -433,6 +442,27 @@ def test_random_channel_kinds():
         random_channel(0, 2, rank=2, seed=0)
     with pytest.raises(ParameterError):
         random_channel(4, 1, rank=2, kind="cptp", seed=0)  # no isometry fits
+
+
+def test_random_channel_rejects_non_integer_sizes():
+    for args, kwargs in (((2.5, 2), {}), ((2, 2.5), {}), ((2, 2), {"rank": 1.5}), ((True, 2), {})):
+        for kind in ("cptp", "postselection"):
+            with pytest.raises(ParameterError):
+                random_channel(*args, kind=kind, seed=0, **kwargs)
+    assert random_channel(np.int64(2), 3, rank=np.int32(2), seed=0).kraus.shape == (2, 3, 2)
+
+
+@pytest.mark.parametrize("dim_in, dim_out", [(3, 3), (2, 3), (3, 2)])
+def test_depolarizing_kraus_has_identity_effect_in_output_input_order(dim_in, dim_out):
+    ops = depolarizing_kraus(dim_in, dim_out, 0.3)
+    assert ops.shape == (dim_out * dim_in, dim_out, dim_in)
+    effect = np.einsum("emi,emj->ij", ops.conj(), ops)
+    assert np.allclose(effect, 0.3 * np.eye(dim_in), atol=1e-15)
+    # Operator m * dim_in + i is sqrt(0.3 / dim_out) |m><i|.
+    for index, op in enumerate(ops):
+        unit = np.zeros((dim_out, dim_in))
+        unit[divmod(index, dim_in)] = np.sqrt(0.3 / dim_out)
+        assert np.array_equal(op, unit)
 
 
 def test_random_states_deterministic():
@@ -477,6 +507,30 @@ def test_gallery_parameter_errors():
         gallery("contractivity_triple", epsilon=1.0)
     with pytest.raises(ParameterError):
         gallery("teleportation", dim=1)
+
+
+def test_gallery_teleportation_rejects_non_integer_dim():
+    # Before, the gallery truncated dim=2.7 to the dim-2 channel.
+    for bad in (2.7, 3.0, "3"):
+        with pytest.raises(ParameterError):
+            gallery("teleportation", dim=bad)
+    assert gallery("teleportation", dim=np.int64(3))[0].name == "teleportation(dim=3)"
+
+
+def test_teleportation_rejects_non_integer_dim():
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ParameterError):
+            teleportation(bad)
+
+
+def test_contractivity_constant_channels_ignore_their_input():
+    psi, phi, _ = contractivity_triple(0.3)
+    for ch, sigma in ((psi, np.diag([0.5, 0.5, 0.0])), (phi, np.diag([0.5, 0.0, 0.5]))):
+        assert ch.is_trace_preserving()
+        for seed in range(5):
+            assert np.allclose(apply(ch, random_density(3, seed=seed)), sigma, atol=1e-15)
+        # Off-diagonal inputs carry no trace, so they map to zero.
+        assert np.allclose(apply(ch, np.eye(3, k=1)), 0.0, atol=1e-15)
 
 
 def test_teleportation_probability():

@@ -307,6 +307,14 @@ def test_dimension_caps():
         dense_oracle("diamond", four, four)
 
 
+def test_dense_oracle_rejects_non_integer_samples_and_seed():
+    a, b = nonconvexity_pair(0.1)
+    for bad in ({"samples": 2.5}, {"samples": 0}, {"samples": True}, {"seed": 1.5}):
+        with pytest.raises(InvalidInputError):
+            dense_oracle("dtrD", a, b, **bad)
+    assert dense_oracle("dtrD", a, b, samples=np.int64(64), seed=np.int64(1)) > 0.0
+
+
 def test_mismatched_pairs_rejected():
     a = random_channel(2, 2, rank=2, kind="cptp", seed=1)
     b = random_channel(3, 3, rank=2, kind="cptp", seed=1)

@@ -57,6 +57,34 @@ def test_no_undeclared_dependencies(module):
     assert not scipy, f"{module} imports scipy: {scipy}"
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_private_names(module):
+    # A private helper that its own module never reads is dead code: no
+    # sibling may import it. Dunder names such as __all__ are exempt.
+    tree = ast.parse((PACKAGE / module).read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = sorted(
+        f"line {line}: {name}"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    )
+    assert not unused, f"{module} defines private names it never reads: {unused}"
+
+
 def test_readme_dotted_names_resolve():
     names = sorted(set(re.findall(r"postdist\.([a-z_]+)\.([A-Za-z_]\w*)", README.read_text())))
     assert names

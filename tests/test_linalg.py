@@ -13,6 +13,7 @@ from postdist.linalg import (
     hermitianize,
     hermiticity_defect,
     is_hermitian,
+    is_integer,
     operator_norm,
     partial_trace,
     tensor,
@@ -65,6 +66,11 @@ def test_hermitian_eig_pauli_x():
     w, v = hermitian_eig(x)
     assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
     assert np.allclose(v @ np.diag(w) @ v.conj().T, x, atol=1e-12)
+
+
+def test_is_integer_takes_python_and_numpy_integers_only():
+    assert all(is_integer(n) for n in (0, -3, 2**70, np.int8(2), np.int64(5), np.uint32(7)))
+    assert not any(is_integer(x) for x in (True, np.True_, 2.0, 2.5, np.float64(2), "2", None))
 
 
 def test_tensor_index_convention():

@@ -51,7 +51,19 @@ def test_run_statement_unknown_id():
 
 def test_run_config_rejects_empty_corpora():
     # An empty corpus would report "0/0 passed" and count as a pass.
-    for bad in ({"trials": 0}, {"trials": -3}, {"dims": ()}, {"dims": (2.5,)}, {"dims": (0,)}):
+    # Non-integer seeds and trial counts (bools included) failed later with a raw TypeError.
+    bad_values = (
+        {"trials": 0},
+        {"trials": -3},
+        {"dims": ()},
+        {"dims": (2.5,)},
+        {"dims": (0,)},
+        {"seed": 1.5},
+        {"trials": 2.5},
+        {"seed": True},
+        {"trials": True},
+    )
+    for bad in bad_values:
         with pytest.raises(ParameterError):
             RunConfig(**bad)
     # Dimension 1 is a valid corpus; requiring d >= 2 is the CLI's policy.
