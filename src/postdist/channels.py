@@ -118,6 +118,8 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        if not is_integer(dim) or dim < 1:
+            raise InvalidInputError(f"dimension must be an integer >= 1, got {dim!r}")
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
@@ -363,6 +365,8 @@ def scale(ch: Channel, factor: float, name: str = "") -> Channel:
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if not is_integer(seed):
+        raise ParameterError(f"seed must be an integer or a numpy Generator, got {seed!r}")
     return np.random.default_rng(seed)
 
 
@@ -372,6 +376,8 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def haar_isometry(rng: np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
     """Haar random isometry C^dim_in -> C^dim_out: QR of a Ginibre matrix, phases fixed."""
+    if not (is_integer(dim_out) and is_integer(dim_in)) or not 1 <= dim_in <= dim_out:
+        raise ParameterError(f"no isometry into {dim_out!r} dimensions from {dim_in!r}")
     q, r = npl.qr(_ginibre(rng, dim_out, dim_in))
     phases = np.diagonal(r).copy()
     phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
@@ -446,6 +452,8 @@ def random_channel(
 
 def random_density(dim: int, seed: int | np.random.Generator = 0) -> DensityMatrix:
     """Ginibre-factor random density matrix rho = T T^H / tr."""
+    if not is_integer(dim) or dim < 1:
+        raise ParameterError(f"dimension must be an integer >= 1, got {dim!r}")
     rng = _as_rng(seed)
     t = _ginibre(rng, dim, dim)
     m = t @ t.conj().T
@@ -454,6 +462,8 @@ def random_density(dim: int, seed: int | np.random.Generator = 0) -> DensityMatr
 
 def random_pure(dim: int, seed: int | np.random.Generator = 0) -> PureState:
     """Haar random pure state."""
+    if not is_integer(dim) or dim < 1:
+        raise ParameterError(f"dimension must be an integer >= 1, got {dim!r}")
     rng = _as_rng(seed)
     return PureState.normalized(_ginibre(rng, dim, 1).reshape(-1))
 

@@ -182,8 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter", type=int, default=None, help="optimizer iteration cap (per-command default)"
     )
     corpus = argparse.ArgumentParser(add_help=False)
+    default_dims = ",".join(map(str, _SUITE_DEFAULTS.dims))
     corpus.add_argument(
-        "--dims", type=str, default="2,3", help="suite dimensions, comma-separated (default 2,3)"
+        "--dims",
+        type=str,
+        default=default_dims,
+        help=f"suite dimensions, comma-separated (default {default_dims})",
     )
     corpus.add_argument(
         "--trials",

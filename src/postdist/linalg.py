@@ -48,9 +48,9 @@ def hermiticity_defect(X: np.ndarray) -> float:
     return float(np.max(np.abs(X - X.conj().T))) if X.shape[0] == X.shape[1] else np.inf
 
 
-def is_hermitian(X: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
+def is_hermitian(X: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(X)))) if X.size else 1.0
-    return hermiticity_defect(X) <= atol * scale
+    return hermiticity_defect(X) <= HERMITICITY_ATOL * scale
 
 
 def hermitian_eig(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,38 +73,17 @@ def hermitian_eig(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def _gram_singular_values(X: np.ndarray) -> np.ndarray:
-    # Eigenvalues of the smaller Gram matrix, clamped at zero before the root.
-    if X.shape[0] <= X.shape[1]:
-        G = X @ X.conj().T
-    else:
-        G = X.conj().T @ X
-    w = npl.eigvalsh(hermitianize(G))
-    return np.sqrt(np.clip(w, 0.0, None))
-
-
 def trace_norm(X: np.ndarray) -> float:
     """
-    Trace norm ||X||_1 (sum of singular values).
-
-    Hermitian input takes the exact route sum |eigenvalues|; anything else
-    takes an SVD.  The Gram route would lift each zero singular value to about
-    sqrt(eps) * sigma_max and so bias rank-deficient inputs upward.
+    Trace norm ||X||_1 (sum of singular values), by SVD: the Gram route would
+    lift each zero singular value to about sqrt(eps) * sigma_max.
     """
-    X = _as_matrix(X)
-    if X.shape[0] == X.shape[1] and is_hermitian(X):
-        w = npl.eigvalsh(hermitianize(X))
-        return float(np.sum(np.abs(w)))
-    return float(npl.svd(X, compute_uv=False).sum())
+    return float(npl.svd(_as_matrix(X), compute_uv=False).sum())
 
 
 def operator_norm(X: np.ndarray) -> float:
     """Operator norm ||X||_op (largest singular value)."""
-    X = _as_matrix(X)
-    if X.shape[0] == X.shape[1] and is_hermitian(X):
-        w = npl.eigvalsh(hermitianize(X))
-        return float(np.max(np.abs(w)))
-    return float(np.max(_gram_singular_values(X)))
+    return float(npl.svd(_as_matrix(X), compute_uv=False)[0])
 
 
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ from .distances import (
     output_separation,
     pointwise_distance,
 )
-from .linalg import InvalidInputError, operator_norm
+from .linalg import InvalidInputError, is_integer, operator_norm
 
 # Comparisons between exactly evaluated quantities tolerate rounding only;
 # comparisons whose small side involves an optimizer estimate get more room.
@@ -655,8 +655,8 @@ def nonconvexity_curve(epsilon: float, grid: int = 200) -> np.ndarray:
     Rows (p, f(rho_p)) for rho_p = diag(1-p, p) on a uniform grid of grid+1
     points, evaluated directly (no optimization, no closed form).
     """
-    if grid < 1:
-        raise InvalidInputError(f"grid must be >= 1, got {grid}")
+    if not is_integer(grid) or grid < 1:
+        raise InvalidInputError(f"grid must be an integer >= 1, got {grid!r}")
     psi, phi = nonconvexity_pair(epsilon)
     rows = np.empty((grid + 1, 2))
     for i in range(grid + 1):

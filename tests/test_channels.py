@@ -50,6 +50,7 @@ from postdist.linalg import (
     partial_trace,
     trace_norm,
 )
+from postdist.theorems import nonconvexity_curve
 
 
 def _rand_density(seed, dim):
@@ -445,11 +446,50 @@ def test_random_channel_kinds():
 
 
 def test_random_channel_rejects_non_integer_sizes():
-    for args, kwargs in (((2.5, 2), {}), ((2, 2.5), {}), ((2, 2), {"rank": 1.5}), ((True, 2), {})):
+    for args, kwargs in (
+        ((2.5, 2), {}),
+        ((2, 2.5), {}),
+        ((2, 2), {"rank": 1.5}),
+        ((True, 2), {}),
+        ((2, 2), {"seed": 1.5}),
+    ):
         for kind in ("cptp", "postselection"):
             with pytest.raises(ParameterError):
-                random_channel(*args, kind=kind, seed=0, **kwargs)
+                random_channel(*args, **{"kind": kind, "seed": 0, **kwargs})
     assert random_channel(np.int64(2), 3, rank=np.int32(2), seed=0).kraus.shape == (2, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "make, args, error",
+    [
+        (random_density, (2.5,), ParameterError),
+        (random_density, (2, 1.5), ParameterError),
+        (random_pure, (2.5,), ParameterError),
+        (random_pure, (True,), ParameterError),
+        (random_pure, (2, 1.5), ParameterError),
+        (haar_isometry, (np.random.default_rng(0), 2.5, 2), ParameterError),
+        (haar_isometry, (np.random.default_rng(0), 2, 3), ParameterError),
+        (DensityMatrix.maximally_mixed, (2.5,), InvalidInputError),
+        (nonconvexity_curve, (0.1, 2.5), InvalidInputError),
+    ],
+    ids=[
+        "random_density-dim",
+        "random_density-seed",
+        "random_pure-dim",
+        "random_pure-bool-dim",
+        "random_pure-seed",
+        "haar_isometry-dim",
+        "haar_isometry-wide",
+        "maximally_mixed-dim",
+        "nonconvexity_curve-grid",
+    ],
+)
+def test_sizes_and_seeds_must_be_integers(make, args, error):
+    with pytest.raises(error):
+        make(*args)
+    # A rejected call draws nothing from a generator it was handed.
+    fresh = np.random.default_rng(0).bit_generator.state
+    assert all(a.bit_generator.state == fresh for a in args if isinstance(a, np.random.Generator))
 
 
 @pytest.mark.parametrize("dim_in, dim_out", [(3, 3), (2, 3), (3, 2)])

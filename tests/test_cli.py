@@ -323,7 +323,7 @@ def test_curve_figure_one_exact_bytes(capsys):
 def test_curve_figure_two_single_epsilon(capsys):
     assert main(["curve", "--figure", "2", "--epsilon", "0.5"]) == 0
     assert capsys.readouterr().out == (
-        "epsilon,before,after\n0.5,0.9999999999999999,1.3333333333333335\n"
+        "epsilon,before,after\n0.5,1.0,1.3333333333333335\n"
     )
 
 

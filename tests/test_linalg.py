@@ -56,9 +56,16 @@ def test_trace_norm_rectangular():
     assert trace_norm(m) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_trace_norm_near_hermitian_keeps_its_antihermitian_part():
+    m = np.array([[0.0, 4e-11], [-4e-11, 0.0]])
+    assert trace_norm(m) == pytest.approx(8e-11, rel=1e-12)
+
+
 def test_operator_norm_values():
     assert operator_norm(np.diag([1.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
     assert operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0, abs=1e-12)
+    near_hermitian = np.array([[0.0, 4e-11], [-4e-11, 0.0]])
+    assert operator_norm(near_hermitian) == pytest.approx(4e-11, rel=1e-12)
 
 
 def test_hermitian_eig_pauli_x():
@@ -139,7 +146,7 @@ def test_trace_norm_unitary_invariance():
 
 
 def test_hermitian_route_matches_gram_route():
-    # The Hermitian fast path must agree with the generic singular-value route.
+    # Hermitian input must give the sum and the largest of numpy's singular values.
     rng = np.random.default_rng(2)
     for _ in range(100):
         d = int(rng.integers(1, 7))

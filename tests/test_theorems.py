@@ -406,12 +406,12 @@ def test_conversion_failure_lines(monkeypatch):
     rep = check_conversion(ch, ref, FAST)
     assert not rep.passed
     assert format_report_line(rep, 0) == (
-        "L2 000 lhs=0.7067807379673514 rhs=0.6659041526315743 "
-        "slack=-0.040876585335777094 FAIL"
+        "L2 000 lhs=0.7067807379673514 rhs=0.6659041526315742 "
+        "slack=-0.040876585335777205 FAIL"
     )
     assert rep.aux_violations == (
         "probability spread 0.4026741061985213 exceeds "
-        "alpha k D-hat = 6.655738645021574e-07",
+        "alpha k D-hat = 6.655738645021573e-07",
     )
     assert rep.description == "mix vs random_cptp(d2->d2,r2) (dim 2, alpha=1e-06)"
 
