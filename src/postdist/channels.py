@@ -377,7 +377,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def haar_isometry(rng: np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
     """Haar random isometry C^dim_in -> C^dim_out: QR of a Ginibre matrix, phases fixed."""
     if not (is_integer(dim_out) and is_integer(dim_in)) or not 1 <= dim_in <= dim_out:
-        raise ParameterError(f"no isometry into {dim_out!r} dimensions from {dim_in!r}")
+        raise ParameterError(f"need integers 1 <= dim_in <= dim_out, got {dim_in!r}, {dim_out!r}")
     q, r = npl.qr(_ginibre(rng, dim_out, dim_in))
     phases = np.diagonal(r).copy()
     phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
