@@ -19,7 +19,6 @@ from .linalg import (
     is_hermitian,
     operator_norm,
     partial_trace,
-    tensor,
     trace_norm,
 )
 from .channels import (
@@ -28,7 +27,6 @@ from .channels import (
     ParameterError,
     PureState,
     ValidityError,
-    ValidityReport,
     apply,
     apply_renormalized,
     channel_from_json,
@@ -52,7 +50,6 @@ from .channels import (
     stinespring,
     teleportation,
     tensor_with_identity,
-    validate,
     write_channel,
 )
 from .distances import (

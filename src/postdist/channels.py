@@ -5,7 +5,7 @@ Completely positive trace-nonincreasing maps in Kraus form, plus the state
 types the distance measures operate on.
 
 Conventions fixed here and relied on everywhere else:
-  * matrices are row-major, composite indices are (i_A, i_B) as in linalg.tensor;
+  * matrices are row-major, composite indices are (i_A, i_B) as in np.kron;
   * the Choi matrix is J = sum_ij |i><j| (x) Psi(|i><j|), input factor first,
     unnormalized (trace equals tr of the effect operator);
   * a Stinespring dilation has rows indexed (output, environment).
@@ -199,32 +199,6 @@ class Channel:
         return float(self._effect_eigs[0]) > POSTSELECTION_EIG_FLOOR
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    effect_min: float
-    effect_max: float
-    completely_positive: bool
-    trace_preserving: bool
-    postselection_valid: bool
-
-
-def validate(ch: Channel) -> ValidityReport:
-    """
-    Summarize the validity properties of a channel.
-
-    Complete positivity holds by Kraus construction; the report nevertheless
-    derives it from the Choi spectrum so the flag is an independent check.
-    """
-    choi_min = float(npl.eigvalsh(kraus_to_choi(ch))[0])
-    return ValidityReport(
-        effect_min=float(ch.effect_eigenvalues[0]),
-        effect_max=float(ch.effect_eigenvalues[-1]),
-        completely_positive=choi_min >= -TRACE_ATOL,
-        trace_preserving=ch.is_trace_preserving(),
-        postselection_valid=ch.is_postselection_valid(),
-    )
-
-
 def require_postselection(*channels: Channel) -> None:
     """
     Validity gate of the renormalized measures: raises ValidityError unless
@@ -365,8 +339,8 @@ def scale(ch: Channel, factor: float, name: str = "") -> Channel:
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if not is_integer(seed):
-        raise ParameterError(f"seed must be an integer or a numpy Generator, got {seed!r}")
+    if not is_integer(seed) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer or a numpy Generator, got {seed!r}")
     return np.random.default_rng(seed)
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import numpy.linalg as npl
 
-# Largest row or column count any constructed matrix may have.  Tensor products
-# and channel extensions check against this before allocating.
+# Largest row or column count any constructed matrix may have.  Channel
+# construction and extensions check against this before allocating.
 DIM_CAP = 4096
 
 # Hermiticity is decided (and symmetrized away) at this tolerance.
@@ -86,26 +86,12 @@ def operator_norm(X: np.ndarray) -> float:
     return float(npl.svd(_as_matrix(X), compute_uv=False)[0])
 
 
-def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """
-    Kronecker product with the (i_A, i_B) row-major index convention:
-    row (i_A * rows_B + i_B), column (j_A * cols_B + j_B).
-    """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    rows = A.shape[0] * B.shape[0]
-    cols = A.shape[1] * B.shape[1]
-    if rows > DIM_CAP or cols > DIM_CAP:
-        raise CapacityError(f"tensor result {rows}x{cols} exceeds dimension cap {DIM_CAP}")
-    return np.kron(A, B)
-
-
 def partial_trace(X: np.ndarray, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
     """
     Trace out one tensor factor of a square matrix on C^{d1} (x) C^{d2}.
 
     `keep` selects the surviving factor ("first" or "second"); indices follow
-    the same row-major convention as `tensor`.
+    the same row-major convention as `np.kron`.
     """
     X = _as_matrix(X)
     d1, d2 = int(dims[0]), int(dims[1])

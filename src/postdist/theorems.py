@@ -346,9 +346,9 @@ def check_isometry_approximation(
     """
     With eps the state-input distance to the isometry channel, the dilation is
     within 2 sqrt(eps) of U (x) g in operator norm, where g is extracted at the
-    optimizer's witness; the window 1 - eps <= ||g||^2 <= ||A||_op^2 <= 1 is
+    optimizer's witness; the window 1 - eps <= ||g||^2 <= ||A||_op^2 is
     checked alongside (the lower edge uses the witness value, which the proof
-    bounds pointwise).
+    bounds pointwise).  Its upper edge ||A||_op^2 <= 1 is guaranteed by Channel.
     """
     (est,) = yield [("dtrD", ch, isometry(iso, name="ideal_isometry"), cfg)]
     eps = est.value
@@ -360,8 +360,6 @@ def check_isometry_approximation(
         aux.append(f"norm window low: ||g||^2 = {g_sq!r} < 1 - eps = {1.0 - eps!r}")
     if g_sq > a_sq + CLOSED_FORM_SLACK:
         aux.append(f"norm window high: ||g||^2 = {g_sq!r} > ||A||_op^2 = {a_sq!r}")
-    if a_sq > 1.0 + 1e-9:
-        aux.append(f"||A||_op^2 = {a_sq!r} exceeds 1")
     return _report(
         "T3",
         f"{ch.name or 'channel'} vs isometry (dim {ch.dim_in}->{ch.dim_out})",

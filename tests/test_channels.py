@@ -39,7 +39,6 @@ from postdist.channels import (
     stinespring,
     teleportation,
     tensor_with_identity,
-    validate,
     write_channel,
 )
 from postdist.distances import MEASURE_SPECS, MEASURES
@@ -213,15 +212,12 @@ def test_trace_preserving_agrees_with_the_effect_operator_norm():
 
 def test_validate_reports():
     ch = random_channel(3, 3, rank=2, kind="cptp", seed=11)
-    report = validate(ch)
-    assert report.completely_positive
-    assert report.trace_preserving
-    assert report.postselection_valid
-    assert report.effect_max == pytest.approx(1.0, abs=1e-9)
+    assert ch.is_trace_preserving()
+    assert ch.is_postselection_valid()
+    assert ch.effect_eigenvalues[-1] == pytest.approx(1.0, abs=1e-9)
 
     proj = Channel((np.diag([1.0, 0.0]).astype(complex),), name="projector")
-    rep2 = validate(proj)
-    assert not rep2.postselection_valid
+    assert not proj.is_postselection_valid()
     with pytest.raises(ValidityError):
         require_postselection(proj)
 
@@ -467,6 +463,11 @@ def test_random_channel_rejects_non_integer_sizes():
         (random_pure, (2.5,), ParameterError),
         (random_pure, (True,), ParameterError),
         (random_pure, (2, 1.5), ParameterError),
+        (random_channel, (2, 2, 2, "cptp", -1), ParameterError),
+        (random_channel, (2, 2, 2, "postselection", -1), ParameterError),
+        (random_density, (2, -3), ParameterError),
+        (random_pure, (2, -1), ParameterError),
+        (random_pure, (2, np.int64(-1)), ParameterError),
         (haar_isometry, (np.random.default_rng(0), 2.5, 2), ParameterError),
         (haar_isometry, (np.random.default_rng(0), 2, 3), ParameterError),
         (DensityMatrix.maximally_mixed, (2.5,), InvalidInputError),
@@ -478,6 +479,11 @@ def test_random_channel_rejects_non_integer_sizes():
         "random_pure-dim",
         "random_pure-bool-dim",
         "random_pure-seed",
+        "random_channel-cptp-negative-seed",
+        "random_channel-postselection-negative-seed",
+        "random_density-negative-seed",
+        "random_pure-negative-seed",
+        "random_pure-negative-numpy-seed",
         "haar_isometry-dim",
         "haar_isometry-wide",
         "maximally_mixed-dim",
@@ -508,6 +514,9 @@ def test_depolarizing_kraus_has_identity_effect_in_output_input_order(dim_in, di
 def test_random_states_deterministic():
     assert (random_pure(3, seed=1).vector == random_pure(3, seed=1).vector).all()
     assert (random_density(3, seed=1).matrix == random_density(3, seed=1).matrix).all()
+    # An integer seed, a numpy integer seed and a Generator seeded alike draw one stream.
+    for seed in (np.uint8(7), np.random.default_rng(7)):
+        assert (random_pure(3, seed=seed).vector == random_pure(3, seed=7).vector).all()
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from postdist.distances import (
     MEASURE_SPECS,
     MEASURES,
     DistanceEstimate,
+    STABILIZED_DIM_CAP,
+    UNSTABILIZED_DIM_CAP,
     OptimizerConfig,
     dense_oracle,
     diamond_norm_channel,
@@ -230,6 +232,53 @@ def test_optimizer_dominates_sampling_oracle():
             orc = dense_oracle(m, a, b, samples=60_000, seed=3)
             assert est >= orc - 1e-6
             assert est - orc <= 0.05
+
+
+def _hull_distance_from_zero(eigenvalues):
+    # Points on the unit circle: 0 is outside their hull iff they fit in an arc
+    # shorter than pi, and then the nearest hull point is that arc's chord midpoint.
+    phases = np.sort(np.angle(eigenvalues))
+    gaps = np.diff(np.append(phases, phases[0] + 2 * np.pi))
+    arc = 2 * np.pi - gaps.max()
+    return np.cos(arc / 2) if arc < np.pi else 0.0
+
+
+def _unitary_pairs(dim, seed, squeeze=0.3):
+    # U and V = U W, where W's eigenphases are a Haar unitary's times `squeeze`,
+    # so that 0 lies outside the hull of W's eigenvalues.
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        u = haar_isometry(rng, dim, dim)
+        phases, basis = np.linalg.eig(haar_isometry(rng, dim, dim))
+        w = (basis * np.exp(1j * squeeze * np.angle(phases))) @ np.linalg.inv(basis)
+        yield u, u @ w, rng.uniform(0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "measure, cap",
+    [
+        ("dtrD", UNSTABILIZED_DIM_CAP),
+        ("hat-tr", UNSTABILIZED_DIM_CAP),
+        ("diamond", STABILIZED_DIM_CAP),
+        ("hat-diamond", STABILIZED_DIM_CAP),
+    ],
+)
+def test_unitary_pairs_match_the_closed_form(measure, cap):
+    # For unitary channels U.U^H and V.V^H, dtrD and diamond are 2 sqrt(1 - r^2),
+    # r the distance from 0 to the hull of the eigenvalues of W = U^H V
+    # (Aharonov, Kitaev & Nisan).  The channels are trace preserving, so the
+    # hat measures agree, and scaling one channel by c leaves them unchanged.
+    requests, exact = [], []
+    for dim in range(2, cap + 1):
+        for u, v, c in _unitary_pairs(dim, seed=dim):
+            r = _hull_distance_from_zero(np.linalg.eigvals(u.conj().T @ v))
+            pairs = [(isometry(u), isometry(v))]
+            if measure.startswith("hat-"):
+                pairs.append((isometry(u), scale(isometry(v), c)))
+            requests += [(measure, a, b, OptimizerConfig()) for a, b in pairs]
+            exact += [2 * np.sqrt(1 - r**2)] * len(pairs)
+    values = [est.value for est in distance_batch(requests)]
+    assert values == pytest.approx(exact, abs=1e-10)
 
 
 def test_dense_oracle_deterministic():

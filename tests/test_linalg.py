@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postdist.linalg import (
-    CapacityError,
     InvalidInputError,
     hermitian_eig,
     hermitianize,
@@ -16,7 +15,6 @@ from postdist.linalg import (
     is_integer,
     operator_norm,
     partial_trace,
-    tensor,
     trace_norm,
 )
 
@@ -80,12 +78,6 @@ def test_is_integer_takes_python_and_numpy_integers_only():
     assert not any(is_integer(x) for x in (True, np.True_, 2.0, 2.5, np.float64(2), "2", None))
 
 
-def test_tensor_index_convention():
-    a = np.diag([1.0, 2.0])
-    out = tensor(a, np.eye(2))
-    assert np.allclose(out, np.diag([1.0, 1.0, 2.0, 2.0]), atol=0)
-
-
 def test_partial_trace_entangled_state():
     d = 3
     omega = np.zeros(d * d, dtype=complex)
@@ -104,7 +96,7 @@ def test_partial_trace_product_state():
     b = _random_complex(rng, 3, 3)
     b = b @ b.conj().T
     b /= np.trace(b).real
-    rho = tensor(a, b)
+    rho = np.kron(a, b)
     assert np.allclose(partial_trace(rho, (2, 3), "first"), a, atol=1e-12)
     assert np.allclose(partial_trace(rho, (2, 3), "second"), b, atol=1e-12)
 
@@ -209,12 +201,6 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         hermitian_eig(np.zeros((2, 3)))
-
-
-def test_tensor_capacity():
-    with pytest.raises(CapacityError):
-        tensor(np.eye(70), np.eye(70))
-    assert tensor(np.eye(64), np.eye(64)).shape == (4096, 4096)
 
 
 def test_partial_trace_rejects_bad_dims():
