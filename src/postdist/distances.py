@@ -25,19 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.linalg as npl
 
-from .channels import (
-    Channel,
-    DensityMatrix,
-    PureState,
-    apply,
-    require_postselection,
-    tensor_with_identity,
-)
+from .channels import Channel, DensityMatrix, PureState, require_postselection
 from .linalg import CapacityError, InvalidInputError, is_integer, trace_norm
 
 # Input-dimension policy: unstabilized objectives stay cheap up to dim 8;
@@ -214,7 +208,9 @@ def _per_row(arrays: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     if len(arrays) == 1:
         return lambda problem: arrays[0]
     n = max(a.shape[0] for a in arrays)
-    stack = np.stack([np.pad(a, [(0, n - a.shape[0])] + [(0, 0)] * (a.ndim - 1)) for a in arrays])
+    stack = np.zeros((len(arrays), n, *arrays[0].shape[1:]), dtype=np.result_type(*arrays))
+    for row, a in zip(stack, arrays):
+        row[: a.shape[0]] = a
     return lambda problem: stack[problem]
 
 
@@ -340,6 +336,16 @@ def _objective_output_separation(ch: Channel):
 _LINE_SEARCH = np.array([2.0, 1.0, 0.5, 0.125])
 
 
+@lru_cache(maxsize=64)
+def _starts(seed: int, restarts: int, n_params: int) -> np.ndarray:
+    # Restart r's normalized start, drawn from its own stream (seed, r): a pure
+    # function of the key, so it is drawn once per process and stored read-only.
+    x = np.array([np.random.default_rng([seed, r]).standard_normal(n_params) for r in range(restarts)])
+    x /= np.maximum(npl.norm(x, axis=1), 1e-12)[:, None]
+    x.setflags(write=False)
+    return x
+
+
 class AscentResult(NamedTuple):
     """
     One problem's output of `maximize`.  `values` and `points` hold every
@@ -387,76 +393,78 @@ def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> l
     cfg = cfgs[0]
     n = cfg.restarts
     problem = np.repeat(np.arange(len(cfgs)), n)
-    seeds = [[c.master_seed & SEED_MASK, r] for c in cfgs for r in range(n)]
-    x = np.array([np.random.default_rng(seed).standard_normal(n_params) for seed in seeds])
-    x /= np.maximum(npl.norm(x, axis=1), 1e-12)[:, None]
+    x = np.concatenate([_starts(c.master_seed & SEED_MASK, n, n_params) for c in cfgs])
     values = value_fn(x, problem)
     work = np.ones(problem.size, dtype=int)  # objective points per row
     taken = np.zeros(problem.size, dtype=int)  # ascent steps per row
-    alpha = np.full(problem.size, 0.25)
-    stall = np.zeros(problem.size, dtype=int)
-    active = np.full(problem.size, cfg.max_iterations > 0)
-    # Each restart's point and gradient one step back: s = 0 at first and after a held step.
-    prev_x, prev_g = x.copy(), np.zeros_like(x)
-    stale = np.ones(problem.size, dtype=bool)  # the gradient at x is not prev_g
     n_steps = _LINE_SEARCH.size
-
-    def move(r, new_x, new_values, step):
-        # Restarts r move to rows new_x (normalized here), found with step length `step`.
-        norms = npl.norm(new_x, axis=1)
-        x[r] = new_x / np.where(norms > 1e-12, norms, 1.0)[:, None]
-        gain = new_values - values[r]
-        values[r] = new_values
-        alpha[r] = np.minimum(np.maximum(step, 10.0 * cfg.step_tolerance), 4.0)
-        stall[r] = np.where(gain < cfg.value_tolerance, stall[r] + 1, 0)
-        stale[r] = True
-
-    while True:
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        taken[idx] += 1
-        xa = x[idx]
-        grad = prev_g[idx]  # a copy, current where the restart has not moved since
-        fresh = stale[idx]
+    # The running restarts, in compact arrays: row, problem, point, value, step
+    # length, stall count and work.  A restart leaves them, with its point,
+    # value and work written back, on the pass it stops.
+    row = np.arange(problem.size if cfg.max_iterations > 0 else 0)
+    prob, pt, val, wk = problem[row], x[row], values[row], work[row]
+    alpha, stall = np.full(row.size, 0.25), np.zeros(row.size, dtype=int)
+    # Each restart's point and gradient one step back: s = 0 at first and after a held step.
+    prev_x, prev_g = pt.copy(), np.zeros_like(pt)
+    stale = np.ones(row.size, dtype=bool)  # the gradient at pt is not prev_g
+    passes = 0
+    while row.size:
+        passes += 1
+        grad = prev_g.copy()
+        fresh, stale = stale, np.zeros(row.size, dtype=bool)
         if fresh.any():
-            grad[fresh] = grad_fn(xa[fresh], problem[idx[fresh]])
-            stale[idx] = False
+            grad[fresh] = grad_fn(pt[fresh], prob[fresh])
         gnorm = npl.norm(grad, axis=1)
         flat = gnorm <= 1e-9
-        s, y = xa - prev_x[idx], grad - prev_g[idx]
-        prev_x[idx], prev_g[idx] = xa, grad
+        s, y = pt - prev_x, grad - prev_g
+        prev_x, prev_g = pt.copy(), grad
         curvature = -(s * y).sum(axis=1)
         search = ~flat
         tried = search & (curvature > 0)
+        # Each restart's best new point, its value and step length; -inf where none was tried.
+        new_x, new_val, new_step = np.empty_like(pt), np.full(row.size, -np.inf), np.empty(row.size)
         trial = np.flatnonzero(tried)
         if trial.size:
             t = (s[trial] * s[trial]).sum(axis=1) / curvature[trial]
-            trial_x = xa[trial] + t[:, None] * grad[trial]
-            trial_vals = value_fn(trial_x, problem[idx[trial]])
-            up = trial_vals > values[idx[trial]] + 1e-15
-            move(idx[trial[up]], trial_x[up], trial_vals[up], t[up] * gnorm[trial[up]])
-            search[trial[up]] = False
+            trial_x = pt[trial] + t[:, None] * grad[trial]
+            new_x[trial], new_val[trial] = trial_x, value_fn(trial_x, prob[trial])
+            new_step[trial] = t * gnorm[trial]
+            search &= ~(new_val > val + 1e-15)
 
         rest = np.flatnonzero(search)
         if rest.size:
-            steps = alpha[idx[rest], None] * _LINE_SEARCH[None, :]
+            steps = alpha[rest, None] * _LINE_SEARCH[None, :]
             dirs = grad[rest] / gnorm[rest, None]
-            cand = xa[rest, None, :] + steps[:, :, None] * dirs[:, None, :]
-            cand_problem = np.repeat(problem[idx[rest]], n_steps)
+            cand = pt[rest, None, :] + steps[:, :, None] * dirs[:, None, :]
+            cand_problem = np.repeat(prob[rest], n_steps)
             cand_vals = value_fn(cand.reshape(-1, n_params), cand_problem).reshape(-1, n_steps)
             pick = np.argmax(cand_vals, axis=1)
-            rows = np.arange(rest.size)
-            best_vals = cand_vals[rows, pick]
-            up = best_vals > values[idx[rest]] + 1e-15
-            move(idx[rest[up]], cand[rows[up], pick[up]], best_vals[up], steps[rows[up], pick[up]])
-            r = idx[rest[~up]]
-            alpha[r] *= 0.125
-            stall[r] += 1
+            k = np.arange(rest.size)
+            new_x[rest], new_val[rest], new_step[rest] = cand[k, pick], cand_vals[k, pick], steps[k, pick]
 
-        work[idx] += n_steps * search + tried + fresh
-        moving = ~flat & (alpha[idx] >= cfg.step_tolerance) & (stall[idx] < 5)
-        active[idx] = moving & (taken[idx] < cfg.max_iterations)
+        # The Barzilai-Borwein winners and the line-search rows are disjoint,
+        # and neither search read the other's rows, so both move at once.
+        up = new_val > val + 1e-15
+        norms = npl.norm(new_x[up], axis=1)
+        pt[up] = new_x[up] / np.where(norms > 1e-12, norms, 1.0)[:, None]
+        gain = new_val[up] - val[up]
+        val[up] = new_val[up]
+        alpha[up] = np.minimum(np.maximum(new_step[up], 10.0 * cfg.step_tolerance), 4.0)
+        stall[up] = np.where(gain < cfg.value_tolerance, stall[up] + 1, 0)
+        stale[up] = True
+        held = search & ~up
+        alpha[held] *= 0.125
+        stall[held] += 1
+
+        wk += n_steps * search + tried + fresh
+        keep = ~flat & (alpha >= cfg.step_tolerance) & (stall < 5) & (passes < cfg.max_iterations)
+        if not keep.all():
+            stop = ~keep
+            done = row[stop]
+            x[done], values[done], work[done], taken[done] = pt[stop], val[stop], wk[stop], passes
+            row, prob, pt, val, wk, alpha, stall, prev_x, prev_g, stale = (
+                a[keep] for a in (row, prob, pt, val, wk, alpha, stall, prev_x, prev_g, stale)
+            )
     # A restart steps from the first pass until it stops, so a problem's
     # passes are those of its longest-running restart.
     iterations, evaluations = taken.reshape(-1, n).max(axis=1), work.reshape(-1, n).sum(axis=1)
@@ -682,9 +690,18 @@ def pointwise_distance(
     when `renormalize`: every measure's objective at one point.  Checks
     nothing beyond the input shape.
     """
-    if anc > 1:
-        chan_a, chan_b = tensor_with_identity(chan_a, anc), tensor_with_identity(chan_b, anc)
-    out_a, out_b = apply(chan_a, x), apply(chan_b, x)
+    m = x.matrix if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
+    outputs = []
+    for ch in (chan_a, chan_b):
+        if not is_integer(anc) or anc < 1 or m.shape != (ch.dim_in * anc,) * 2:
+            raise InvalidInputError(
+                f"input shape {m.shape} does not match input dimension {ch.dim_in} "
+                f"with an ancilla of integer dimension {anc!r} >= 1"
+            )
+        # The Kraus operators K_e (x) I_anc of the ancilla extension, applied as `channels.apply` does.
+        kraus = np.kron(ch.kraus, np.eye(anc, dtype=complex)) if anc > 1 else ch.kraus
+        outputs.append(np.einsum("eij,ekj->ik", kraus @ m, kraus.conj()))
+    out_a, out_b = outputs
     if renormalize:
         out_a, out_b = out_a / np.trace(out_a).real, out_b / np.trace(out_b).real
     return float(trace_norm(out_a - out_b))

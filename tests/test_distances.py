@@ -21,6 +21,7 @@ from postdist.channels import (
     random_density,
     scale,
     teleportation,
+    tensor_with_identity,
 )
 from postdist.distances import (
     MEASURE_SPECS,
@@ -38,7 +39,7 @@ from postdist.distances import (
     unit_rows,
     unit_rows_gradient,
 )
-from postdist.linalg import CapacityError, InvalidInputError
+from postdist.linalg import CapacityError, InvalidInputError, trace_norm
 
 CFG = OptimizerConfig(master_seed=5, restarts=8, max_iterations=300, value_tolerance=1e-11)
 FAST = OptimizerConfig(master_seed=9, restarts=6, max_iterations=200)
@@ -65,6 +66,22 @@ def test_nonconvexity_pair_distances():
     # the renormalized outputs are the orthogonal pure states |0>, |1>
     assert values["hat-tr"] == pytest.approx(1.0, abs=1e-9)
     assert values["hat-diamond"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_nonconvexity_pair_counters_frozen():
+    # The default budget's work counters at eps = 0.1; how the ascent stores
+    # its running restarts must not move them.
+    psi, phi = nonconvexity_pair(0.1)
+    frozen = {
+        "dtrD": (1, 128),
+        "dtr": (8, 1119),
+        "diamond": (1, 128),
+        "hat-tr": (8, 1202),
+        "hat-diamond": (8, 1202),
+    }
+    for m, counters in frozen.items():
+        est = distance(m, psi, phi, OptimizerConfig())
+        assert (est.iterations, est.evaluations) == counters, m
 
 
 def test_conversion_pair_distances():
@@ -167,15 +184,34 @@ def test_standard_measures_are_symmetric():
 # ---------------------------------------------------------------------------
 
 
+def _extended_value(a, b, rho, renormalize):
+    # A stabilized objective through the channel route: both channels extended
+    # by tensor_with_identity and applied by channels.apply.
+    anc = a.dim_in
+    out_a, out_b = apply(tensor_with_identity(a, anc), rho), apply(tensor_with_identity(b, anc), rho)
+    if renormalize:
+        out_a, out_b = out_a / np.trace(out_a).real, out_b / np.trace(out_b).real
+    return float(trace_norm(out_a - out_b))
+
+
 def test_witness_reproduces_reported_value():
     wide = (
         random_channel(2, 3, rank=2, kind="postselection", seed=104),
         random_channel(2, 3, rank=2, kind="postselection", seed=105),
     )
-    for a, b in (_pair(52), wide):
+    for a, b in (_pair(52), wide, conversion_pair()):
         for m in MEASURES:
             est = distance(m, a, b, FAST)
             assert evaluate_witness(m, a, b, est.witness) == est.value
+            if MEASURE_SPECS[m].stabilized:
+                # The same bits as the extended channels give.  A postselected
+                # pair is evaluated in a canonical order, so either order may be it.
+                rho = est.witness.density()
+                postselected = MEASURE_SPECS[m].postselected
+                assert est.value in (
+                    _extended_value(a, b, rho, postselected),
+                    _extended_value(b, a, rho, postselected),
+                )
             if isinstance(est.witness, PureState):
                 assert evaluate_witness(m, a, b, est.witness.density()) == est.value
             assert isinstance(est, DistanceEstimate)
@@ -429,6 +465,36 @@ def test_maximize_finds_the_largest_eigenvalue(dim, seed):
     a, value_fn, grad_fn, _ = _rayleigh(dim, seed)
     (res,) = maximize(value_fn, grad_fn, 2 * dim, [RAYLEIGH_CFG])
     assert res.values[res.winner] == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
+
+
+def test_maximize_starts_are_drawn_once_and_never_shared():
+    # Restart r starts from the normalized first draw of its own stream
+    # (master_seed & SEED_MASK, r); a second run in one process starts from
+    # equal rows, even after the first run's points were written over.
+    dim, seed = 3, 7
+    cfg = dataclasses.replace(RAYLEIGH_CFG, master_seed=(1 << 63) + seed)
+    _, value_fn, grad_fn, _ = _rayleigh(dim, 0)
+
+    def first_rows_and_result():
+        first = []
+
+        def recording(x, problem):
+            if not first:
+                first.append(x.copy())
+            return value_fn(x, problem)
+
+        (res,) = maximize(recording, grad_fn, 2 * dim, [cfg])
+        return first[0], res
+
+    expected = np.array(
+        [np.random.default_rng([seed, r]).standard_normal(2 * dim) for r in range(cfg.restarts)]
+    )
+    expected /= np.linalg.norm(expected, axis=1)[:, None]
+    start, res = first_rows_and_result()
+    assert np.array_equal(start, expected)
+    res.points[...] = np.nan
+    again, _ = first_rows_and_result()
+    assert np.array_equal(again, expected)
 
 
 @pytest.mark.parametrize("dim, seed", [(3, 0), (5, 1)])
