@@ -445,10 +445,11 @@ def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> l
         # The Barzilai-Borwein winners and the line-search rows are disjoint,
         # and neither search read the other's rows, so both move at once.
         up = new_val > val + 1e-15
-        norms = npl.norm(new_x[up], axis=1)
-        pt[up] = new_x[up] / np.where(norms > 1e-12, norms, 1.0)[:, None]
-        gain = new_val[up] - val[up]
-        val[up] = new_val[up]
+        moved, moved_val = new_x[up], new_val[up]
+        norms = npl.norm(moved, axis=1)
+        pt[up] = moved / np.where(norms > 1e-12, norms, 1.0)[:, None]
+        gain = moved_val - val[up]
+        val[up] = moved_val
         alpha[up] = np.minimum(np.maximum(new_step[up], 10.0 * cfg.step_tolerance), 4.0)
         stall[up] = np.where(gain < cfg.value_tolerance, stall[up] + 1, 0)
         stale[up] = True
