@@ -338,8 +338,8 @@ _LINE_SEARCH = np.array([2.0, 1.0, 0.5, 0.125])
 
 @lru_cache(maxsize=64)
 def _starts(seed: int, restarts: int, n_params: int) -> np.ndarray:
-    # Restart r's normalized start, drawn from its own stream (seed, r): a pure
-    # function of the key, so it is drawn once per process and stored read-only.
+    # Restart r's normalized start, from its own stream (seed, r): a pure function
+    # of the key, drawn once per process and read-only, so each run steps a copy.
     x = np.array([np.random.default_rng([seed, r]).standard_normal(n_params) for r in range(restarts)])
     x /= np.maximum(npl.norm(x, axis=1), 1e-12)[:, None]
     x.setflags(write=False)
