@@ -202,6 +202,21 @@ def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: boo
 # factor (dtr).
 
 
+def _above_floor(norms: Callable, diff: np.ndarray, floor: float, scale: float, margin=0.0):
+    # norms(diff) on the rows whose bound scale * ||D||_F + margin is above floor,
+    # -inf on the rest; each row's norm is its own, so a kept row gets the value
+    # of the unpruned call.  ||D||_F comes from one reduction over the real view.
+    if floor == -np.inf:
+        return norms(diff)
+    r = diff.reshape(diff.shape[0], -1).view(np.float64)
+    keep = scale * np.sqrt(np.einsum("mi,mi->m", r, r)) + margin > floor
+    if keep.all():
+        return norms(diff)
+    vals = np.full(diff.shape[0], -np.inf)
+    vals[keep] = norms(diff[keep])
+    return vals
+
+
 def _per_row(arrays: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     # Maps row problem indices to operands: the one problem's array as it is,
     # or several zero-padded along axis 0 to one length, stacked and gathered.
@@ -219,6 +234,15 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
     ea, eb = _per_row([a.effect for a, _ in pairs]), _per_row([b.effect for _, b in pairs])
     d = pairs[0][0].dim_in
     anc = d if ancilla else 1
+    # rank(P - Q) <= root_k**2: a Kraus operator adds rank 1 to a joint output, else anc.
+    p = pairs[0][0].dim_out * (anc if joint else 1)
+    ranks = max(a.rank for a, _ in pairs) + max(b.rank for _, b in pairs)
+    root_k, root_p = math.sqrt(min(p, ranks * (1 if joint else anc))), math.sqrt(p)
+    # Rounding in P and Q makes a computed D ~ 0 full rank; its size scales with
+    # tr P + tr Q + 1, and tr P <= lambda_max(E_a) (1 once renormalized).
+    top = [max(ch.effect_eigenvalues[-1] for ch in side) for side in zip(*pairs)]
+    traces = 2.0 if renormalize else sum(top)
+    margin = 1e-12 * (root_k + root_p) * (traces + 1.0)
 
     def output(images: np.ndarray, bad: np.ndarray):
         # (output / trace, trace as (m, 1, 1), bad): a trace below 1e-30 marks its row bad.
@@ -230,13 +254,14 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
         tr = np.where(small, 1.0, tr)[:, None, None]
         return out / tr, tr, bad | small
 
-    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
+    def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
         u, _, bad = unit_rows(x, d * anc)
         u3 = u.reshape(-1, d, anc)
         # One channel's images at a time keeps the oracle's peak memory down.
         out_a, _, bad = output(kraus_images(ka(problem), u3), bad)
         out_b, _, bad = output(kraus_images(kb(problem), u3), bad)
-        vals = herm_trace_norms(out_a - out_b)
+        out_a -= out_b  # D = P - Q in place: no third output stack; ||D||_1 <= root_k ||D||_F
+        vals = _above_floor(herm_trace_norms, out_a, floor, root_k, margin)
         vals[bad] = -np.inf
         return vals
 
@@ -267,6 +292,7 @@ def _dtr_kernel(pairs: list):
     # the complex gradients are N v (in u) and N^H u (in v).
     ka, kb = _per_row([a.kraus for a, _ in pairs]), _per_row([b.kraus for _, b in pairs])
     d = pairs[0][0].dim_in
+    root_p = math.sqrt(pairs[0][0].dim_out)
 
     def difference(x: np.ndarray, problem: np.ndarray):
         w, norms, bad = unit_pairs(x, d)
@@ -277,11 +303,15 @@ def _dtr_kernel(pairs: list):
         )
         return diff, (w, norms, bad), ya, yb
 
-    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        diff, (_, _, bad), _, _ = difference(x, problem)
+    def gram_trace_norms(diff: np.ndarray) -> np.ndarray:
         # singular values of Delta as the square roots of its Gram eigenvalues
         w = npl.eigvalsh(np.einsum("mji,mjk->mik", diff.conj(), diff))
-        vals = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+        return np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+
+    def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
+        diff, (_, _, bad), _, _ = difference(x, problem)
+        # The Gram route lifts zero singular values to ~sqrt(eps) sigma_max: use sqrt(p), not rank.
+        vals = _above_floor(gram_trace_norms, diff, floor, root_p * (1.0 + 1e-6))
         vals[bad] = -np.inf
         return vals
 
@@ -519,6 +549,10 @@ class MeasureSpec(NamedTuple):
     One measure.  `kernel` maps channel pairs of one shape, one per problem, to
     (fn, grad): the batched objective and gradient over `n_params(dim_in)`
     real parameters, each row on its problem's pair (see `maximize`).
+    `fn(x, problem, floor)` takes an optional floor: a row whose sound upper
+    bound (from the Frobenius norm of its output difference) is at most
+    `floor` gets -inf without being decomposed, and every other row gets
+    exactly the value of `fn(x, problem)`.
     `decode(x, dim)` turns the winning row into a witness, and
     `witness_input(witness, dim, measure)` a witness into the input operator,
     where dim is that of the input space: dim_in, squared when `stabilized`.
@@ -726,6 +760,7 @@ def evaluate_witness(measure: str, chan_a: Channel, chan_b: Channel, witness) ->
 # ---------------------------------------------------------------------------
 
 _ORACLE_CHUNK = 8192
+_ORACLE_HEAD = 64  # rows evaluated in full to seed the floor
 
 
 def dense_oracle(
@@ -740,6 +775,11 @@ def dense_oracle(
     seeded random points of its domain (Haar pure states, independent rank-one
     pairs, or normalized Ginibre density factors).  Independent of the
     optimizer; used to cross-check it at tiny dimensions.
+
+    The first 64 points seed the best value, and every chunk is then evaluated
+    with that value as the kernel's `floor`, so only points whose Frobenius
+    bound exceeds it are decomposed.  Skipped points cannot beat it, so the
+    result is the same float as the maximum over every point.
     """
     if not (is_integer(samples) and is_integer(seed)) or samples < 1:
         raise InvalidInputError(
@@ -754,5 +794,8 @@ def dense_oracle(
     for start in range(0, samples, _ORACLE_CHUNK):
         take = min(_ORACLE_CHUNK, samples - start)
         points = rng.standard_normal((take, n_params))
-        best = max(best, float(np.max(fn(points, np.zeros(take, dtype=int)))))
+        if start == 0:
+            head = min(take, _ORACLE_HEAD)
+            best = float(np.max(fn(points[:head], np.zeros(head, dtype=int))))
+        best = max(best, float(np.max(fn(points, np.zeros(take, dtype=int), best))))
     return best

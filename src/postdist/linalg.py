@@ -94,9 +94,9 @@ def partial_trace(X: np.ndarray, dims: tuple[int, int], keep: str = "first") -> 
     the same row-major convention as `np.kron`.
     """
     X = _as_matrix(X)
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 <= 0 or d2 <= 0:
-        raise InvalidInputError(f"factor dimensions must be positive, got {dims}")
+    d1, d2 = dims[0], dims[1]
+    if not (is_integer(d1) and is_integer(d2)) or d1 <= 0 or d2 <= 0:
+        raise InvalidInputError(f"factor dimensions must be positive integers, got {dims}")
     n = d1 * d2
     if X.shape != (n, n):
         raise InvalidInputError(

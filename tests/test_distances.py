@@ -13,6 +13,7 @@ from postdist.channels import (
     PureState,
     apply,
     compose,
+    contractivity_triple,
     conversion_pair,
     haar_isometry,
     isometry,
@@ -26,10 +27,12 @@ from postdist.channels import (
 from postdist.distances import (
     MEASURE_SPECS,
     MEASURES,
+    SEED_MASK,
     DistanceEstimate,
     STABILIZED_DIM_CAP,
     UNSTABILIZED_DIM_CAP,
     OptimizerConfig,
+    _canonical_pair,
     dense_oracle,
     diamond_norm_channel,
     distance,
@@ -317,11 +320,33 @@ def test_unitary_pairs_match_the_closed_form(measure, cap):
     assert values == pytest.approx(exact, abs=1e-10)
 
 
+def _oracle_pairs():
+    # Random pairs of both kinds at d = 2, 3 and the gallery pairs, several of
+    # them equal up to rounding after renormalization.
+    psi, phi, _ = contractivity_triple(1.0 / 3.0)
+    pairs = [_pair(57 + dim, dim, kind) for dim in (2, 3) for kind in ("cptp", "postselection")]
+    pairs += [(teleportation(d), isometry(np.eye(d), name="identity")) for d in (2, 3)]
+    return pairs + [conversion_pair(), (psi, phi), nonconvexity_pair(0.125)]
+
+
 def test_dense_oracle_deterministic():
     a, b = _pair(55)
     x = dense_oracle("hat-tr", a, b, samples=5_000, seed=11)
     y = dense_oracle("hat-tr", a, b, samples=5_000, seed=11)
     assert x == y
+    # Pruning by the floor returns the exhaustive maximum: the kernel with no
+    # floor at every sampled point, one prefix of a single draw per count.
+    seed, counts = (1 << 63) + 11, (1, 63, 64, 65, 8192, 8193, 20_000)
+    for a, b in _oracle_pairs():
+        for measure, spec in MEASURE_SPECS.items():
+            pair = _canonical_pair(a, b) if spec.postselected else (a, b)
+            fn, _ = spec.kernel([pair])
+            rng = np.random.default_rng([seed & SEED_MASK, 1])
+            x = rng.standard_normal((max(counts), spec.n_params(a.dim_in)))
+            prefix_max = np.maximum.accumulate(fn(x, np.zeros(len(x), dtype=int)))
+            for n in counts:
+                value = dense_oracle(measure, a, b, samples=n, seed=seed)
+                assert value.hex() == float(prefix_max[n - 1]).hex(), (a.name, b.name, measure, n)
 
 
 def test_optimizer_deterministic():
@@ -640,3 +665,44 @@ def test_hat_tr_triangle_inequality_at_a_witness(seed, dim):
     assert evaluate_witness("hat-tr", a, c, rho) <= (
         evaluate_witness("hat-tr", a, b, rho) + evaluate_witness("hat-tr", b, c, rho) + 1e-12
     )
+
+
+def _structured_rows(n_params, rng):
+    # Random rows, the zero row (bad), and every basis row and sum of two basis
+    # rows: inputs in a Kraus operator's kernel, and for dtr rank-one pairs
+    # |u><v| with u, v basis vectors (or v = 0, bad).
+    eye = np.eye(n_params)
+    i, j = np.triu_indices(n_params, k=1)
+    random = rng.standard_normal((64, n_params))
+    return np.concatenate([random, np.zeros((1, n_params)), eye, eye[i] + eye[j]])
+
+
+@settings(max_examples=8, deadline=None)
+@given(PROPERTY_SEEDS, st.sampled_from([2, 3]))
+def test_kernel_floor_skips_only_rows_that_cannot_exceed_it(seed, dim):
+    rng = np.random.default_rng(seed)
+    u = haar_isometry(rng, dim, dim)
+    swap = np.eye(dim)[[1, 0, *range(2, dim)]]
+    project = Channel(np.diag(np.eye(dim)[0])[None], name="project")  # K_e u = 0 off |0>
+    pairs = [
+        _pair(seed, dim, "cptp"),
+        _pair(seed, dim, "postselection"),
+        (isometry(u), isometry(u)),  # D = 0
+        (isometry(u), Channel(np.stack([u, u]) / np.sqrt(2.0))),  # D = 0 up to rounding, rank <= 3
+        (isometry(u), isometry(u @ swap)),  # equal singular values on basis inputs
+        (teleportation(dim), isometry(np.eye(dim))),
+        (project, isometry(u)),
+    ]
+    for spec in MEASURE_SPECS.values():
+        for a, b in pairs:
+            if spec.postselected and not (a.is_postselection_valid() and b.is_postselection_valid()):
+                continue
+            fn, _ = spec.kernel([_canonical_pair(a, b) if spec.postselected else (a, b)])
+            x = _structured_rows(spec.n_params(dim), rng)
+            problem = np.zeros(len(x), dtype=int)
+            full = fn(x, problem)
+            for floor in (np.median(full[np.isfinite(full)]), full.max() - 1e-15):
+                pruned = fn(x, problem, floor)
+                kept = np.isfinite(pruned)
+                assert pruned[kept].tobytes() == full[kept].tobytes()
+                assert np.all(full[~kept] <= floor), (a.name, b.name, floor, full[~kept].max())

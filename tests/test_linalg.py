@@ -210,3 +210,11 @@ def test_partial_trace_rejects_bad_dims():
         partial_trace(np.eye(6), (0, 6))
     with pytest.raises(InvalidInputError):
         partial_trace(np.eye(6), (2, 3), keep="third")
+
+
+def test_partial_trace_rejects_non_integer_dims():
+    # Dims are not truncated: (2.5, 2) would trace np.eye(4) to 2 I, and True would read as 1.
+    for dims in ((2.5, 2), (2, 2.0), (True, 4), (4, True)):
+        with pytest.raises(InvalidInputError):
+            partial_trace(np.eye(4), dims)
+    assert np.array_equal(partial_trace(np.eye(4), (np.int64(2), 2)), 2 * np.eye(2))
