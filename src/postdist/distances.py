@@ -156,7 +156,13 @@ def herm_trace_norms(x: np.ndarray) -> np.ndarray:
 
 def kraus_images(stack: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """K_e u for inputs u as (batch, dim_in, anc) and a Kraus stack, shared or one per input."""
-    return np.einsum("eij,mja->meia" if stack.ndim == 3 else "meij,mja->meia", stack, inputs)
+    if stack.ndim == 4:
+        return np.einsum("meij,mja->meia", stack, inputs)
+    # One 2-D product puts einsum's inner loop on the batch, not anc; each sum keeps its order.
+    (e, o, i), (m, _, a) = stack.shape, inputs.shape
+    cols = inputs.transpose(1, 0, 2).reshape(i, m * a)
+    flat = np.einsum("kj,jn->kn", stack.reshape(e * o, i), cols)
+    return np.ascontiguousarray(flat.reshape(e, o, m, a).transpose(2, 0, 1, 3))
 
 
 def pure_outputs(images: np.ndarray, joint: bool = False) -> np.ndarray:

@@ -94,7 +94,10 @@ def partial_trace(X: np.ndarray, dims: tuple[int, int], keep: str = "first") -> 
     the same row-major convention as `np.kron`.
     """
     X = _as_matrix(X)
-    d1, d2 = dims[0], dims[1]
+    try:
+        d1, d2 = dims
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"partial_trace takes two dims (d1, d2), got {dims!r}") from None
     if not (is_integer(d1) and is_integer(d2)) or d1 <= 0 or d2 <= 0:
         raise InvalidInputError(f"factor dimensions must be positive integers, got {dims}")
     n = d1 * d2

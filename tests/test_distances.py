@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postdist.channels import (
@@ -38,6 +38,7 @@ from postdist.distances import (
     distance,
     distance_batch,
     evaluate_witness,
+    kraus_images,
     maximize,
     unit_rows,
     unit_rows_gradient,
@@ -706,3 +707,37 @@ def test_kernel_floor_skips_only_rows_that_cannot_exceed_it(seed, dim):
                 kept = np.isfinite(pruned)
                 assert pruned[kept].tobytes() == full[kept].tobytes()
                 assert np.all(full[~kept] <= floor), (a.name, b.name, floor, full[~kept].max())
+
+
+# ---------------------------------------------------------------------------
+# Kraus images of a shared stack
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(1, 700),
+    st.sampled_from(["complex", "real", "padded", "column"]),
+    PROPERTY_SEEDS,
+)
+@example(6, 3, 3, 3, 8192, "complex", 0)  # the oracle's batch at d = 3, stabilized
+def test_shared_stack_kraus_images_match_the_einsum_bit_for_bit(
+    rank, dim_out, dim_in, anc, rows, kind, seed
+):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((rank, dim_out, dim_in))
+    if kind != "real":
+        stack = stack + 1j * rng.standard_normal(stack.shape)
+    if kind == "padded":  # a problem's stack zero-padded to a group's rank
+        stack = np.concatenate([stack, np.zeros((rank,) + stack.shape[1:], stack.dtype)])
+    shape = (rows, dim_in) if kind == "column" else (rows, dim_in, anc)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    inputs = u[:, :, None] if kind == "column" else u  # the dtr kernel's w[:, :, None] view
+    images = kraus_images(stack, inputs)
+    expected = np.einsum("eij,mja->meia", stack, inputs)
+    assert images.shape == expected.shape and images.flags.c_contiguous
+    assert images.tobytes() == expected.tobytes()

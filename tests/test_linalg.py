@@ -218,3 +218,12 @@ def test_partial_trace_rejects_non_integer_dims():
         with pytest.raises(InvalidInputError):
             partial_trace(np.eye(4), dims)
     assert np.array_equal(partial_trace(np.eye(4), (np.int64(2), 2)), 2 * np.eye(2))
+
+
+def test_partial_trace_takes_exactly_two_dims():
+    # (2, 2, 5) would otherwise trace np.eye(4) over its first two dims to 2 I.
+    for dims in ((2, 2, 5), (4,), (), 4, None):
+        with pytest.raises(InvalidInputError):
+            partial_trace(np.eye(4), dims)
+    assert np.array_equal(partial_trace(np.eye(4), [2, 2]), 2 * np.eye(2))
+    assert np.array_equal(partial_trace(np.eye(4), np.array([2, 2])), 2 * np.eye(2))
