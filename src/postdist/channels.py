@@ -217,20 +217,19 @@ def require_postselection(*channels: Channel) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _input_matrix(ch: Channel, rho: DensityMatrix | np.ndarray) -> np.ndarray:
+def apply(ch: Channel, rho: DensityMatrix | np.ndarray, anc: int = 1) -> np.ndarray:
+    """
+    Apply the channel extended by an untouched ancilla of dimension `anc`:
+    sum_e (K_e (x) I_anc) rho (K_e (x) I_anc)^H (no renormalization).
+    """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape != (ch.dim_in, ch.dim_in):
+    if not is_integer(anc) or anc < 1 or m.shape != (ch.dim_in * anc,) * 2:
         raise InvalidInputError(
-            f"input shape {m.shape} does not match channel input dimension {ch.dim_in}"
+            f"input shape {m.shape} does not match input dimension {ch.dim_in} "
+            f"with an ancilla of integer dimension {anc!r} >= 1"
         )
-    return m
-
-
-def apply(ch: Channel, rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Apply the channel: sum_e K_e rho K_e^H (no renormalization)."""
-    m = _input_matrix(ch, rho)
-    tmp = ch.kraus @ m
-    return np.einsum("eij,ekj->ik", tmp, ch.kraus.conj())
+    kraus = np.kron(ch.kraus, np.eye(anc, dtype=complex)) if anc > 1 else ch.kraus
+    return np.einsum("eij,ekj->ik", kraus @ m, kraus.conj())
 
 
 def apply_renormalized(ch: Channel, rho: DensityMatrix | np.ndarray) -> tuple[DensityMatrix, float]:
@@ -260,6 +259,8 @@ def choi_to_kraus(choi: np.ndarray, dim_in: int, dim_out: int, name: str = "") -
     below the truncation threshold (1e-12) are dropped; an all-zero Choi
     matrix has no channel realization and raises.
     """
+    if not all(is_integer(n) and n >= 1 for n in (dim_in, dim_out)):
+        raise InvalidInputError(f"Choi dims must be integers >= 1, got {dim_in!r}, {dim_out!r}")
     m = np.asarray(choi, dtype=complex)
     n = dim_in * dim_out
     if m.shape != (n, n):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import numpy.linalg as npl
 
-from .channels import Channel, DensityMatrix, PureState, require_postselection
+from .channels import Channel, DensityMatrix, PureState, apply, require_postselection
 from .linalg import CapacityError, InvalidInputError, is_integer, trace_norm
 
 # Input-dimension policy: unstabilized objectives stay cheap up to dim 8;
@@ -728,21 +728,10 @@ def pointwise_distance(
     """
     || (Psi (x) I_anc)(X) - (Phi (x) I_anc)(X) ||_1 at one input operator X (a
     DensityMatrix or a matrix), with each output divided by its trace first
-    when `renormalize`: every measure's objective at one point.  Checks
-    nothing beyond the input shape.
+    when `renormalize`: every measure's objective at one point.  `apply`
+    checks the shape and the ancilla.
     """
-    m = x.matrix if isinstance(x, DensityMatrix) else np.asarray(x, dtype=complex)
-    outputs = []
-    for ch in (chan_a, chan_b):
-        if not is_integer(anc) or anc < 1 or m.shape != (ch.dim_in * anc,) * 2:
-            raise InvalidInputError(
-                f"input shape {m.shape} does not match input dimension {ch.dim_in} "
-                f"with an ancilla of integer dimension {anc!r} >= 1"
-            )
-        # The Kraus operators K_e (x) I_anc of the ancilla extension, applied as `channels.apply` does.
-        kraus = np.kron(ch.kraus, np.eye(anc, dtype=complex)) if anc > 1 else ch.kraus
-        outputs.append(np.einsum("eij,ekj->ik", kraus @ m, kraus.conj()))
-    out_a, out_b = outputs
+    out_a, out_b = apply(chan_a, x, anc), apply(chan_b, x, anc)
     if renormalize:
         out_a, out_b = out_a / np.trace(out_a).real, out_b / np.trace(out_b).real
     return float(trace_norm(out_a - out_b))

@@ -269,12 +269,10 @@ def check_subadditivity(
     terms = []
     transferred = []
     for (a, b), own in zip(pairs, own_ests):
-        ext_a = tensor_with_identity(a, anc)
-        ext_b = tensor_with_identity(b, anc)
-        t = pointwise_distance(ext_a, ext_b, carried)
+        t = pointwise_distance(a, b, carried, anc)
         transferred.append(t)
         terms.append(max(own.value, t))
-        carried = apply(ext_b, carried)
+        carried = apply(b, carried, anc)
     return _report(
         "T1",
         f"chain of {len(pairs)} pairs (input dim {anc})",
@@ -440,10 +438,8 @@ def check_postselected_subadditivity(
     lhs_est, outer_est, inner_est = yield [("hat-diamond", a, b, cfg) for a, b in pairs]
     stab = comp_a.dim_in
     rho = lhs_est.witness.density().matrix
-    ext_a = tensor_with_identity(inner_a, anc_dim * stab)
-    ext_b = tensor_with_identity(inner_b, anc_dim * stab)
-    inner_transfer = pointwise_distance(ext_a, ext_b, rho, 1, True)
-    pushed = apply(ext_a, rho)
+    inner_transfer = pointwise_distance(inner_a, inner_b, rho, anc_dim * stab, True)
+    pushed = apply(inner_a, rho, anc_dim * stab)
     pushed = pushed / np.trace(pushed).real
     outer_transfer = pointwise_distance(outer_a, outer_b, pushed, stab, True)
     est_outer, est_inner = outer_est.value, inner_est.value

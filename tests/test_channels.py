@@ -250,6 +250,23 @@ def test_apply_dimension_mismatch():
     psi, _ = nonconvexity_pair(0.25)
     with pytest.raises(InvalidInputError):
         apply(psi, DensityMatrix.maximally_mixed(3))
+    with pytest.raises(InvalidInputError, match="does not match input dimension"):
+        apply(psi, DensityMatrix.maximally_mixed(2), 2)
+    for anc in (0, 2.0, True):
+        with pytest.raises(InvalidInputError, match="ancilla of integer dimension"):
+            apply(psi, DensityMatrix.maximally_mixed(2), anc)
+
+
+@pytest.mark.parametrize("anc", [1, 2, 3])
+def test_apply_with_ancilla_is_the_extension_channel_bit_for_bit(anc):
+    rng = np.random.default_rng(40 + anc)
+    cptp = random_channel(2, 3, rank=2, kind="cptp", seed=rng)
+    post = random_channel(3, 2, rank=3, kind="postselection", seed=rng)
+    product = compose(post, cptp)
+    for ch in (cptp, post, product):
+        x = random_density(ch.dim_in * anc, seed=rng).matrix
+        direct = apply(ch, x, anc)
+        assert direct.tobytes() == apply(tensor_with_identity(ch, anc), x).tobytes()
 
 
 def test_apply_is_linear_and_positive():
@@ -287,18 +304,34 @@ def test_choi_trace_equals_effect_trace():
 
 
 @pytest.mark.parametrize(
-    "choi, error, match",
+    "choi, dims, error, match",
     [
-        (np.eye(3, dtype=complex), InvalidInputError, "must have shape"),
-        (np.diag([1.0, np.nan, 1.0, 1.0]).astype(complex), InvalidInputError, "non-finite"),
-        (np.triu(np.ones((4, 4), dtype=complex)), InvalidInputError, "not Hermitian"),
-        (np.diag([1.0, 1.0, 1.0, -0.2]).astype(complex), ValidityError, "not completely positive"),
+        (np.eye(3, dtype=complex), (2, 2), InvalidInputError, "must have shape"),
+        (np.diag([1.0, np.nan, 1.0, 1.0]).astype(complex), (2, 2), InvalidInputError, "non-finite"),
+        (np.triu(np.ones((4, 4), dtype=complex)), (2, 2), InvalidInputError, "not Hermitian"),
+        (
+            np.diag([1.0, 1.0, 1.0, -0.2]).astype(complex),
+            (2, 2),
+            ValidityError,
+            "not completely positive",
+        ),
+        (np.eye(4, dtype=complex), (2.0, 2), InvalidInputError, "integers >= 1"),
+        (np.eye(4, dtype=complex), (True, 4), InvalidInputError, "integers >= 1"),
+        (np.eye(4, dtype=complex), (-2, -2), InvalidInputError, "integers >= 1"),
     ],
-    ids=["wrong-shape", "non-finite", "non-hermitian", "negative-eigenvalue"],
+    ids=[
+        "wrong-shape",
+        "non-finite",
+        "non-hermitian",
+        "negative-eigenvalue",
+        "float-dim",
+        "bool-dim",
+        "negative-dims",
+    ],
 )
-def test_choi_rejects_non_cp(choi, error, match):
+def test_choi_rejects_non_cp(choi, dims, error, match):
     with pytest.raises(error, match=match):
-        choi_to_kraus(choi, dim_in=2, dim_out=2)
+        choi_to_kraus(choi, *dims)
 
 
 def test_stinespring_layout_and_consistency():

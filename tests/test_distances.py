@@ -40,6 +40,7 @@ from postdist.distances import (
     evaluate_witness,
     kraus_images,
     maximize,
+    pointwise_distance,
     unit_rows,
     unit_rows_gradient,
 )
@@ -188,14 +189,26 @@ def test_standard_measures_are_symmetric():
 # ---------------------------------------------------------------------------
 
 
-def _extended_value(a, b, rho, renormalize):
-    # A stabilized objective through the channel route: both channels extended
-    # by tensor_with_identity and applied by channels.apply.
-    anc = a.dim_in
+def _extended_value(a, b, rho, renormalize, anc):
+    # The objective through the channel route: both channels extended by
+    # tensor_with_identity and applied by channels.apply without an ancilla.
     out_a, out_b = apply(tensor_with_identity(a, anc), rho), apply(tensor_with_identity(b, anc), rho)
     if renormalize:
         out_a, out_b = out_a / np.trace(out_a).real, out_b / np.trace(out_b).real
     return float(trace_norm(out_a - out_b))
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("anc", [1, 2, 3])
+def test_pointwise_distance_is_the_extension_route_bit_for_bit(anc, renormalize):
+    rng = np.random.default_rng(70 + anc)
+    for kind, dim_in, dim_out in (("cptp", 2, 3), ("postselection", 3, 2)):
+        a = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=rng)
+        b = random_channel(dim_in, dim_out, rank=3, kind=kind, seed=rng)
+        rho = random_density(dim_in * anc, seed=rng)
+        value = pointwise_distance(a, b, rho, anc, renormalize)
+        assert value == _extended_value(a, b, rho, renormalize, anc)
+        assert value > 0.0
 
 
 def test_witness_reproduces_reported_value():
@@ -213,8 +226,8 @@ def test_witness_reproduces_reported_value():
                 rho = est.witness.density()
                 postselected = MEASURE_SPECS[m].postselected
                 assert est.value in (
-                    _extended_value(a, b, rho, postselected),
-                    _extended_value(b, a, rho, postselected),
+                    _extended_value(a, b, rho, postselected, a.dim_in),
+                    _extended_value(b, a, rho, postselected, a.dim_in),
                 )
             if isinstance(est.witness, PureState):
                 assert evaluate_witness(m, a, b, est.witness.density()) == est.value

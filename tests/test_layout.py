@@ -123,3 +123,9 @@ def test_only_distances_runs_the_optimizer():
         "unit_pairs_gradient",
     }
     assert not kit & _identifiers("theorems.py"), sorted(kit & _identifiers("theorems.py"))
+
+
+def test_only_channels_extends_kraus_operators_by_an_ancilla():
+    # channels.apply is the one place that forms K_e (x) I_anc and applies it;
+    # distances reaches the extended action only through it.
+    assert "kron" not in _identifiers("distances.py")
