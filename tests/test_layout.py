@@ -126,6 +126,6 @@ def test_only_distances_runs_the_optimizer():
 
 
 def test_only_channels_extends_kraus_operators_by_an_ancilla():
-    # channels.apply is the one place that forms K_e (x) I_anc and applies it;
+    # channels.apply is the one place that applies K_e (x) I_anc to a matrix;
     # distances reaches the extended action only through it.
     assert "kron" not in _identifiers("distances.py")
