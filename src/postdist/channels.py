@@ -290,7 +290,7 @@ def stinespring(ch: Channel) -> np.ndarray:
 def tensor_with_identity(ch: Channel, anc_dim: int) -> Channel:
     """Extend by an untouched ancilla: Kraus operators K_e (x) I_anc."""
     if not is_integer(anc_dim) or anc_dim < 1:
-        raise ParameterError(f"ancilla dimension must be an integer >= 1, got {anc_dim!r}")
+        raise InvalidInputError(f"ancilla dimension must be an integer >= 1, got {anc_dim!r}")
     if ch.dim_out * anc_dim > DIM_CAP or ch.dim_in * anc_dim > DIM_CAP:
         raise CapacityError(
             f"extension to {ch.dim_in * anc_dim} inputs exceeds dimension cap {DIM_CAP}"

@@ -754,7 +754,7 @@ def evaluate_witness(measure: str, chan_a: Channel, chan_b: Channel, witness) ->
 # dense sampling oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_CHUNK = 8192
+_ORACLE_CHUNK = 1024  # a (1024, 9, 9) complex block is 1.33 MB, under numpy's 4 MiB huge-page cut
 _ORACLE_HEAD = 64  # rows evaluated in full to seed the floor
 
 
@@ -771,10 +771,11 @@ def dense_oracle(
     pairs, or normalized Ginibre density factors).  Independent of the
     optimizer; used to cross-check it at tiny dimensions.
 
-    The first 64 points seed the best value, and every chunk is then evaluated
-    with that value as the kernel's `floor`, so only points whose Frobenius
-    bound exceeds it are decomposed.  Skipped points cannot beat it, so the
-    result is the same float as the maximum over every point.
+    The points come from one seeded stream in blocks: the first 64 seed the
+    best value, and each later block of 1,024 is evaluated with the best value
+    so far as the kernel's `floor`, so only points whose Frobenius bound
+    exceeds it are decomposed, and then raises it.  Skipped points cannot beat
+    it, so the result is the same float as the maximum over every point.
     """
     if not (is_integer(samples) and is_integer(seed)) or samples < 1:
         raise InvalidInputError(
@@ -785,12 +786,10 @@ def dense_oracle(
     fn, _ = spec.kernel([(chan_a, chan_b)])
     n_params = spec.n_params(chan_a.dim_in)
     rng = np.random.default_rng([seed & SEED_MASK, 1])
-    best = -np.inf
-    for start in range(0, samples, _ORACLE_CHUNK):
+    head = min(samples, _ORACLE_HEAD)
+    best = float(np.max(fn(rng.standard_normal((head, n_params)), np.zeros(head, dtype=int))))
+    for start in range(head, samples, _ORACLE_CHUNK):
         take = min(_ORACLE_CHUNK, samples - start)
         points = rng.standard_normal((take, n_params))
-        if start == 0:
-            head = min(take, _ORACLE_HEAD)
-            best = float(np.max(fn(points[:head], np.zeros(head, dtype=int))))
         best = max(best, float(np.max(fn(points, np.zeros(take, dtype=int), best))))
     return best

@@ -428,8 +428,8 @@ def test_tensor_with_identity():
 
 def test_tensor_with_identity_rejects_non_integer_ancilla():
     ch = teleportation(2)
-    for bad in (1.5, 2.0, True):
-        with pytest.raises(ParameterError):
+    for bad in (1.5, 2.0, True, 0):
+        with pytest.raises(InvalidInputError):
             tensor_with_identity(ch, bad)
     assert tensor_with_identity(ch, np.int64(2)).dim_in == 4
 

@@ -1,6 +1,7 @@
 # tests/test_distances.py
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ def test_dense_oracle_deterministic():
     assert x == y
     # Pruning by the floor returns the exhaustive maximum: the kernel with no
     # floor at every sampled point, one prefix of a single draw per count.
-    seed, counts = (1 << 63) + 11, (1, 63, 64, 65, 8192, 8193, 20_000)
+    seed, counts = (1 << 63) + 11, (1, 63, 64, 65, 1087, 1088, 1089, 8192, 8193, 20_000)
     for a, b in _oracle_pairs():
         for measure, spec in MEASURE_SPECS.items():
             pair = _canonical_pair(a, b) if spec.postselected else (a, b)
@@ -361,6 +362,43 @@ def test_dense_oracle_deterministic():
             for n in counts:
                 value = dense_oracle(measure, a, b, samples=n, seed=seed)
                 assert value.hex() == float(prefix_max[n - 1]).hex(), (a.name, b.name, measure, n)
+
+
+def test_dense_oracle_evaluates_each_point_once_in_small_blocks(monkeypatch):
+    # The 64-point seed block and then 1,024-point blocks: no point is evaluated
+    # twice, and no block is big enough for numpy's 4 MiB huge-page advice.
+    a, b = _pair(56, 3)
+    for measure, spec in MEASURE_SPECS.items():
+        expected = dense_oracle(measure, a, b, samples=5_000, seed=4)
+        sizes = []
+
+        def kernel(pairs, spec=spec, sizes=sizes):
+            fn, grad = spec.kernel(pairs)
+
+            def counted(x, *args):
+                sizes.append(len(x))
+                return fn(x, *args)
+
+            return counted, grad
+
+        monkeypatch.setitem(MEASURE_SPECS, measure, spec._replace(kernel=kernel))
+        value = dense_oracle(measure, a, b, samples=5_000, seed=4)
+        assert max(sizes) <= 1024 and sum(sizes) == 5_000, (measure, sizes)
+        assert value.hex() == expected.hex(), measure
+
+
+def test_dense_oracle_peak_memory():
+    # tracemalloc peak of one call on the heaviest oracle cell: 39.7 MiB with
+    # 8,192-point batches, 5.1 MiB with 1,024-point blocks.
+    psi, phi, tau = contractivity_triple(1.0 / 3.0)
+    a, b = compose(tau, psi), compose(tau, phi)
+    tracemalloc.start()
+    try:
+        dense_oracle("hat-diamond", a, b, samples=16_384, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 def test_optimizer_deterministic():
