@@ -754,7 +754,7 @@ def evaluate_witness(measure: str, chan_a: Channel, chan_b: Channel, witness) ->
 # dense sampling oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_CHUNK = 1024  # a (1024, 9, 9) complex block is 1.33 MB, under numpy's 4 MiB huge-page cut
+_ORACLE_CHUNK = 1024  # (1024, 9, 9) complex: 1.33 MB, below numpy's 4 MiB huge-page threshold
 _ORACLE_HEAD = 64  # rows evaluated in full to seed the floor
 
 

@@ -775,7 +775,8 @@ def test_kernel_floor_skips_only_rows_that_cannot_exceed_it(seed, dim):
     st.sampled_from(["complex", "real", "padded", "column"]),
     PROPERTY_SEEDS,
 )
-@example(6, 3, 3, 3, 8192, "complex", 0)  # the oracle's batch at d = 3, stabilized
+@example(6, 3, 3, 3, 1024, "complex", 0)  # the oracle's block at d = 3, stabilized
+@example(6, 3, 3, 3, 8192, "complex", 0)  # a batch past numpy's 4 MiB huge-page threshold
 def test_shared_stack_kraus_images_match_the_einsum_bit_for_bit(
     rank, dim_out, dim_in, anc, rows, kind, seed
 ):
