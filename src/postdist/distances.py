@@ -155,25 +155,55 @@ def herm_trace_norms(x: np.ndarray) -> np.ndarray:
 
 
 def kraus_images(stack: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """K_e u for inputs u as (batch, dim_in, anc) and a Kraus stack, shared or one per input."""
+    """
+    K_e u for inputs u as (batch, dim_in, anc) and a Kraus stack, shared or one
+    per input, as (batch, rank, dim_out, anc): C-contiguous for a per-input
+    stack, a view of a (rank, dim_out, anc, batch) buffer for a shared one.
+    """
     if stack.ndim == 4:
         return np.einsum("meij,mja->meia", stack, inputs)
-    # One 2-D product puts einsum's inner loop on the batch, not anc; each sum keeps its order.
+    # One 2-D product with the batch innermost puts einsum's inner loop on it, not
+    # on anc; each sum keeps its order, and nothing is copied back to batch-first.
     (e, o, i), (m, _, a) = stack.shape, inputs.shape
-    cols = inputs.transpose(1, 0, 2).reshape(i, m * a)
+    cols = inputs.transpose(1, 2, 0).reshape(i, a * m)
     flat = np.einsum("kj,jn->kn", stack.reshape(e * o, i), cols)
-    return np.ascontiguousarray(flat.reshape(e, o, m, a).transpose(2, 0, 1, 3))
+    return flat.reshape(e, o, a, m).transpose(3, 0, 1, 2)
 
 
 def pure_outputs(images: np.ndarray, joint: bool = False) -> np.ndarray:
     """
     sum_e (K_e u)(K_e u)^H from `kraus_images`: on dim_out (x) anc when `joint`,
-    else with the ancilla traced out (so a factor T gives Psi(T T^H)).
+    else with the ancilla traced out (so a factor T gives Psi(T T^H)), in the
+    images' layout (einsum follows memory order, so the batch stays innermost).
     """
     if joint:
         flat = images.reshape(images.shape[0], images.shape[1], -1)
         return np.einsum("mep,meq->mpq", flat, flat.conj())
-    return np.einsum("meik,melk->mil", images, images.conj())
+    m, e, o, a = images.shape
+    if a == 1 or images.strides[0] != images.itemsize:
+        return np.einsum("meik,melk->mil", images, images.conj())
+    # Batch-innermost with anc >= 2, where that einsum would sum (e, k) in one run
+    # and move bits: one operator at a time, summed in operator order, as it sums
+    # batch-first images (k first; at dim_out 1, (e, k) in one run).
+    if o == 1:
+        images = images.reshape(m, 1, 1, e * a)
+    out = np.einsum("mik,mlk->mil", images[:, 0], images[:, 0].conj())
+    for y in images.swapaxes(0, 1)[1:]:
+        out += np.einsum("mik,mlk->mil", y, y.conj())
+    return out
+
+
+def renormalized(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(out / traces in place, traces as (m, 1, 1), small): a trace below 1e-30 is taken as 1."""
+    tr = np.einsum("mii->m", out).real
+    small = tr < 1e-30
+    tr = np.where(small, 1.0, tr)[:, None, None]
+    # numpy divides x + iy by a real t as ((x + y*0) * s, (y - x*0) * s), s = 1/t: the
+    # same bits, as einsum sums start from +0 and so never hold -0.0.
+    scale = 1.0 / tr
+    out.real *= scale
+    out.imag *= scale
+    return out, tr, small
 
 
 def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: bool = False):
@@ -197,8 +227,9 @@ def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: boo
 # Each kernel maps channel pairs, one per problem, to (fn, grad), the objective
 # and its gradient over a batch of real parameter rows and their problem
 # indices, built on the same decode -> images -> outputs steps.  One pair's
-# Kraus stack is shared by all rows; several pairs' are padded with zero
-# operators to one rank and gathered per row.  Four measures share the
+# Kraus stack is shared by all rows, and its images and outputs keep the batch
+# innermost in memory; several pairs' are padded with zero operators to one
+# rank and gathered per row, with C-contiguous images.  Four measures share the
 # pure-input kernel, with the input u held as a (dim_in, anc) matrix: anc = 1
 # for dtrD, the ancilla for the stabilized measures (`joint` outputs on
 # dim_out (x) anc), and the Ginibre factor's second index for hat-tr (traced
@@ -211,11 +242,13 @@ def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: boo
 def _above_floor(norms: Callable, diff: np.ndarray, floor: float, scale: float, margin=0.0):
     # norms(diff) on the rows whose bound scale * ||D||_F + margin is above floor,
     # -inf on the rest; each row's norm is its own, so a kept row gets the value
-    # of the unpruned call.  ||D||_F comes from one reduction over the real view.
+    # of the unpruned call.  ||D||_F comes from reductions over diff.real and
+    # diff.imag, which read any layout; the margin absorbs their rounding.
     if floor == -np.inf:
         return norms(diff)
-    r = diff.reshape(diff.shape[0], -1).view(np.float64)
-    keep = scale * np.sqrt(np.einsum("mi,mi->m", r, r)) + margin > floor
+    re, im = diff.real, diff.imag
+    squares = np.einsum("mij,mij->m", re, re) + np.einsum("mij,mij->m", im, im)
+    keep = scale * np.sqrt(squares) + margin > floor
     if keep.all():
         return norms(diff)
     vals = np.full(diff.shape[0], -np.inf)
@@ -251,14 +284,12 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
     margin = 1e-12 * (root_k + root_p) * (traces + 1.0)
 
     def output(images: np.ndarray, bad: np.ndarray):
-        # (output / trace, trace as (m, 1, 1), bad): a trace below 1e-30 marks its row bad.
+        # (output / trace, trace as (m, 1, 1), bad), renormalized only when `renormalize`.
         out = pure_outputs(images, joint)
         if not renormalize:
             return out, None, bad
-        tr = np.einsum("mii->m", out).real
-        small = tr < 1e-30
-        tr = np.where(small, 1.0, tr)[:, None, None]
-        return out / tr, tr, bad | small
+        out, tr, small = renormalized(out)
+        return out, tr, bad | small
 
     def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
         u, _, bad = unit_rows(x, d * anc)

@@ -39,9 +39,12 @@ from postdist.distances import (
     distance,
     distance_batch,
     evaluate_witness,
+    _objective_output_separation,
     kraus_images,
     maximize,
     pointwise_distance,
+    pure_outputs,
+    renormalized,
     unit_rows,
     unit_rows_gradient,
 )
@@ -791,5 +794,122 @@ def test_shared_stack_kraus_images_match_the_einsum_bit_for_bit(
     inputs = u[:, :, None] if kind == "column" else u  # the dtr kernel's w[:, :, None] view
     images = kraus_images(stack, inputs)
     expected = np.einsum("eij,mja->meia", stack, inputs)
-    assert images.shape == expected.shape and images.flags.c_contiguous
-    assert images.tobytes() == expected.tobytes()
+    # A shared stack's images keep the batch innermost (the product is not copied back).
+    assert images.shape == expected.shape and images.strides[0] == images.itemsize
+    assert np.ascontiguousarray(images).tobytes() == expected.tobytes()
+    for joint in (False, True):
+        # pure_outputs on the batch-innermost view vs the 4-index einsums on a batch-first copy
+        flat = expected.reshape(rows, expected.shape[1], -1)
+        reference = (
+            np.einsum("mep,meq->mpq", flat, flat.conj())
+            if joint
+            else np.einsum("meik,melk->mil", expected, expected.conj())
+        )
+        assert np.ascontiguousarray(pure_outputs(images, joint)).tobytes() == reference.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the batch-first kit
+# ---------------------------------------------------------------------------
+
+
+def _batch_first_images(stack, inputs):
+    # kraus_images with the shared stack's product copied back to (batch, rank, dim_out, anc).
+    if stack.ndim == 4:
+        return np.einsum("meij,mja->meia", stack, inputs)
+    (e, o, i), (m, _, a) = stack.shape, inputs.shape
+    cols = inputs.transpose(1, 0, 2).reshape(i, m * a)
+    flat = np.einsum("kj,jn->kn", stack.reshape(e * o, i), cols)
+    return np.ascontiguousarray(flat.reshape(e, o, m, a).transpose(2, 0, 1, 3))
+
+
+def _batch_first_outputs(images, joint=False):
+    # pure_outputs as one 4-index (or joint 3-index) einsum.
+    if joint:
+        flat = images.reshape(images.shape[0], images.shape[1], -1)
+        return np.einsum("mep,meq->mpq", flat, flat.conj())
+    return np.einsum("meik,melk->mil", images, images.conj())
+
+
+def _divided(out):
+    # renormalized by numpy's complex division: out / tr.
+    tr = np.einsum("mii->m", out).real
+    small = tr < 1e-30
+    tr = np.where(small, 1.0, tr)[:, None, None]
+    return out / tr, tr, small
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    PROPERTY_SEEDS,
+)
+def test_renormalized_scales_like_complex_division_bit_for_bit(
+    rank, dim_out, dim_in, anc, joint, shared, seed
+):
+    rng = np.random.default_rng(seed)
+    shape = (rank, dim_out, dim_in)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[rank // 2 :, 0] = 0.0  # outputs with zero rows and columns
+    u = rng.standard_normal((48, dim_in, anc)) + 1j * rng.standard_normal((48, dim_in, anc))
+    u[:8] = 0.0  # zero outputs: traces of 0, replaced by 1
+    u[8:16] *= 1e-17  # traces near 1e-34, replaced by 1
+    u[16:24, :, 1:] = 0.0  # one nonzero column: rank-deficient outputs
+    u[24:32] = u[24:32].real  # real inputs
+    if not shared:
+        stack = np.repeat(stack[None], len(u), axis=0)  # the per-row (C-contiguous) images
+    out = pure_outputs(kraus_images(stack, u), joint)
+    expected, expected_tr, expected_small = _divided(out.copy())
+    got, tr, small = renormalized(out)
+    assert got is out and expected_small[:16].all()
+    assert got.tobytes() == expected.tobytes()
+    assert tr.tobytes() == expected_tr.tobytes() and small.tobytes() == expected_small.tobytes()
+
+
+def _kernel_bytes(pairs, dim):
+    # fn (no floor, and the median value as floor) and grad of every measure's
+    # kernel on each pair alone and on the first three as one padded group, and
+    # fn and grad of each channel's output separation, on _structured_rows.
+    results = []
+    for tag, spec in MEASURE_SPECS.items():
+        ordered = [_canonical_pair(a, b) if spec.postselected else (a, b) for a, b in pairs]
+        x = _structured_rows(spec.n_params(dim), np.random.default_rng(len(results)))
+        for g, group in enumerate([[pair] for pair in ordered] + [ordered[:3]]):
+            fn, grad = spec.kernel(group)
+            problem = np.arange(len(x)) % len(group)
+            full = fn(x, problem)
+            pruned = fn(x, problem, np.median(full[np.isfinite(full)]))
+            for what, out in (("fn", full), ("floor", pruned), ("grad", grad(x, problem))):
+                results.append(((tag, g, what), out.tobytes()))
+    for i, ch in enumerate(ch for pair in pairs for ch in pair):
+        fn, grad, n_params = _objective_output_separation(ch)
+        x = _structured_rows(n_params, np.random.default_rng(len(results)))
+        results += [(("separation", i, "fn"), fn(x, None).tobytes())]
+        results += [(("separation", i, "grad"), grad(x, None).tobytes())]
+    return results
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernels_match_the_batch_first_kit_bit_for_bit(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    ranks = [(("cptp", 1), ("cptp", 6)), (("postselection", 2), ("cptp", 4))]
+    ranks += [(("postselection", 5), ("postselection", 1))]  # postselection adds one operator
+    pairs = [
+        tuple(random_channel(dim, dim, rank=r, kind=k, seed=rng) for k, r in pair)
+        for pair in ranks
+    ]
+    project = Channel(np.diag(np.eye(dim)[0])[None], name="project")  # traces of 0 off |0>
+    pairs.append((project, random_channel(dim, dim, rank=2, kind="cptp", seed=rng)))
+    changed = _kernel_bytes(pairs, dim)
+    monkeypatch.setattr("postdist.distances.kraus_images", _batch_first_images)
+    monkeypatch.setattr("postdist.distances.pure_outputs", _batch_first_outputs)
+    monkeypatch.setattr("postdist.distances.renormalized", _divided)
+    reference = _kernel_bytes(pairs, dim)
+    assert [key for key, _ in changed] == [key for key, _ in reference]
+    moved = [key for (key, a), (_, b) in zip(changed, reference) if a != b]
+    assert not moved, moved
