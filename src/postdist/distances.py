@@ -243,7 +243,7 @@ def _above_floor(norms: Callable, diff: np.ndarray, floor: float, scale: float, 
     # norms(diff) on the rows whose bound scale * ||D||_F + margin is above floor,
     # -inf on the rest; each row's norm is its own, so a kept row gets the value
     # of the unpruned call.  ||D||_F comes from reductions over diff.real and
-    # diff.imag, which read any layout; the margin absorbs their rounding.
+    # diff.imag, which read any layout.
     if floor == -np.inf:
         return norms(diff)
     re, im = diff.real, diff.imag
@@ -284,7 +284,7 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
     margin = 1e-12 * (root_k + root_p) * (traces + 1.0)
 
     def output(images: np.ndarray, bad: np.ndarray):
-        # (output / trace, trace as (m, 1, 1), bad), renormalized only when `renormalize`.
+        # (output / trace, trace as (m, 1, 1), bad): a trace below 1e-30 marks its row bad.
         out = pure_outputs(images, joint)
         if not renormalize:
             return out, None, bad

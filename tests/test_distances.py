@@ -34,12 +34,12 @@ from postdist.distances import (
     UNSTABILIZED_DIM_CAP,
     OptimizerConfig,
     _canonical_pair,
+    _objective_output_separation,
     dense_oracle,
     diamond_norm_channel,
     distance,
     distance_batch,
     evaluate_witness,
-    _objective_output_separation,
     kraus_images,
     maximize,
     pointwise_distance,

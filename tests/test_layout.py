@@ -116,6 +116,7 @@ def test_only_distances_runs_the_optimizer():
     kit = {
         "kraus_images",
         "pure_outputs",
+        "renormalized",
         "pullback",
         "herm_sign",
         "herm_trace_norms",
