@@ -798,13 +798,8 @@ def test_shared_stack_kraus_images_match_the_einsum_bit_for_bit(
     assert images.shape == expected.shape and images.strides[0] == images.itemsize
     assert np.ascontiguousarray(images).tobytes() == expected.tobytes()
     for joint in (False, True):
-        # pure_outputs on the batch-innermost view vs the 4-index einsums on a batch-first copy
-        flat = expected.reshape(rows, expected.shape[1], -1)
-        reference = (
-            np.einsum("mep,meq->mpq", flat, flat.conj())
-            if joint
-            else np.einsum("meik,melk->mil", expected, expected.conj())
-        )
+        # pure_outputs on the batch-innermost view vs the einsums on a batch-first copy
+        reference = _batch_first_outputs(expected, joint)
         assert np.ascontiguousarray(pure_outputs(images, joint)).tobytes() == reference.tobytes()
 
 
