@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.linalg as npl
 
-from .channels import Channel, DensityMatrix, PureState, apply, require_postselection
-from .linalg import CapacityError, InvalidInputError, is_integer, trace_norm
+from .channels import Channel, DensityMatrix, PureState, apply, kraus_to_choi, require_postselection
+from .linalg import CapacityError, InvalidInputError, is_integer, partial_trace, trace_norm
 
 # Input-dimension policy: unstabilized objectives stay cheap up to dim 8;
 # stabilized ones square the space, so they stop at dim-4 inputs.
@@ -268,6 +268,62 @@ def _per_row(arrays: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     return lambda problem: stack[problem]
 
 
+def _dual_forms(chan_a: Channel, chan_b: Channel, cs) -> list[np.ndarray]:
+    # M_c = (Tr_out |J_a - c J_b|)^T for each c, J the Choi matrices (input factor first).
+    # Split J_a - c J_b = J+ - J- into CP parts: ||((Psi - c Phi) (x) 1)(rho)||_1 <=
+    # tr(M_c rho_in) at every input, the dual point Y0 = Y1 = |J| of Watrous's SDP
+    # (arXiv:0901.4709).
+    ja, jb = kraus_to_choi(chan_a), kraus_to_choi(chan_b)
+    w, v = npl.eigh(ja - np.asarray(cs)[:, None, None] * jb)
+    dims = (chan_a.dim_in, chan_a.dim_out)
+    return [partial_trace((vc * np.abs(wc)) @ vc.conj().T, dims).T for wc, vc in zip(w, v)]
+
+
+_DUAL_GRID = np.exp(np.linspace(-1.0, 1.0, 7))  # the hat bound's c / (tr E_a / tr E_b)
+
+
+def _dual_bound(pairs: list, renormalize: bool, margin: float) -> Callable:
+    # ceiling(u3, problem): per row, a sound upper bound on the pure-input kernel's
+    # ||D||_1 plus a rounding margin, from rho_in = U U^H alone, through Hermitian forms
+    # built once per pair on the first call.  Unrenormalized: tr(M_1 rho_in).
+    # Renormalized, with p = tr(E_a rho_in) and q = tr(E_b rho_in), P/p - Q/q =
+    # (P - cQ)/p + (c/p - 1/q)Q gives (tr(M_c rho_in) + |tr(L_c rho_in)|) / p with
+    # L_c = c E_b - E_a, and the other order at 1/c the same numerator over cq: the
+    # least over a grid of c is taken, in units of tr E_a / tr E_b (scaled into q).
+    # Rounding in P/p, Q/q and the ratio grows as 1/min(p, q), and so does the margin.
+    @cache
+    def forms():
+        stacks = []
+        for a, b in pairs:
+            if not renormalize:
+                stack = _dual_forms(a, b, [1.0])
+            else:
+                tb = b.effect_eigenvalues.sum()
+                s = a.effect_eigenvalues.sum() / tb if tb > 0 else 1.0
+                stack = _dual_forms(a, b, s * _DUAL_GRID) + [a.effect, s * b.effect]
+            stack = np.array(stack)
+            stacks.append(np.concatenate([stack.real, stack.imag], axis=1).reshape(len(stack), -1))
+        return _per_row(stacks)
+
+    def ceiling(u3: np.ndarray, problem: np.ndarray) -> np.ndarray:
+        # rho_in with the batch innermost, so einsum's inner loop runs over it; tr(F rho_in)
+        # is Re F . Re rho_in + Im F . Im rho_in for Hermitian F and rho_in.
+        ut = u3.transpose(1, 2, 0).copy()
+        rho = np.einsum("iam,jam->ijm", ut, ut.conj())
+        r = np.concatenate([rho.real, rho.imag]).reshape(2 * rho.shape[0] ** 2, -1)
+        f = forms()(problem)
+        t = f @ r if f.ndim == 2 else np.einsum("mkf,fm->km", f, r)  # per-row forms: 3-D
+        if not renormalize:
+            return t[0] + margin
+        c, m, p, q = _DUAL_GRID[:, None], t[:-2], t[-2], t[-1]
+        low = np.minimum(p, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = ((m + np.abs(c * q - p)) / np.maximum(p, c * q)).min(axis=0)
+            return np.where(low > 0, bound + margin + 1e-12 * (1.0 + c[-1]) / low, np.inf)
+
+    return ceiling
+
+
 def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
     ka, kb = _per_row([a.kraus for a, _ in pairs]), _per_row([b.kraus for _, b in pairs])
     ea, eb = _per_row([a.effect for a, _ in pairs]), _per_row([b.effect for _, b in pairs])
@@ -282,6 +338,9 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
     top = [max(ch.effect_eigenvalues[-1] for ch in side) for side in zip(*pairs)]
     traces = 2.0 if renormalize else sum(top)
     margin = 1e-12 * (root_k + root_p) * (traces + 1.0)
+    # The dual bound pays where the outputs keep the whole input (dtrD, diamond,
+    # hat-diamond); with the ancilla traced out (hat-tr), ||D||_F is the tighter bound.
+    ceiling = _dual_bound(pairs, renormalize, margin) if joint or anc == 1 else None
 
     def output(images: np.ndarray, bad: np.ndarray):
         # (output / trace, trace as (m, 1, 1), bad): a trace below 1e-30 marks its row bad.
@@ -291,15 +350,27 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
         out, tr, small = renormalized(out)
         return out, tr, bad | small
 
-    def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
-        u, _, bad = unit_rows(x, d * anc)
-        u3 = u.reshape(-1, d, anc)
+    def values(u3: np.ndarray, problem: np.ndarray, bad: np.ndarray, floor: float) -> np.ndarray:
         # One channel's images at a time keeps the oracle's peak memory down.
         out_a, _, bad = output(kraus_images(ka(problem), u3), bad)
         out_b, _, bad = output(kraus_images(kb(problem), u3), bad)
         out_a -= out_b  # D = P - Q in place: no third output stack; ||D||_1 <= root_k ||D||_F
         vals = _above_floor(herm_trace_norms, out_a, floor, root_k, margin)
         vals[bad] = -np.inf
+        return vals
+
+    def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
+        u, _, bad = unit_rows(x, d * anc)
+        u3 = u.reshape(-1, d, anc)
+        # A row whose dual ceiling is at most the floor gets -inf before any image is
+        # formed; a NaN ceiling keeps its row.  Every ceiling exceeds margin / 2, so a
+        # lower floor (no floor, or values that are all rounding) prunes nothing.
+        live = ~(ceiling(u3, problem) <= floor) if ceiling and floor >= margin / 2 else None
+        if live is None or live.all():
+            return values(u3, problem, bad, floor)
+        vals = np.full(len(u3), -np.inf)
+        if live.any():
+            vals[live] = values(u3[live], problem[live], bad[live], floor)
         return vals
 
     def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
@@ -587,9 +658,12 @@ class MeasureSpec(NamedTuple):
     (fn, grad): the batched objective and gradient over `n_params(dim_in)`
     real parameters, each row on its problem's pair (see `maximize`).
     `fn(x, problem, floor)` takes an optional floor: a row whose sound upper
-    bound (from the Frobenius norm of its output difference) is at most
-    `floor` gets -inf without being decomposed, and every other row gets
-    exactly the value of `fn(x, problem)`.
+    bound is at most `floor` gets -inf, and every other row gets exactly the
+    value of `fn(x, problem)`.  dtrD, diamond and hat-diamond rows are first
+    bounded from their input alone, before any output is formed (the dual
+    point |J| of the diamond SDP, one set of forms per pair); then every
+    measure's rows by the Frobenius norm of their output difference, before
+    it is decomposed.
     `decode(x, dim)` turns the winning row into a witness, and
     `witness_input(witness, dim, measure)` a witness into the input operator,
     where dim is that of the input space: dim_in, squared when `stabilized`.
@@ -804,9 +878,12 @@ def dense_oracle(
 
     The points come from one seeded stream in blocks: the first 64 seed the
     best value, and each later block of 1,024 is evaluated with the best value
-    so far as the kernel's `floor`, so only points whose Frobenius bound
-    exceeds it are decomposed, and then raises it.  Skipped points cannot beat
-    it, so the result is the same float as the maximum over every point.
+    so far as the kernel's `floor`, and then raises it.  A point whose bound
+    does not exceed it is skipped: for dtrD, diamond and hat-diamond first by
+    the dual bound of its input, before any output is formed, and then by
+    the Frobenius norm of its output difference, before the decomposition.
+    Skipped points cannot beat it, so the result is the same float as the
+    maximum over every point.
     """
     if not (is_integer(samples) and is_integer(seed)) or samples < 1:
         raise InvalidInputError(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from postdist.channels import (
     teleportation,
     tensor_with_identity,
 )
+from postdist import distances
 from postdist.distances import (
     MEASURE_SPECS,
     MEASURES,
@@ -49,6 +52,7 @@ from postdist.distances import (
     unit_rows_gradient,
 )
 from postdist.linalg import CapacityError, InvalidInputError, trace_norm
+from test_gradients import _near_floor_channel
 
 CFG = OptimizerConfig(master_seed=5, restarts=8, max_iterations=300, value_tolerance=1e-11)
 FAST = OptimizerConfig(master_seed=9, restarts=6, max_iterations=200)
@@ -748,19 +752,145 @@ def test_kernel_floor_skips_only_rows_that_cannot_exceed_it(seed, dim):
         (teleportation(dim), isometry(np.eye(dim))),
         (project, isometry(u)),
     ]
+    # Each pair alone, and three as one group padded to one rank: per-row forms.
+    groups = [[pair] for pair in pairs] + [pairs[:2] + pairs[3:4]]
     for spec in MEASURE_SPECS.values():
-        for a, b in pairs:
-            if spec.postselected and not (a.is_postselection_valid() and b.is_postselection_valid()):
+        for group in groups:
+            channels = [ch for pair in group for ch in pair]
+            if spec.postselected and not all(ch.is_postselection_valid() for ch in channels):
                 continue
-            fn, _ = spec.kernel([_canonical_pair(a, b) if spec.postselected else (a, b)])
+            ordered = [_canonical_pair(*pair) if spec.postselected else pair for pair in group]
+            fn, _ = spec.kernel(ordered)
             x = _structured_rows(spec.n_params(dim), rng)
-            problem = np.zeros(len(x), dtype=int)
+            problem = np.arange(len(x)) % len(group)
             full = fn(x, problem)
             for floor in (np.median(full[np.isfinite(full)]), full.max() - 1e-15):
                 pruned = fn(x, problem, floor)
                 kept = np.isfinite(pruned)
                 assert pruned[kept].tobytes() == full[kept].tobytes()
-                assert np.all(full[~kept] <= floor), (a.name, b.name, floor, full[~kept].max())
+                names = [ch.name for ch in channels]
+                assert np.all(full[~kept] <= floor), (names, floor, full[~kept].max())
+
+
+def _kernel_and_ceiling(spec, group):
+    # The kernel's fn and the per-row ceiling (dual bound plus margin) it prunes by,
+    # or None for a measure that takes no dual bound.
+    made, dual_bound = [], distances._dual_bound
+
+    def record(*args):
+        made.append(dual_bound(*args))
+        return made[-1]
+
+    with mock.patch("postdist.distances._dual_bound", record):
+        fn, _ = spec.kernel(group)
+    return fn, (made[0] if made else None)
+
+
+def _weak_rows(ch, n_params, rng):
+    # Input factors U = v w^T with v the weakest effect direction: tr(E rho_in) = lambda_min.
+    v = np.linalg.eigh(ch.effect)[1][:, 0]
+    u = (v[:, None] * rng.standard_normal((8, 1, n_params // (2 * ch.dim_in)))).reshape(8, -1)
+    return np.concatenate([u.real, u.imag], axis=1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(PROPERTY_SEEDS, st.sampled_from([2, 3]), st.integers(1, 6), st.integers(1, 6))
+def test_dual_ceiling_bounds_every_row(seed, dim, rank_a, rank_b):
+    # Watrous's dual point |J| bounds ||((Psi - Phi) (x) 1)(rho)||_1 by tr(M rho_in), and
+    # P/p - Q/q = (P - cQ)/p + (c/p - 1/q)Q carries it to hat-diamond: each row's ceiling
+    # is at least the kernel's unpruned value.  The pair at the postselection floor adds
+    # rows along its weakest effect direction, where tr(E rho_in) = 2e-10 and rounding in
+    # P/p grows as its inverse.
+    rng = np.random.default_rng(seed)
+    pairs = [
+        tuple(random_channel(dim, dim, rank=r, kind=kind, seed=rng) for r in (rank_a, rank_b))
+        for kind in ("cptp", "postselection")
+    ]
+    pairs += _oracle_pairs()
+    near = _near_floor_channel(41, 2e-10), random_channel(2, 2, kind="postselection", seed=42)
+    pairs.append(near)
+    for tag in ("dtrD", "diamond", "hat-diamond"):
+        spec = MEASURE_SPECS[tag]
+        for pair in pairs:
+            if spec.postselected and not all(ch.is_postselection_valid() for ch in pair):
+                continue
+            a, b = _canonical_pair(*pair) if spec.postselected else pair
+            fn, ceiling = _kernel_and_ceiling(spec, [(a, b)])
+            n_params = spec.n_params(a.dim_in)
+            x = _structured_rows(n_params, rng)
+            if pair is near:
+                x = np.concatenate([x, *(_weak_rows(ch, n_params, rng) for ch in pair)])
+            problem = np.zeros(len(x), dtype=int)
+            u = unit_rows(x, n_params // 2)[0].reshape(len(x), a.dim_in, -1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                full, cap = fn(x, problem), ceiling(u, problem)
+            low = cap < full
+            assert not low.any(), (tag, a.name, b.name, (full - cap)[low].max())
+
+
+def test_rows_with_non_finite_ceilings_are_kept():
+    # The project channel has tr(E rho_in) = 0 off |0>: the hat ceiling is not finite
+    # there, and such a row is kept, without a RuntimeWarning.
+    dim = 2
+    project = Channel(np.diag(np.eye(dim)[0])[None], name="project")
+    pair = _canonical_pair(project, random_channel(dim, dim, rank=2, kind="cptp", seed=3))
+    spec = MEASURE_SPECS["hat-diamond"]
+    fn, ceiling = _kernel_and_ceiling(spec, [pair])
+    x = _structured_rows(spec.n_params(dim), np.random.default_rng(3))
+    problem = np.zeros(len(x), dtype=int)
+    u = unit_rows(x, dim * dim)[0].reshape(len(x), dim, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cap = ceiling(u, problem)
+        full, pruned = fn(x, problem), fn(x, problem, 0.5)
+    infinite = ~np.isfinite(cap)
+    assert infinite.sum() >= 4 and not (cap[infinite] <= 0.5).any()
+    assert pruned[infinite].tobytes() == full[infinite].tobytes()
+
+
+def _diamond_cell():
+    # A random d = 3 postselection pair, pinned: the dual bound keeps few of its samples.
+    return tuple(random_channel(3, 3, rank=2, kind="postselection", seed=s) for s in (811, 812))
+
+
+@pytest.mark.parametrize("cell", ["diamond", "contractivity", "teleportation"])
+def test_dual_bound_prunes_before_any_image(cell, monkeypatch):
+    # Rows the dual bound drops never reach kraus_images, and the oracle's float is the
+    # one it returns with the bound at +inf.  The flat gallery cells keep every row.
+    psi, phi, tau = contractivity_triple(1.0 / 3.0)
+    measure, a, b = {
+        "diamond": ("diamond", *_diamond_cell()),
+        "contractivity": ("hat-diamond", compose(tau, psi), compose(tau, phi)),
+        "teleportation": ("hat-diamond", teleportation(3), isometry(np.eye(3), name="identity")),
+    }[cell]
+    samples, rows = 16_384, []
+
+    def counted(stack, inputs):
+        rows.append(len(inputs))
+        return kraus_images(stack, inputs)
+
+    monkeypatch.setattr("postdist.distances.kraus_images", counted)
+    value = dense_oracle(measure, a, b, samples=samples, seed=5)
+    reached = sum(rows) // 2  # both channels' images of every row that reaches them
+    if cell == "diamond":
+        assert reached < samples // 8, reached
+    else:
+        assert reached == samples
+    monkeypatch.setattr(
+        "postdist.distances._dual_bound", lambda *args: lambda u, problem: np.full(len(u), np.inf)
+    )
+    assert dense_oracle(measure, a, b, samples=samples, seed=5).hex() == value.hex()
+
+
+def test_estimates_build_no_dual_forms(monkeypatch):
+    # The forms are built on a kernel's first floored call, and maximize passes no floor.
+    def refuse(*args):
+        raise AssertionError("dual forms built")
+
+    monkeypatch.setattr("postdist.distances._dual_forms", refuse)
+    a, b = _pair(58)
+    assert all(np.isfinite(distance(m, a, b, FAST).value) for m in MEASURES)
 
 
 # ---------------------------------------------------------------------------
