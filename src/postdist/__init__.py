@@ -63,7 +63,7 @@ from .distances import (
     distance_batch,
     evaluate_witness,
     maximize,
-    output_separation,
+    output_separation_bound,
 )
 from .theorems import (
     TheoremReport,

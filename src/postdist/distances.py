@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import numpy.linalg as npl
 
-from .channels import Channel, DensityMatrix, PureState, apply, kraus_to_choi, require_postselection
+from .channels import Channel, DensityMatrix, PureState, apply, compose, depolarizing_kraus
+from .channels import kraus_to_choi, require_postselection
 from .linalg import CapacityError, InvalidInputError, is_integer, partial_trace, trace_norm
 
 # Input-dimension policy: unstabilized objectives stay cheap up to dim 8;
@@ -176,10 +177,10 @@ def pure_outputs(images: np.ndarray, joint: bool = False) -> np.ndarray:
     else with the ancilla traced out (so a factor T gives Psi(T T^H)), in the
     images' layout (einsum follows memory order, so the batch stays innermost).
     """
-    if joint:
-        flat = images.reshape(images.shape[0], images.shape[1], -1)
-        return np.einsum("mep,meq->mpq", flat, flat.conj())
     m, e, o, a = images.shape
+    if joint:
+        flat = images.reshape(m, e, o * a)  # o * a, not -1: numpy cannot infer it at m = 0
+        return np.einsum("mep,meq->mpq", flat, flat.conj())
     if a == 1 or images.strides[0] != images.itemsize:
         return np.einsum("meik,melk->mil", images, images.conj())
     # Batch-innermost with anc >= 2, where that einsum would sum (e, k) in one run
@@ -434,36 +435,6 @@ def _dtr_kernel(pairs: list):
         return unit_pairs_gradient(gu, gv, *rows)
 
     return fn, grad
-
-
-def _objective_output_separation(ch: Channel):
-    # (fn, grad, n_params) of one channel's output separation (L2's conversion
-    # factor, not a measure): || Psi(uu^H) - Psi(vv^H) ||_1 over rows [u | v].
-    # With S = sign(Psi(uu^H) - Psi(vv^H)) and M = sum_e K_e^H S K_e, the
-    # complex gradients are 2 M u in u and -2 M v in v.
-    stack = ch.kraus
-    d = ch.dim_in
-
-    def difference(x: np.ndarray):
-        w, norms, bad = unit_pairs(x, d)
-        images = kraus_images(stack, w[:, :, None])
-        outputs = pure_outputs(images)
-        return outputs[0::2] - outputs[1::2], (w, norms, bad), images
-
-    def fn(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        diff, (_, _, bad), _ = difference(x)
-        vals = herm_trace_norms(diff)
-        vals[bad] = -np.inf
-        return vals
-
-    def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        diff, rows, images = difference(x)
-        sign = herm_sign(diff)
-        gu = 2.0 * pullback(stack, images[0::2], sign)
-        gv = -2.0 * pullback(stack, images[1::2], sign)
-        return unit_pairs_gradient(gu, gv, *rows)
-
-    return fn, grad, 4 * d
 
 
 # ---------------------------------------------------------------------------
@@ -813,13 +784,15 @@ def diamond_norm_channel(ch: Channel) -> float:
     return float(ch.effect_eigenvalues[-1])
 
 
-def output_separation(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
+def output_separation_bound(ch: Channel) -> float:
     """
-    Largest trace distance between two outputs on pure inputs (the objective is
-    jointly convex in the two states, so pure pairs are exhaustive).
+    s <= 2 lambda_max(M) for L2's output separation s = max ||Psi(uu^H) - Psi(vv^H)||_1,
+    M the dual form of Psi - Psi o D (D completely depolarizing: Psi o D sends every
+    state to Psi(1/d), which cancels in the difference), plus rounding, at most 2.
     """
-    (res,) = maximize(*_objective_output_separation(ch), [cfg])
-    return float(res.values[res.winner])
+    d = ch.dim_in
+    m = _dual_forms(ch, compose(ch, Channel(depolarizing_kraus(d, d, 1.0))), [1.0])[0]
+    return min(2.0, 2.0 * float(npl.eigvalsh(m)[-1]) + 1e-12 * d * ch.dim_out)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .distances import (
     diamond_norm_channel,
     distance_batch,
     evaluate_witness,
-    output_separation,
+    output_separation_bound,
     pointwise_distance,
 )
 from .linalg import InvalidInputError, is_integer, operator_norm
@@ -59,7 +59,7 @@ from .linalg import InvalidInputError, is_integer, operator_norm
 CLOSED_FORM_SLACK = 1e-6
 OPTIMIZER_SLACK = 1e-3
 
-# A separation estimate below this is treated as zero (no finite conversion
+# A separation bound below this is treated as zero (no finite conversion
 # factor exists).
 SEPARATION_FLOOR = 1e-9
 
@@ -551,19 +551,19 @@ def check_postselected_dilation_bound(
 # ---------------------------------------------------------------------------
 
 
-def conversion_factor(ch: Channel, cfg: OptimizerConfig = OptimizerConfig()) -> float:
+def conversion_factor(ch: Channel) -> float:
     """
     The factor connecting renormalized closeness to probability stability:
     8 when the channel has a single square Kraus operator (unitary within
-    TRACE_ATOL, by trace preservation), otherwise 40 / s for the output
-    separation s, and infinity when the outputs never separate (s below
-    1e-9).  Requires a trace-preserving channel.
+    TRACE_ATOL, by trace preservation), otherwise 40 / s-bar for the upper
+    bound s-bar >= s on the output separation (so at most the paper's 40 / s),
+    and infinity when s-bar is below 1e-9.  Requires a trace-preserving channel.
     """
     if not ch.is_trace_preserving():
         raise ValidityError("precondition: conversion factor is defined for trace-preserving maps")
     if ch.rank == 1 and ch.dim_in == ch.dim_out:
         return 8.0
-    s = output_separation(ch, cfg)
+    s = output_separation_bound(ch)
     if s < SEPARATION_FLOOR:
         return math.inf
     return 40.0 / s
@@ -594,7 +594,7 @@ def check_conversion(
     if not reference.is_trace_preserving():
         raise ValidityError("precondition: reference must be trace-preserving")
     k = diamond_norm_channel(ch)
-    alpha = conversion_factor(reference, cfg)
+    alpha = conversion_factor(reference)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
     hat_est, state_est = yield [("hat-tr", ch, reference, cfg), ("dtrD", unit, reference, cfg)]
     transfer_state = evaluate_witness("dtrD", unit, reference, hat_est.witness)

@@ -86,7 +86,7 @@ def test_conversion_alpha_necessity():
     psi, phi = conversion_pair()
     assert distance("hat-tr", psi, phi, STRONG).value <= 1e-6
     assert abs(distance("dtrD", psi, phi, STRONG).value - 0.5) <= 1e-6
-    assert math.isinf(conversion_factor(phi, STRONG))
+    assert math.isinf(conversion_factor(phi))
     assert time.monotonic() - start < 10.0
 
 

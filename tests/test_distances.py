@@ -23,6 +23,7 @@ from postdist.channels import (
     nonconvexity_pair,
     random_channel,
     random_density,
+    random_pure,
     scale,
     teleportation,
     tensor_with_identity,
@@ -37,7 +38,6 @@ from postdist.distances import (
     UNSTABILIZED_DIM_CAP,
     OptimizerConfig,
     _canonical_pair,
-    _objective_output_separation,
     dense_oracle,
     diamond_norm_channel,
     distance,
@@ -45,6 +45,7 @@ from postdist.distances import (
     evaluate_witness,
     kraus_images,
     maximize,
+    output_separation_bound,
     pointwise_distance,
     pure_outputs,
     renormalized,
@@ -894,6 +895,44 @@ def test_estimates_build_no_dual_forms(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the output separation bound
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([2, 3, 4]), st.integers(1, 4), PROPERTY_SEEDS)
+def test_output_separation_bound_holds_on_every_pure_pair(dim_in, dim_out, rank, seed):
+    # ||Psi(uu^H) - Psi(vv^H)||_1 <= s-bar on random pure pairs and on every pair of basis states.
+    rng = np.random.default_rng(seed)
+    rank = max(rank, -(-dim_in // dim_out))  # an isometry needs dim_out * rank >= dim_in
+    ch = random_channel(dim_in, dim_out, rank=rank, kind="cptp", seed=rng)
+    bound = output_separation_bound(ch)
+    states = [random_pure(dim_in, rng).vector for _ in range(12)]
+    outputs = [apply(ch, np.outer(u, u.conj())) for u in states + list(np.eye(dim_in))]
+    worst = max(trace_norm(p - q) for i, p in enumerate(outputs) for q in outputs[:i])
+    # The direct trace norms round too: a unitary's basis outputs read 2 + 4e-16.
+    assert 0.0 < worst <= bound + 1e-12 and bound <= 2.0, (worst, bound)
+
+
+def test_output_separation_bound_closed_forms():
+    # Unitaries, a tall isometry and a measurement that prepares maximally mixed
+    # states on orthogonal halves of C^4 separate basis inputs fully (2, the cap).
+    # For the last, Tr_out of |J_Psi - J_(Psi o D)| is the identity but Tr_in of it
+    # only 1/2, so tracing out the wrong factor reads 1.  A constant channel never
+    # separates, so only the rounding margin is left.
+    rng = np.random.default_rng(61)
+    unitaries = [isometry(haar_isometry(rng, d, d)) for d in (2, 3, 4)]
+    halves = np.zeros((2, 2, 4, 2), dtype=complex)
+    for i, k in np.ndindex(2, 2):
+        halves[i, k, 2 * i + k, i] = np.sqrt(0.5)
+    prepare = Channel(halves.reshape(4, 4, 2), name="prepare_halves")
+    for ch in (*unitaries, isometry(haar_isometry(rng, 4, 3)), prepare):
+        assert output_separation_bound(ch) == 2.0, ch.name
+    _, reference = conversion_pair()
+    assert output_separation_bound(reference) < 1e-10
+
+
+# ---------------------------------------------------------------------------
 # Kraus images of a shared stack
 # ---------------------------------------------------------------------------
 
@@ -950,8 +989,9 @@ def _batch_first_images(stack, inputs):
 
 def _batch_first_outputs(images, joint=False):
     # pure_outputs as one 4-index (or joint 3-index) einsum.
+    m, e, o, a = images.shape
     if joint:
-        flat = images.reshape(images.shape[0], images.shape[1], -1)
+        flat = images.reshape(m, e, o * a)
         return np.einsum("mep,meq->mpq", flat, flat.conj())
     return np.einsum("meik,melk->mil", images, images.conj())
 
@@ -998,24 +1038,21 @@ def test_renormalized_scales_like_complex_division_bit_for_bit(
 
 def _kernel_bytes(pairs, dim):
     # fn (no floor, and the median value as floor) and grad of every measure's
-    # kernel on each pair alone and on the first three as one padded group, and
-    # fn and grad of each channel's output separation, on _structured_rows.
+    # kernel on each pair alone and on the first three as one padded group, on
+    # _structured_rows and on no rows at all; each key holds the output's shape.
     results = []
     for tag, spec in MEASURE_SPECS.items():
         ordered = [_canonical_pair(a, b) if spec.postselected else (a, b) for a, b in pairs]
         x = _structured_rows(spec.n_params(dim), np.random.default_rng(len(results)))
         for g, group in enumerate([[pair] for pair in ordered] + [ordered[:3]]):
             fn, grad = spec.kernel(group)
-            problem = np.arange(len(x)) % len(group)
-            full = fn(x, problem)
-            pruned = fn(x, problem, np.median(full[np.isfinite(full)]))
-            for what, out in (("fn", full), ("floor", pruned), ("grad", grad(x, problem))):
-                results.append(((tag, g, what), out.tobytes()))
-    for i, ch in enumerate(ch for pair in pairs for ch in pair):
-        fn, grad, n_params = _objective_output_separation(ch)
-        x = _structured_rows(n_params, np.random.default_rng(len(results)))
-        results += [(("separation", i, "fn"), fn(x, None).tobytes())]
-        results += [(("separation", i, "grad"), grad(x, None).tobytes())]
+            for rows in (x, x[:0]):
+                problem = np.arange(len(rows)) % len(group)
+                full = fn(rows, problem)
+                floor = np.median(full[np.isfinite(full)]) if len(rows) else 1.0
+                pruned = fn(rows, problem, floor)
+                for what, out in (("fn", full), ("floor", pruned), ("grad", grad(rows, problem))):
+                    results.append(((tag, g, what, out.shape), out.tobytes()))
     return results
 
 

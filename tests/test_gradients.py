@@ -10,17 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
-from postdist.channels import Channel, PureState, apply, random_channel
+from postdist.channels import Channel, random_channel
 from postdist.distances import (
     MEASURE_SPECS,
     MEASURES,
     OptimizerConfig,
     _canonical_pair,
-    _objective_output_separation,
     distance,
     evaluate_witness,
 )
-from postdist.linalg import trace_norm
 
 GRADIENT_STEP = 1e-6
 RTOL = 1e-6
@@ -82,27 +80,6 @@ def test_measure_value_matches_witness_evaluation(measure, kind, dim_in, dim_out
     dim = dim_in * spec.ancilla(dim_in)
     reference = [evaluate_witness(measure, a, b, spec.decode(row, dim)) for row in rows]
     assert np.max(np.abs(fn(rows) - reference)) <= 1e-12
-
-
-@pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
-def test_output_separation_value_matches_direct_evaluation(kind, dim_in, dim_out):
-    ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=7 * dim_in + dim_out)
-    *kernel, n_params = _objective_output_separation(ch)
-    fn, _ = _one_problem(kernel)
-    rows = np.random.default_rng(dim_in).standard_normal((VALUE_ROWS, n_params))
-    reference = []
-    for row in rows:
-        u, v = (PureState.normalized(h[:dim_in] + 1j * h[dim_in:]) for h in np.split(row, 2))
-        reference.append(trace_norm(apply(ch, u.density()) - apply(ch, v.density())))
-    assert np.max(np.abs(fn(rows) - reference)) <= 1e-12
-
-
-@pytest.mark.parametrize("kind,dim_in,dim_out", PAIRS + [("cptp", 2, 3)])
-def test_output_separation_gradient_matches_central_differences(kind, dim_in, dim_out):
-    ch = random_channel(dim_in, dim_out, rank=2, kind=kind, seed=7 * dim_in + dim_out)
-    *kernel, n_params = _objective_output_separation(ch)
-    fn, grad = _one_problem(kernel)
-    assert_gradient_matches(fn, grad, n_params, seed=dim_in)
 
 
 def test_gradient_is_zero_on_degenerate_rows():

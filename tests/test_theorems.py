@@ -19,7 +19,7 @@ from postdist.channels import (
     scale,
     teleportation,
 )
-from postdist.distances import OptimizerConfig, output_separation
+from postdist.distances import OptimizerConfig, output_separation_bound
 from postdist.linalg import InvalidInputError
 from postdist.suites import format_report_line
 from postdist.theorems import (
@@ -313,7 +313,7 @@ def test_postselected_isometry_requires_valid_channel():
 
 
 def test_conversion_factor_unitary_is_eight():
-    assert conversion_factor(isometry(PAULI_Z), FAST) == 8.0
+    assert conversion_factor(isometry(PAULI_Z)) == 8.0
 
 
 def test_conversion_factor_rank_one_square_rule():
@@ -322,10 +322,12 @@ def test_conversion_factor_rank_one_square_rule():
     # operator unitary, so this nearly unitary channel takes the factor 8.
     near_unitary = scale(isometry(haar_isometry(rng, 3, 3)), 1 - 5e-10)
     assert near_unitary.is_trace_preserving()
-    assert conversion_factor(near_unitary, FAST) == 8.0
-    # A rank-one isometry into a larger space is not unitary: 40 / s.
+    assert conversion_factor(near_unitary) == 8.0
+    # A rank-one isometry into a larger space is not unitary: 40 / s-bar, and it
+    # keeps orthogonal inputs orthogonal, so s-bar is the cap 2.
     tall = isometry(haar_isometry(rng, 4, 3))
-    assert conversion_factor(tall, FAST) == 40.0 / output_separation(tall, FAST)
+    assert output_separation_bound(tall) == 2.0
+    assert conversion_factor(tall) == 20.0
 
 
 def test_conversion_factor_dephasing():
@@ -333,8 +335,8 @@ def test_conversion_factor_dephasing():
         (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
         name="dephasing",
     )
-    assert output_separation(deph, CFG) == pytest.approx(2.0, abs=1e-9)
-    assert conversion_factor(deph, CFG) == pytest.approx(20.0, abs=1e-3)
+    assert output_separation_bound(deph) == 2.0
+    assert conversion_factor(deph) == 20.0
 
 
 def test_conversion_factor_constant_channel_is_infinite():
@@ -345,13 +347,14 @@ def test_conversion_factor_constant_channel_is_infinite():
         ),
         name="reset",
     )
-    assert conversion_factor(reset, FAST) == math.inf
+    assert output_separation_bound(reset) < 1e-10
+    assert conversion_factor(reset) == math.inf
 
 
 def test_conversion_factor_requires_trace_preserving():
     psi, _ = nonconvexity_pair(0.25)
     with pytest.raises(ValidityError):
-        conversion_factor(psi, FAST)
+        conversion_factor(psi)
 
 
 def test_conversion_teleportation_vs_identity():
@@ -402,7 +405,7 @@ def test_conversion_failure_lines(monkeypatch):
     ref = random_channel(2, 2, rank=2, kind="cptp", seed=104)
     noise = random_channel(2, 2, rank=1, kind="postselection", seed=1104)
     ch = Channel(tuple(np.sqrt(0.5) * op for op in (*ref.kraus, *noise.kraus)), name="mix")
-    monkeypatch.setattr("postdist.theorems.conversion_factor", lambda reference, cfg: 1e-6)
+    monkeypatch.setattr("postdist.theorems.conversion_factor", lambda reference: 1e-6)
     rep = check_conversion(ch, ref, FAST)
     assert not rep.passed
     assert format_report_line(rep, 0) == (
