@@ -74,10 +74,9 @@ class DistanceEstimate:
     """
     Optimizer output.  `value` is exactly the measure's objective evaluated at
     `witness` (so it is reproducible), and a lower bound on the supremum.
-    `converged` records whether the two best restarts agreed within the value
-    tolerance.  `iterations` and `evaluations` are the ascent's deterministic
-    work counters (see `AscentResult`).  `agreeing_restarts` counts the
-    restarts whose final value is within the value tolerance of the best, and
+    `iterations` and `evaluations` are the ascent's deterministic work
+    counters (see `AscentResult`).  `agreeing_restarts` counts the restarts
+    whose final value is within the value tolerance of the best, and
     `restart_spread` is the best final value minus the lowest finite one.
     """
 
@@ -85,11 +84,15 @@ class DistanceEstimate:
     value: float
     witness: object
     restarts_used: int
-    converged: bool
     iterations: int
     evaluations: int
     agreeing_restarts: int
     restart_spread: float
+
+    @property
+    def converged(self) -> bool:
+        """At least two restarts agree with the best (always, for one restart)."""
+        return self.agreeing_restarts >= min(2, self.restarts_used)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +286,10 @@ def _dual_forms(chan_a: Channel, chan_b: Channel, cs) -> list[np.ndarray]:
 _DUAL_GRID = np.exp(np.linspace(-1.0, 1.0, 7))  # the hat bound's c / (tr E_a / tr E_b)
 
 
-def _dual_bound(pairs: list, renormalize: bool, margin: float) -> Callable:
-    # ceiling(u3, problem): per row, a sound upper bound on the pure-input kernel's
-    # ||D||_1 plus a rounding margin, from rho_in = U U^H alone, through Hermitian forms
-    # built once per pair on the first call.  Unrenormalized: tr(M_1 rho_in).
+def _dual_bound(chan_a: Channel, chan_b: Channel, renormalize: bool, margin: float) -> Callable:
+    # ceiling(u3): per row, a sound upper bound on the pure-input kernel's ||D||_1 for
+    # this one pair plus a rounding margin, from rho_in = U U^H alone, through Hermitian
+    # forms built on the first call.  Unrenormalized: tr(M_1 rho_in).
     # Renormalized, with p = tr(E_a rho_in) and q = tr(E_b rho_in), P/p - Q/q =
     # (P - cQ)/p + (c/p - 1/q)Q gives (tr(M_c rho_in) + |tr(L_c rho_in)|) / p with
     # L_c = c E_b - E_a, and the other order at 1/c the same numerator over cq: the
@@ -294,26 +297,20 @@ def _dual_bound(pairs: list, renormalize: bool, margin: float) -> Callable:
     # Rounding in P/p, Q/q and the ratio grows as 1/min(p, q), and so does the margin.
     @cache
     def forms():
-        stacks = []
-        for a, b in pairs:
-            if not renormalize:
-                stack = _dual_forms(a, b, [1.0])
-            else:
-                tb = b.effect_eigenvalues.sum()
-                s = a.effect_eigenvalues.sum() / tb if tb > 0 else 1.0
-                stack = _dual_forms(a, b, s * _DUAL_GRID) + [a.effect, s * b.effect]
-            stack = np.array(stack)
-            stacks.append(np.concatenate([stack.real, stack.imag], axis=1).reshape(len(stack), -1))
-        return _per_row(stacks)
+        cs, tail = [1.0], []
+        if renormalize:
+            tb = chan_b.effect_eigenvalues.sum()
+            s = chan_a.effect_eigenvalues.sum() / tb if tb > 0 else 1.0
+            cs, tail = s * _DUAL_GRID, [chan_a.effect, s * chan_b.effect]
+        stack = np.array(_dual_forms(chan_a, chan_b, cs) + tail)
+        return np.concatenate([stack.real, stack.imag], axis=1).reshape(len(stack), -1)
 
-    def ceiling(u3: np.ndarray, problem: np.ndarray) -> np.ndarray:
+    def ceiling(u3: np.ndarray) -> np.ndarray:
         # rho_in with the batch innermost, so einsum's inner loop runs over it; tr(F rho_in)
         # is Re F . Re rho_in + Im F . Im rho_in for Hermitian F and rho_in.
         ut = u3.transpose(1, 2, 0).copy()
         rho = np.einsum("iam,jam->ijm", ut, ut.conj())
-        r = np.concatenate([rho.real, rho.imag]).reshape(2 * rho.shape[0] ** 2, -1)
-        f = forms()(problem)
-        t = f @ r if f.ndim == 2 else np.einsum("mkf,fm->km", f, r)  # per-row forms: 3-D
+        t = forms() @ np.concatenate([rho.real, rho.imag]).reshape(2 * rho.shape[0] ** 2, -1)
         if not renormalize:
             return t[0] + margin
         c, m, p, q = _DUAL_GRID[:, None], t[:-2], t[-2], t[-1]
@@ -341,7 +338,9 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
     margin = 1e-12 * (root_k + root_p) * (traces + 1.0)
     # The dual bound pays where the outputs keep the whole input (dtrD, diamond,
     # hat-diamond); with the ancilla traced out (hat-tr), ||D||_F is the tighter bound.
-    ceiling = _dual_bound(pairs, renormalize, margin) if joint or anc == 1 else None
+    # Its forms bound their own pair's rows only: a kernel of several pairs takes none.
+    dual = len(pairs) == 1 and (joint or anc == 1)
+    ceiling = _dual_bound(*pairs[0], renormalize, margin) if dual else None
 
     def output(images: np.ndarray, bad: np.ndarray):
         # (output / trace, trace as (m, 1, 1), bad): a trace below 1e-30 marks its row bad.
@@ -366,12 +365,11 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
         # A row whose dual ceiling is at most the floor gets -inf before any image is
         # formed; a NaN ceiling keeps its row.  Every ceiling exceeds margin / 2, so a
         # lower floor (no floor, or values that are all rounding) prunes nothing.
-        live = ~(ceiling(u3, problem) <= floor) if ceiling and floor >= margin / 2 else None
+        live = ~(ceiling(u3) <= floor) if ceiling and floor >= margin / 2 else None
         if live is None or live.all():
             return values(u3, problem, bad, floor)
         vals = np.full(len(u3), -np.inf)
-        if live.any():
-            vals[live] = values(u3[live], problem[live], bad[live], floor)
+        vals[live] = values(u3[live], problem[live], bad[live], floor)
         return vals
 
     def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
@@ -458,9 +456,7 @@ def _starts(seed: int, restarts: int, n_params: int) -> np.ndarray:
 class AscentResult(NamedTuple):
     """
     One problem's output of `maximize`.  `values` and `points` hold every
-    restart's final objective value and parameter row; `winner` is the maximal
-    value with smallest-index tie-break; `converged` means the two best
-    restarts agree within the value tolerance.  `iterations` counts the
+    restart's final objective value and parameter row.  `iterations` counts the
     lockstep ascent steps the problem took part in (at most `max_iterations`),
     and `evaluations` counts its objective points: the starting points, one
     per gradient taken (a restart whose last step held keeps its gradient), one
@@ -469,8 +465,6 @@ class AscentResult(NamedTuple):
 
     values: np.ndarray
     points: np.ndarray
-    winner: int
-    converged: bool
     iterations: int
     evaluations: int
 
@@ -579,12 +573,7 @@ def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> l
     # passes are those of its longest-running restart.
     iterations, evaluations = taken.reshape(-1, n).max(axis=1), work.reshape(-1, n).sum(axis=1)
     values, x = values.reshape(-1, n), x.reshape(-1, n, n_params)
-    top = np.sort(values, axis=1)[:, ::-1]
-    converged = [n == 1 or bool(t[0] - t[1] <= cfg.value_tolerance) for t in top]
-    return [
-        AscentResult(v, p, int(np.argmax(v)), c, int(i), int(e))
-        for v, p, c, i, e in zip(values, x, converged, iterations, evaluations)
-    ]
+    return [AscentResult(*r) for r in zip(values, x, iterations.tolist(), evaluations.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +619,9 @@ class MeasureSpec(NamedTuple):
     real parameters, each row on its problem's pair (see `maximize`).
     `fn(x, problem, floor)` takes an optional floor: a row whose sound upper
     bound is at most `floor` gets -inf, and every other row gets exactly the
-    value of `fn(x, problem)`.  dtrD, diamond and hat-diamond rows are first
-    bounded from their input alone, before any output is formed (the dual
-    point |J| of the diamond SDP, one set of forms per pair); then every
+    value of `fn(x, problem)`.  In a kernel of one pair, dtrD, diamond and
+    hat-diamond rows are first bounded from their input alone, before any
+    output is formed (the dual point |J| of the diamond SDP); then every
     measure's rows by the Frobenius norm of their output difference, before
     it is decomposed.
     `decode(x, dim)` turns the winning row into a witness, and
@@ -759,14 +748,14 @@ def distance_batch(requests: list[tuple]) -> list[DistanceEstimate]:
         kernel = spec.kernel([pair for _, pair, _ in members])
         results = maximize(*kernel, spec.n_params(d), [cfg for _, _, cfg in members])
         for (i, (chan_a, chan_b), cfg), res in zip(members, results):
-            witness = spec.decode(res.points[res.winner], d * spec.ancilla(d))
-            best = res.values[res.winner]
+            winner = int(np.argmax(res.values))  # the first of equal maxima
+            witness = spec.decode(res.points[winner], d * spec.ancilla(d))
+            best = res.values[winner]
             estimates[i] = DistanceEstimate(
                 measure=measure,
                 value=evaluate_witness(measure, chan_a, chan_b, witness),
                 witness=witness,
                 restarts_used=cfg.restarts,
-                converged=res.converged,
                 iterations=res.iterations,
                 evaluations=res.evaluations,
                 agreeing_restarts=int(np.count_nonzero(res.values >= best - cfg.value_tolerance)),

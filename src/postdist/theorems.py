@@ -77,9 +77,12 @@ class TheoremReport:
     lhs: float
     rhs: float
     slack_tolerance: float
-    passed: bool
     aux_violations: tuple[str, ...] = ()
     witnesses: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs + self.slack_tolerance and not self.aux_violations
 
     @property
     def slack(self) -> float:
@@ -87,19 +90,8 @@ class TheoremReport:
 
 
 def _report(statement, description, lhs, rhs, slack_tolerance, aux=(), witnesses=None):
-    lhs = float(lhs)
-    rhs = float(rhs)
-    passed = (lhs <= rhs + slack_tolerance) and not aux
-    return TheoremReport(
-        statement=statement,
-        description=description,
-        lhs=lhs,
-        rhs=rhs,
-        slack_tolerance=slack_tolerance,
-        passed=passed,
-        aux_violations=tuple(aux),
-        witnesses=witnesses or {},
-    )
+    lhs, rhs, aux = float(lhs), float(rhs), tuple(aux)  # report lines print reprs of floats
+    return TheoremReport(statement, description, lhs, rhs, slack_tolerance, aux, witnesses or {})
 
 
 # A checker's steps yield lists of (measure, chan_a, chan_b, cfg) requests, are

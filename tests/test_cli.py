@@ -235,7 +235,6 @@ def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
         lhs=1.0,
         rhs=0.0,
         slack_tolerance=0.0,
-        passed=False,
     )
     monkeypatch.setattr("postdist.cli.run_suite", lambda ids, cfg: {"CE1": [failing]})
     assert main(["verify", "--suite", "CE1"]) == 1

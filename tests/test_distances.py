@@ -454,6 +454,10 @@ def test_distance_batch_matches_separate_estimates_bit_for_bit():
                 assert all(map(np.array_equal, _witness_arrays(a), _witness_arrays(b)))
             else:
                 assert a == b, (request[0], field.name, a, b)
+    # `converged` is read from the counters: a lone restart agrees with itself.
+    single = distance("dtrD", *requests[0][1:3], OptimizerConfig(restarts=1, max_iterations=20))
+    assert single.agreeing_restarts == 1 and single.converged
+    assert not dataclasses.replace(single, restarts_used=2).converged
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +553,7 @@ RAYLEIGH_CFG = OptimizerConfig(
 def test_maximize_finds_the_largest_eigenvalue(dim, seed):
     a, value_fn, grad_fn, _ = _rayleigh(dim, seed)
     (res,) = maximize(value_fn, grad_fn, 2 * dim, [RAYLEIGH_CFG])
-    assert res.values[res.winner] == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
+    assert res.values.max() == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
 
 
 def test_maximize_starts_are_drawn_once_and_never_shared():
@@ -787,6 +791,21 @@ def _kernel_and_ceiling(spec, group):
     return fn, (made[0] if made else None)
 
 
+def _classical_floor_pair():
+    # Two classical channels in a Haar basis U, Kraus operators sqrt(w[m, i]) |m><i| U^H,
+    # with column sums (2e-10, 1): E_a = E_b = U diag(2e-10, 1) U^H, so s = 1 and c = 1
+    # is on the grid.  Along U|0> the hat ceiling is tight, and only its 1/min(p, q)
+    # margin term covers the rounding of the forms at p = 2e-10.
+    rng = np.random.default_rng(1)
+    u = haar_isometry(rng, 2, 2)
+    units = np.eye(2)[:, None, :, None] * u.conj().T[None, :, None, :]  # [m, i] = |m><i| U^H
+    chans = []
+    for name in ("classical_a", "classical_b"):
+        w = rng.dirichlet(np.ones(2), size=2).T * [2e-10, 1.0]
+        chans.append(Channel((np.sqrt(w)[:, :, None, None] * units).reshape(4, 2, 2), name=name))
+    return tuple(chans)
+
+
 def _weak_rows(ch, n_params, rng):
     # Input factors U = v w^T with v the weakest effect direction: tr(E rho_in) = lambda_min.
     v = np.linalg.eigh(ch.effect)[1][:, 0]
@@ -799,8 +818,8 @@ def _weak_rows(ch, n_params, rng):
 def test_dual_ceiling_bounds_every_row(seed, dim, rank_a, rank_b):
     # Watrous's dual point |J| bounds ||((Psi - Phi) (x) 1)(rho)||_1 by tr(M rho_in), and
     # P/p - Q/q = (P - cQ)/p + (c/p - 1/q)Q carries it to hat-diamond: each row's ceiling
-    # is at least the kernel's unpruned value.  The pair at the postselection floor adds
-    # rows along its weakest effect direction, where tr(E rho_in) = 2e-10 and rounding in
+    # is at least the kernel's unpruned value.  The pairs at the postselection floor add
+    # rows along their weakest effect direction, where tr(E rho_in) = 2e-10 and rounding in
     # P/p grows as its inverse.
     rng = np.random.default_rng(seed)
     pairs = [
@@ -808,8 +827,11 @@ def test_dual_ceiling_bounds_every_row(seed, dim, rank_a, rank_b):
         for kind in ("cptp", "postselection")
     ]
     pairs += _oracle_pairs()
-    near = _near_floor_channel(41, 2e-10), random_channel(2, 2, kind="postselection", seed=42)
-    pairs.append(near)
+    near = [
+        (_near_floor_channel(41, 2e-10), random_channel(2, 2, kind="postselection", seed=42)),
+        _classical_floor_pair(),
+    ]
+    pairs += near
     for tag in ("dtrD", "diamond", "hat-diamond"):
         spec = MEASURE_SPECS[tag]
         for pair in pairs:
@@ -819,15 +841,25 @@ def test_dual_ceiling_bounds_every_row(seed, dim, rank_a, rank_b):
             fn, ceiling = _kernel_and_ceiling(spec, [(a, b)])
             n_params = spec.n_params(a.dim_in)
             x = _structured_rows(n_params, rng)
-            if pair is near:
+            if any(pair is p for p in near):
                 x = np.concatenate([x, *(_weak_rows(ch, n_params, rng) for ch in pair)])
             problem = np.zeros(len(x), dtype=int)
             u = unit_rows(x, n_params // 2)[0].reshape(len(x), a.dim_in, -1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                full, cap = fn(x, problem), ceiling(u, problem)
+                full, cap = fn(x, problem), ceiling(u)
             low = cap < full
             assert not low.any(), (tag, a.name, b.name, (full - cap)[low].max())
+
+
+def test_only_a_one_pair_kernel_takes_the_dual_bound():
+    # One pair's forms bound its own rows only: a kernel of several pairs prunes by the
+    # Frobenius bound alone.
+    pairs = [_canonical_pair(*pair) for pair in _oracle_pairs()[:2]]
+    for tag in ("dtrD", "diamond", "hat-diamond"):
+        spec = MEASURE_SPECS[tag]
+        assert _kernel_and_ceiling(spec, pairs[:1])[1] is not None
+        assert _kernel_and_ceiling(spec, pairs)[1] is None
 
 
 def test_rows_with_non_finite_ceilings_are_kept():
@@ -843,7 +875,7 @@ def test_rows_with_non_finite_ceilings_are_kept():
     u = unit_rows(x, dim * dim)[0].reshape(len(x), dim, dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cap = ceiling(u, problem)
+        cap = ceiling(u)
         full, pruned = fn(x, problem), fn(x, problem, 0.5)
     infinite = ~np.isfinite(cap)
     assert infinite.sum() >= 4 and not (cap[infinite] <= 0.5).any()
@@ -879,7 +911,7 @@ def test_dual_bound_prunes_before_any_image(cell, monkeypatch):
     else:
         assert reached == samples
     monkeypatch.setattr(
-        "postdist.distances._dual_bound", lambda *args: lambda u, problem: np.full(len(u), np.inf)
+        "postdist.distances._dual_bound", lambda *args: lambda u: np.full(len(u), np.inf)
     )
     assert dense_oracle(measure, a, b, samples=samples, seed=5).hex() == value.hex()
 
@@ -902,16 +934,29 @@ def test_estimates_build_no_dual_forms(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3]), st.sampled_from([2, 3, 4]), st.integers(1, 4), PROPERTY_SEEDS)
 def test_output_separation_bound_holds_on_every_pure_pair(dim_in, dim_out, rank, seed):
-    # ||Psi(uu^H) - Psi(vv^H)||_1 <= s-bar on random pure pairs and on every pair of basis states.
+    # ||Psi(uu^H) - Psi(vv^H)||_1 <= s-bar on random pure pairs and on every pair of basis
+    # states.  Random channels rarely come near the bound, so a measure-and-prepare channel
+    # adds a tight case: a random input basis, k = 2 or 3 outcomes (basis vector i gives
+    # i % k), each preparing the maximally mixed state on its own rank-2 block of a randomly
+    # rotated C^(2k).  Its basis pairs separate fully (2); tracing out the input factor
+    # instead of the output reads 1 or 4/3 there.
     rng = np.random.default_rng(seed)
     rank = max(rank, -(-dim_in // dim_out))  # an isometry needs dim_out * rank >= dim_in
     ch = random_channel(dim_in, dim_out, rank=rank, kind="cptp", seed=rng)
-    bound = output_separation_bound(ch)
     states = [random_pure(dim_in, rng).vector for _ in range(12)]
-    outputs = [apply(ch, np.outer(u, u.conj())) for u in states + list(np.eye(dim_in))]
-    worst = max(trace_norm(p - q) for i, p in enumerate(outputs) for q in outputs[:i])
-    # The direct trace norms round too: a unitary's basis outputs read 2 + 4e-16.
-    assert 0.0 < worst <= bound + 1e-12 and bound <= 2.0, (worst, bound)
+    k = int(rng.integers(2, dim_in + 1))
+    basis, rotation = haar_isometry(rng, dim_in, dim_in), haar_isometry(rng, 2 * k, 2 * k)
+    ops = [
+        np.sqrt(0.5) * np.outer(rotation[:, 2 * (i % k) + r], basis[:, i].conj())
+        for i, r in np.ndindex(dim_in, 2)
+    ]
+    prepare = Channel(np.array(ops), name=f"measure_prepare(k={k})")
+    for channel, inputs in ((ch, states + list(np.eye(dim_in))), (prepare, list(basis.T))):
+        bound = output_separation_bound(channel)
+        outputs = [apply(channel, np.outer(u, u.conj())) for u in inputs]
+        worst = max(trace_norm(p - q) for i, p in enumerate(outputs) for q in outputs[:i])
+        # The direct trace norms round too: a unitary's basis outputs read 2 + 4e-16.
+        assert 0.0 < worst <= bound + 1e-12 and bound <= 2.0, (channel.name, worst, bound)
 
 
 def test_output_separation_bound_closed_forms():

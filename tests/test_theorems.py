@@ -113,6 +113,12 @@ def test_report_pass_iff_inequality_holds():
     assert isinstance(rep, TheoremReport)
     assert rep.passed == (rep.lhs <= rep.rhs + rep.slack_tolerance and not rep.aux_violations)
     assert rep.slack == rep.rhs - rep.lhs
+    # The verdict is derived, never stored: it cannot disagree with the numbers.
+    assert TheoremReport("CE1", "edge", lhs=1.0, rhs=0.75, slack_tolerance=0.25).passed
+    assert not TheoremReport("CE1", "over", lhs=1.0, rhs=0.5, slack_tolerance=0.25).passed
+    assert not TheoremReport("CE1", "aux", 0.0, 1.0, 0.0, aux_violations=("broken",)).passed
+    with pytest.raises(TypeError):
+        TheoremReport("CE1", "stored", lhs=1.0, rhs=0.0, slack_tolerance=0.0, passed=True)
 
 
 # ---------------------------------------------------------------------------
