@@ -58,12 +58,12 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector in C^dim (norm enforced within 1e-12)."""
+    """Unit vector in C^dim (norm enforced within 1e-12), held as a read-only copy."""
 
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        v = np.array(self.vector, dtype=complex).reshape(-1)
         if v.size == 0 or not np.all(np.isfinite(v)):
             raise InvalidInputError("pure state vector must be nonempty and finite")
         norm = float(npl.norm(v))
@@ -265,8 +265,6 @@ def choi_to_kraus(choi: np.ndarray, dim_in: int, dim_out: int, name: str = "") -
     n = dim_in * dim_out
     if m.shape != (n, n):
         raise InvalidInputError(f"Choi matrix must have shape {(n, n)}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("Choi matrix has non-finite entries")
     w, V = hermitian_eig(m)
     if w[0] < -TRACE_ATOL:
         raise ValidityError(f"not completely positive: Choi eigenvalue {w[0]:.3e}")
@@ -349,11 +347,11 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def haar_isometry(rng: np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
+def haar_isometry(seed: int | np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
     """Haar random isometry C^dim_in -> C^dim_out: QR of a Ginibre matrix, phases fixed."""
     if not (is_integer(dim_out) and is_integer(dim_in)) or not 1 <= dim_in <= dim_out:
         raise ParameterError(f"need integers 1 <= dim_in <= dim_out, got {dim_in!r}, {dim_out!r}")
-    q, r = npl.qr(_ginibre(rng, dim_out, dim_in))
+    q, r = npl.qr(_ginibre(_as_rng(seed), dim_out, dim_in))
     phases = np.diagonal(r).copy()
     phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
     return q * phases.conj()

@@ -469,34 +469,31 @@ class AscentResult(NamedTuple):
     evaluations: int
 
 
-def maximize(value_fn, grad_fn, n_params: int, cfgs: list[OptimizerConfig]) -> list[AscentResult]:
+def maximize(value_fn, grad_fn, starts: np.ndarray, cfg: OptimizerConfig) -> list[AscentResult]:
     """
     Run all restarts of a gradient-ascent loop in lockstep, for one or more
-    problems of one budget: one `OptimizerConfig` and one `AscentResult` per
-    problem, the configs differing only in `master_seed`.
+    problems of one budget, from start rows shaped (problems, restarts,
+    n_params): one `AscentResult` per problem.  `starts` is copied, never
+    written, and of `cfg` only the iteration cap and the tolerances are read.
 
     `value_fn(x, problem)` maps a batch of parameter rows and each row's
     problem index to objective values and `grad_fn(x, problem)` to their
-    gradients (rows of length `n_params`).  Restart r of a problem starts from
-    its own rng stream derived from (master_seed, r).  Each step first tries
-    one Barzilai-Borwein point x + t g, with t = s.s / -(s.y) for the
-    restart's last change of point s and of gradient y (Barzilai and Borwein,
-    IMA J. Numer. Anal. 8:141, 1988), where its previous step moved it and
-    -(s.y) > 0.  A restart without that point, or whose point does not raise
-    its value, tries four step lengths along the normalized gradient instead
-    and keeps the best if it improves.  Only a rise is ever kept, so each
-    restart's value never falls.  A restart stops at a zero gradient, a step
-    below the step tolerance, or five steps in a row that gain less than the
-    value tolerance, and a problem stops after `max_iterations` steps.  Every
-    rule reads only the restart's own rows, so when the objective evaluates
-    each row on its own, a problem's result does not depend on its batch mates.
+    gradients.  Each step first tries one Barzilai-Borwein point x + t g, with
+    t = s.s / -(s.y) for the restart's last change of point s and of gradient
+    y (Barzilai and Borwein, IMA J. Numer. Anal. 8:141, 1988), where its
+    previous step moved it and -(s.y) > 0.  A restart without that point, or
+    whose point does not raise its value, tries four step lengths along the
+    normalized gradient instead and keeps the best if it improves.  Only a
+    rise is ever kept, so each restart's value never falls.  A restart stops
+    at a zero gradient, a step below the step tolerance, or five steps in a
+    row that gain less than the value tolerance, and a problem stops after
+    `max_iterations` steps.  Every rule reads only the restart's own rows, so
+    when the objective evaluates each row on its own, a problem's result does
+    not depend on its batch mates.
     """
-    if not cfgs or any(replace(c, master_seed=cfgs[0].master_seed) != cfgs[0] for c in cfgs):
-        raise InvalidInputError("maximize needs one or more configs differing only in master_seed")
-    cfg = cfgs[0]
-    n = cfg.restarts
-    problem = np.repeat(np.arange(len(cfgs)), n)
-    x = np.concatenate([_starts(c.master_seed & SEED_MASK, n, n_params) for c in cfgs])
+    n_problems, n, n_params = np.shape(starts)
+    problem = np.repeat(np.arange(n_problems), n)
+    x = np.array(starts, dtype=float).reshape(-1, n_params)
     values = value_fn(x, problem)
     work = np.ones(problem.size, dtype=int)  # objective points per row
     taken = np.zeros(problem.size, dtype=int)  # ascent steps per row
@@ -732,8 +729,8 @@ def distance_batch(requests: list[tuple]) -> list[DistanceEstimate]:
     `distance` for a list of (measure, chan_a, chan_b, cfg) requests, answered
     in order.  Requests of one measure, one (dim_in, dim_out) and one budget
     (configs that differ only in `master_seed`) share one lockstep `maximize`,
-    and each estimate is bit-identical to the one its request gets from
-    `distance` alone.
+    each request from its own restart streams (`_starts`), and each estimate
+    is bit-identical to the one its request gets from `distance` alone.
     """
     groups: dict[tuple, list] = {}
     for i, (measure, chan_a, chan_b, cfg) in enumerate(requests):
@@ -743,10 +740,12 @@ def distance_batch(requests: list[tuple]) -> list[DistanceEstimate]:
         key = (measure, chan_a.dim_in, chan_a.dim_out, replace(cfg, master_seed=0))
         groups.setdefault(key, []).append((i, (chan_a, chan_b), cfg))
     estimates = [None] * len(requests)
-    for (measure, d, _, _), members in groups.items():
+    for (measure, d, _, budget), members in groups.items():
         spec = MEASURE_SPECS[measure]
         kernel = spec.kernel([pair for _, pair, _ in members])
-        results = maximize(*kernel, spec.n_params(d), [cfg for _, _, cfg in members])
+        n = spec.n_params(d)
+        starts = [_starts(cfg.master_seed & SEED_MASK, budget.restarts, n) for _, _, cfg in members]
+        results = maximize(*kernel, np.stack(starts), budget)
         for (i, (chan_a, chan_b), cfg), res in zip(members, results):
             winner = int(np.argmax(res.values))  # the first of equal maxima
             witness = spec.decode(res.points[winner], d * spec.ancilla(d))

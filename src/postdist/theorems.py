@@ -245,12 +245,6 @@ def check_subadditivity(
     """
     if not pairs:
         raise InvalidInputError("subadditivity check needs at least one pair")
-    for (a, b) in pairs:
-        if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-            raise InvalidInputError("pair dimensions differ")
-    for (prev, _), (nxt, _) in zip(pairs, pairs[1:]):
-        if prev.dim_out != nxt.dim_in:
-            raise InvalidInputError("pairs do not compose in the given order")
     comp_a, comp_b = pairs[0]
     for a, b in pairs[1:]:
         comp_a = compose(a, comp_a)
@@ -416,14 +410,6 @@ def check_postselected_subadditivity(
     require_postselection(inner_a, inner_b, outer_a, outer_b)
     if not outer_b.is_trace_preserving():
         raise ValidityError("precondition: outer_b must be trace-preserving")
-    if (inner_a.dim_in, inner_a.dim_out) != (inner_b.dim_in, inner_b.dim_out):
-        raise InvalidInputError("inner pair dimensions differ")
-    if (outer_a.dim_in, outer_a.dim_out) != (outer_b.dim_in, outer_b.dim_out):
-        raise InvalidInputError("outer pair dimensions differ")
-    if outer_a.dim_in != inner_a.dim_out * anc_dim:
-        raise InvalidInputError(
-            f"outer input dim {outer_a.dim_in} != inner output {inner_a.dim_out} * anc {anc_dim}"
-        )
     comp_a = compose(outer_a, tensor_with_identity(inner_a, anc_dim))
     comp_b = compose(outer_b, tensor_with_identity(inner_b, anc_dim))
     pairs = ((comp_a, comp_b), (outer_a, outer_b), (inner_a, inner_b))

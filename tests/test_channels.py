@@ -74,6 +74,14 @@ def test_pure_state_validation():
         PureState.normalized(np.zeros(3))
 
 
+def test_pure_state_keeps_its_own_copy():
+    # Writing into the caller's array after construction leaves the state as validated.
+    given = np.array([1.0, 0.0], dtype=complex)
+    s = PureState(given)
+    given[0] = 5.0
+    assert np.array_equal(s.vector, [1.0, 0.0]) and not s.vector.flags.writeable
+
+
 def test_pure_state_density():
     s = PureState.normalized(np.array([1.0, 1.0]))
     rho = s.density()
@@ -394,6 +402,17 @@ def test_compose_rank_compression_takes_one_choi_eigendecomposition(monkeypatch)
     assert calls == ["eigh"]
 
 
+def test_compose_keeps_a_zero_composition_uncompressed():
+    # The outer channel reads only |1>, the inner one prepares |0>: all six
+    # products vanish, and an all-zero Choi matrix has no smaller realization.
+    ket0, ket1 = np.eye(2, dtype=complex)
+    inner = Channel((np.outer(ket0, ket0), np.outer(ket0, ket1)))
+    reads_one = np.sqrt(1.0 / 3.0) * np.array([np.outer(ket0, ket1), *[np.outer(ket1, ket1)] * 2])
+    comp = compose(Channel(reads_one), inner)
+    assert comp.rank == 6 > comp.dim_in * comp.dim_out
+    assert not comp.kraus.any()
+
+
 def test_compose_dimension_check():
     a = random_channel(2, 3, rank=2, kind="cptp", seed=1)
     with pytest.raises(InvalidInputError):
@@ -502,6 +521,10 @@ def test_random_channel_rejects_non_integer_sizes():
         (random_pure, (2, np.int64(-1)), ParameterError),
         (haar_isometry, (np.random.default_rng(0), 2.5, 2), ParameterError),
         (haar_isometry, (np.random.default_rng(0), 2, 3), ParameterError),
+        (haar_isometry, (-1, 2, 2), ParameterError),
+        (haar_isometry, (1.5, 2, 2), ParameterError),
+        (haar_isometry, (True, 2, 2), ParameterError),
+        (haar_isometry, ("0", 2, 2), ParameterError),
         (DensityMatrix.maximally_mixed, (2.5,), InvalidInputError),
         (nonconvexity_curve, (0.1, 2.5), InvalidInputError),
     ],
@@ -518,6 +541,10 @@ def test_random_channel_rejects_non_integer_sizes():
         "random_pure-negative-numpy-seed",
         "haar_isometry-dim",
         "haar_isometry-wide",
+        "haar_isometry-negative-seed",
+        "haar_isometry-float-seed",
+        "haar_isometry-bool-seed",
+        "haar_isometry-str-seed",
         "maximally_mixed-dim",
         "nonconvexity_curve-grid",
     ],
@@ -549,6 +576,8 @@ def test_random_states_deterministic():
     # An integer seed, a numpy integer seed and a Generator seeded alike draw one stream.
     for seed in (np.uint8(7), np.random.default_rng(7)):
         assert (random_pure(3, seed=seed).vector == random_pure(3, seed=7).vector).all()
+    for seed in (np.uint8(7), np.random.default_rng(7)):
+        assert (haar_isometry(seed, 3, 2) == haar_isometry(7, 3, 2)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import postdist
-from postdist.channels import channel_to_json, random_channel, read_channel
+from postdist.channels import PureState, channel_to_json, random_channel, read_channel
 from postdist.cli import main
+from postdist.distances import evaluate_witness
 from postdist.theorems import TheoremReport
 
 FAST = ["--restarts", "4", "--max-iter", "100"]
@@ -58,6 +59,25 @@ def test_dist_out_json_matches_stdout(tmp_path, capsys):
     assert payload["value"] == stdout_value
     assert payload["witness"]["type"] == "pure"
     assert len(payload["witness"]["vector"]) == 2
+
+
+def test_dist_out_json_writes_a_pure_pair_witness(tmp_path, capsys):
+    # dtr's witness is a pair of pure states; the JSON rebuilds both, and the
+    # objective at them is the reported value, exactly.
+    _example(tmp_path, "conversion_pair")
+    capsys.readouterr()
+    a, b = (str(tmp_path / f"conversion_pair_{i}.json") for i in (0, 1))
+    out_file = tmp_path / "result.json"
+    assert main(["dist", "dtr", a, b, *FAST, "--out", str(out_file)]) == 0
+    assert "witness=pure_pair(dim=2)" in capsys.readouterr().out
+    payload = json.loads(out_file.read_text())
+    assert payload["witness"]["type"] == "pure_pair"
+    left, right = (
+        PureState(np.array(payload["witness"][side]) @ np.array([1.0, 1.0j]))
+        for side in ("left", "right")
+    )
+    witness_value = evaluate_witness("dtr", read_channel(a), read_channel(b), (left, right))
+    assert witness_value == payload["value"]
 
 
 def test_dist_out_json_carries_repeatable_counters(tmp_path, capsys):
@@ -236,11 +256,25 @@ def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
         rhs=0.0,
         slack_tolerance=0.0,
     )
-    monkeypatch.setattr("postdist.cli.run_suite", lambda ids, cfg: {"CE1": [failing]})
+    # lhs <= rhs, but an auxiliary condition broke: its line follows the report's.
+    aux_only = TheoremReport(
+        statement="CE1",
+        description="forced auxiliary failure",
+        lhs=0.0,
+        rhs=1.0,
+        slack_tolerance=0.0,
+        aux_violations=("norm window low",),
+    )
+    monkeypatch.setattr("postdist.cli.run_suite", lambda ids, cfg: {"CE1": [failing, aux_only]})
     assert main(["verify", "--suite", "CE1"]) == 1
-    out = capsys.readouterr().out
-    assert "CE1 000" in out and "FAIL" in out
-    assert out.splitlines()[-1] == "FAIL (1 of 1 checks failed)"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "CE1 000 lhs=1.0 rhs=0.0 slack=-1.0 FAIL",
+        "CE1 001 lhs=0.0 rhs=1.0 slack=1.0 FAIL",
+        "CE1 001   aux: norm window low",
+        "CE1: 0/2 passed",
+        "FAIL (2 of 2 checks failed)",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from postdist.distances import (
     UNSTABILIZED_DIM_CAP,
     OptimizerConfig,
     _canonical_pair,
+    _starts,
     dense_oracle,
     diamond_norm_channel,
     distance,
@@ -549,20 +550,33 @@ RAYLEIGH_CFG = OptimizerConfig(
 )
 
 
+def _one_problem(cfg, n_params):
+    # The start rows distance_batch gives one request of this config.
+    return _starts(cfg.master_seed & SEED_MASK, cfg.restarts, n_params)[None]
+
+
 @pytest.mark.parametrize("dim, seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
 def test_maximize_finds_the_largest_eigenvalue(dim, seed):
     a, value_fn, grad_fn, _ = _rayleigh(dim, seed)
-    (res,) = maximize(value_fn, grad_fn, 2 * dim, [RAYLEIGH_CFG])
+    (res,) = maximize(value_fn, grad_fn, _one_problem(RAYLEIGH_CFG, 2 * dim), RAYLEIGH_CFG)
     assert res.values.max() == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
 
 
 def test_maximize_starts_are_drawn_once_and_never_shared():
     # Restart r starts from the normalized first draw of its own stream
-    # (master_seed & SEED_MASK, r); a second run in one process starts from
-    # equal rows, even after the first run's points were written over.
+    # (master_seed & SEED_MASK, r), drawn once per process as read-only rows.
+    # Two runs from the same rows start from them, give equal results and
+    # leave them unchanged, even after the first run's points were written over.
     dim, seed = 3, 7
     cfg = dataclasses.replace(RAYLEIGH_CFG, master_seed=(1 << 63) + seed)
     _, value_fn, grad_fn, _ = _rayleigh(dim, 0)
+    starts = _starts(cfg.master_seed & SEED_MASK, cfg.restarts, 2 * dim)
+    assert starts is _starts(seed, cfg.restarts, 2 * dim) and not starts.flags.writeable
+    expected = np.array(
+        [np.random.default_rng([seed, r]).standard_normal(2 * dim) for r in range(cfg.restarts)]
+    )
+    expected /= np.linalg.norm(expected, axis=1)[:, None]
+    assert np.array_equal(starts, expected)
 
     def first_rows_and_result():
         first = []
@@ -572,24 +586,23 @@ def test_maximize_starts_are_drawn_once_and_never_shared():
                 first.append(x.copy())
             return value_fn(x, problem)
 
-        (res,) = maximize(recording, grad_fn, 2 * dim, [cfg])
+        (res,) = maximize(recording, grad_fn, starts[None], cfg)
         return first[0], res
 
-    expected = np.array(
-        [np.random.default_rng([seed, r]).standard_normal(2 * dim) for r in range(cfg.restarts)]
-    )
-    expected /= np.linalg.norm(expected, axis=1)[:, None]
     start, res = first_rows_and_result()
+    values, points = res.values.copy(), res.points.copy()
     assert np.array_equal(start, expected)
     res.points[...] = np.nan
-    again, _ = first_rows_and_result()
+    again, res_again = first_rows_and_result()
     assert np.array_equal(again, expected)
+    assert np.array_equal(res_again.values, values) and np.array_equal(res_again.points, points)
+    assert np.array_equal(starts, expected)
 
 
 @pytest.mark.parametrize("dim, seed", [(3, 0), (5, 1)])
 def test_maximize_never_lowers_a_restart(dim, seed):
     _, value_fn, grad_fn, calls = _rayleigh(dim, seed)
-    (res,) = maximize(value_fn, grad_fn, 2 * dim, [RAYLEIGH_CFG])
+    (res,) = maximize(value_fn, grad_fn, _one_problem(RAYLEIGH_CFG, 2 * dim), RAYLEIGH_CFG)
     assert calls["start"].shape == (RAYLEIGH_CFG.restarts,)
     assert np.all(res.values >= calls["start"])
     # A run capped at k iterations is the first k steps of a longer one, so
@@ -597,7 +610,7 @@ def test_maximize_never_lowers_a_restart(dim, seed):
     previous = calls["start"]
     for cap in range(1, 40):
         cfg = OptimizerConfig(master_seed=3, restarts=8, max_iterations=cap, value_tolerance=1e-12)
-        values = maximize(*_rayleigh(dim, seed)[1:3], 2 * dim, [cfg])[0].values
+        values = maximize(*_rayleigh(dim, seed)[1:3], _one_problem(cfg, 2 * dim), cfg)[0].values
         assert np.all(values >= previous)
         previous = values
 
@@ -607,29 +620,9 @@ def test_maximize_never_lowers_a_restart(dim, seed):
 def test_maximize_counts_every_row_it_evaluates(dim, seed, max_iterations):
     _, value_fn, grad_fn, calls = _rayleigh(dim, seed)
     cfg = OptimizerConfig(master_seed=3, restarts=8, max_iterations=max_iterations)
-    (res,) = maximize(value_fn, grad_fn, 2 * dim, [cfg])
+    (res,) = maximize(value_fn, grad_fn, _one_problem(cfg, 2 * dim), cfg)
     assert res.evaluations == calls["rows"]
     assert res.iterations <= max_iterations
-
-
-def test_maximize_takes_configs_of_one_budget():
-    # Problems of one run share every setting but master_seed; distance_batch
-    # splits requests of several budgets into runs of one each.
-    _, value_fn, grad_fn, _ = _rayleigh(3, 0)
-    others = (
-        dict(restarts=4),
-        dict(max_iterations=100),
-        dict(step_tolerance=1e-10),
-        dict(value_tolerance=1e-9),
-    )
-    for other in others:
-        cfgs = [RAYLEIGH_CFG, dataclasses.replace(RAYLEIGH_CFG, master_seed=4, **other)]
-        with pytest.raises(InvalidInputError):
-            maximize(value_fn, grad_fn, 6, cfgs)
-    with pytest.raises(InvalidInputError):
-        maximize(value_fn, grad_fn, 6, [])
-    seeds_only = [RAYLEIGH_CFG, dataclasses.replace(RAYLEIGH_CFG, master_seed=4)]
-    assert len(maximize(value_fn, grad_fn, 6, seeds_only)) == 2
 
 
 def test_optimizer_config_takes_integer_counts():

@@ -113,14 +113,16 @@ def test_only_distances_runs_the_optimizer():
         if p.name not in ("distances.py", "__init__.py") and "maximize" in _identifiers(p.name)
     )
     assert not callers, f"modules that name maximize: {callers}"
-    # Inside distances, only distance_batch runs it: every estimate goes through one batch.
+    # Inside distances, only distance_batch runs it, from the restart streams it
+    # draws (`_starts`): every estimate goes through one batch.
     tree = ast.parse((PACKAGE / "distances.py").read_text())
-    runners = sorted(
-        getattr(node, "name", f"line {node.lineno}")
-        for node in tree.body
-        if any(isinstance(n, ast.Name) and n.id == "maximize" for n in ast.walk(node))
-    )
-    assert runners == ["distance_batch"], f"distances code that names maximize: {runners}"
+    for name in ("maximize", "_starts"):
+        users = sorted(
+            getattr(node, "name", f"line {node.lineno}")
+            for node in tree.body
+            if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
+        )
+        assert users == ["distance_batch"], f"distances code that names {name}: {users}"
     kit = {
         "kraus_images",
         "pure_outputs",

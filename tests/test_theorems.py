@@ -186,15 +186,30 @@ def test_subadditivity_chain():
     assert len(rep.witnesses["summed_terms"]) == 2
 
 
-def test_subadditivity_input_validation():
+def _forbid_optimizer(monkeypatch):
+    # A checker's bad input must raise before any ascent runs.
+    def refuse(*args):
+        raise AssertionError("maximize ran on an input that breaks a precondition")
+
+    monkeypatch.setattr("postdist.distances.maximize", refuse)
+
+
+def test_subadditivity_input_validation(monkeypatch):
+    _forbid_optimizer(monkeypatch)
     a = random_channel(2, 2, rank=2, kind="cptp", seed=1)
     wide = random_channel(3, 2, rank=2, kind="cptp", seed=2)
-    with pytest.raises(InvalidInputError):
-        check_subadditivity([], FAST)
-    with pytest.raises(InvalidInputError):
-        check_subadditivity([(a, wide)], FAST)  # pair dims differ
-    with pytest.raises(InvalidInputError):
-        check_subadditivity([(wide, wide), (wide, wide)], FAST)  # 2 -/-> 3
+    tall = random_channel(2, 3, rank=2, kind="cptp", seed=3)
+    bad_chains = (
+        [],
+        [(a, wide)],  # pair dims differ
+        [(wide, wide), (wide, wide)],  # 2 -/-> 3 in both chains
+        [(a, a), (wide, a)],  # 2 -/-> 3 in the a chain
+        [(a, a), (a, wide)],  # 2 -/-> 3 in the b chain
+        [(a, a), (a, tall)],  # both chains compose; the second pair's dims differ
+    )
+    for pairs in bad_chains:
+        with pytest.raises(InvalidInputError):
+            check_subadditivity(pairs, FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +272,20 @@ def test_postselected_subadditivity_with_ancilla():
     assert rep.passed
 
 
-def test_postselected_subadditivity_preconditions():
+def test_postselected_subadditivity_preconditions(monkeypatch):
+    _forbid_optimizer(monkeypatch)
     inner_a = random_channel(2, 2, rank=2, kind="postselection", seed=80)
     inner_b = random_channel(2, 2, rank=2, kind="postselection", seed=81)
     outer_post = random_channel(2, 2, rank=2, kind="postselection", seed=82)
     outer_tp = random_channel(2, 2, rank=2, kind="cptp", seed=83)
+    inner_wide = random_channel(3, 2, rank=2, kind="postselection", seed=87)
+    outer_tall = random_channel(2, 3, rank=2, kind="cptp", seed=88)
+    with pytest.raises(InvalidInputError):
+        # the inner pair's dimensions differ
+        check_postselected_subadditivity(inner_a, inner_wide, outer_post, outer_tp, cfg=FAST)
+    with pytest.raises(InvalidInputError):
+        # the outer pair's dimensions differ
+        check_postselected_subadditivity(inner_a, inner_b, outer_post, outer_tall, cfg=FAST)
     with pytest.raises(ValidityError):
         # outer_b must be trace-preserving
         check_postselected_subadditivity(
