@@ -35,7 +35,6 @@ from .channels import (
     compose,
     contractivity_triple,
     conversion_pair,
-    alpha_necessity_pair,
     gallery,
     GALLERY_NAMES,
     isometry,

@@ -13,6 +13,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +48,8 @@ class ValidityError(ValueError):
     """A channel fails a property required for the requested operation."""
 
 
-class ParameterError(ValueError):
-    """A gallery or generator parameter is outside its legal range."""
+# The former name of InvalidInputError, kept for importers: a bad argument has one error class.
+ParameterError = InvalidInputError
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def scale(ch: Channel, factor: float, name: str = "") -> Channel:
     result must still be trace-nonincreasing; construction raises otherwise.
     """
     if not np.isfinite(factor) or factor <= 0:
-        raise ParameterError(f"scale factor must be positive and finite, got {factor!r}")
+        raise InvalidInputError(f"scale factor must be positive and finite, got {factor!r}")
     root = np.sqrt(float(factor))
     return Channel(root * ch.kraus, name=name or ch.name)
 
@@ -339,7 +340,7 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     if not is_integer(seed) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer or a numpy Generator, got {seed!r}")
+        raise InvalidInputError(f"seed must be a non-negative integer or a numpy Generator, got {seed!r}")
     return np.random.default_rng(seed)
 
 
@@ -350,7 +351,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def haar_isometry(seed: int | np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
     """Haar random isometry C^dim_in -> C^dim_out: QR of a Ginibre matrix, phases fixed."""
     if not (is_integer(dim_out) and is_integer(dim_in)) or not 1 <= dim_in <= dim_out:
-        raise ParameterError(f"need integers 1 <= dim_in <= dim_out, got {dim_in!r}, {dim_out!r}")
+        raise InvalidInputError(f"need integers 1 <= dim_in <= dim_out, got {dim_in!r}, {dim_out!r}")
     q, r = npl.qr(_ginibre(_as_rng(seed), dim_out, dim_in))
     phases = np.diagonal(r).copy()
     phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
@@ -393,7 +394,7 @@ def random_channel(
     a depolarizing set otherwise.
     """
     if not all(is_integer(n) and n >= 1 for n in (dim_in, dim_out, rank)):
-        raise ParameterError(
+        raise InvalidInputError(
             f"dimensions and rank must be positive integers, got {dim_in!r}, {dim_out!r}, {rank!r}"
         )
     if max(dim_in, dim_out * rank) > DIM_CAP:
@@ -401,7 +402,7 @@ def random_channel(
     rng = _as_rng(seed)
     if kind == "cptp":
         if dim_out * rank < dim_in:
-            raise ParameterError(
+            raise InvalidInputError(
                 f"no isometry into {dim_out}*{rank} dimensions from {dim_in}"
             )
         blocks = haar_isometry(rng, dim_out * rank, dim_in).reshape(dim_out, rank, dim_in)
@@ -412,7 +413,7 @@ def random_channel(
         effect = sum(op.conj().T @ op for op in raw)
         top = float(npl.eigvalsh(hermitianize(effect))[-1])
         if top < 1e-12:
-            raise ParameterError("degenerate random draw, effect operator is zero")
+            raise InvalidInputError("degenerate random draw, effect operator is zero")
         c = (1.0 - 1e-3) / top
         ops = [np.sqrt((1.0 - delta) * c) * op for op in raw]
         if dim_out >= dim_in:
@@ -420,13 +421,13 @@ def random_channel(
         else:
             ops.extend(depolarizing_kraus(dim_in, dim_out, delta))
         return Channel(tuple(ops), name=f"random_postselection(d{dim_in}->d{dim_out},r{rank})")
-    raise ParameterError(f"unknown channel kind {kind!r}")
+    raise InvalidInputError(f"unknown channel kind {kind!r}")
 
 
 def random_density(dim: int, seed: int | np.random.Generator = 0) -> DensityMatrix:
     """Ginibre-factor random density matrix rho = T T^H / tr."""
     if not is_integer(dim) or dim < 1:
-        raise ParameterError(f"dimension must be an integer >= 1, got {dim!r}")
+        raise InvalidInputError(f"dimension must be an integer >= 1, got {dim!r}")
     rng = _as_rng(seed)
     t = _ginibre(rng, dim, dim)
     m = t @ t.conj().T
@@ -436,7 +437,7 @@ def random_density(dim: int, seed: int | np.random.Generator = 0) -> DensityMatr
 def random_pure(dim: int, seed: int | np.random.Generator = 0) -> PureState:
     """Haar random pure state."""
     if not is_integer(dim) or dim < 1:
-        raise ParameterError(f"dimension must be an integer >= 1, got {dim!r}")
+        raise InvalidInputError(f"dimension must be an integer >= 1, got {dim!r}")
     rng = _as_rng(seed)
     return PureState.normalized(_ginibre(rng, dim, 1).reshape(-1))
 
@@ -453,7 +454,7 @@ def nonconvexity_pair(epsilon: float) -> tuple[Channel, Channel]:
     swaps the roles.  Defined for 0 < eps < 1/2.
     """
     if not (0.0 < epsilon < 0.5):
-        raise ParameterError(f"nonconvexity_pair needs 0 < epsilon < 1/2, got {epsilon!r}")
+        raise InvalidInputError(f"nonconvexity_pair needs 0 < epsilon < 1/2, got {epsilon!r}")
     psi = Channel(
         _matrix_units(np.diag([1.0 - epsilon, epsilon])),
         name=f"nonconvexity_psi(epsilon={epsilon!r})",
@@ -473,7 +474,7 @@ def contractivity_triple(epsilon: float) -> tuple[Channel, Channel, Channel]:
     with P projecting onto span{|1>, |2>}.  Defined for 0 < eps < 1.
     """
     if not (0.0 < epsilon < 1.0):
-        raise ParameterError(f"contractivity_triple needs 0 < epsilon < 1, got {epsilon!r}")
+        raise InvalidInputError(f"contractivity_triple needs 0 < epsilon < 1, got {epsilon!r}")
     # Constant maps rho -> sigma tr(rho): weight sigma[m, m] on every |m><i|.
     psi = Channel(
         _matrix_units(np.outer([0.5, 0.5, 0.0], np.ones(3))),
@@ -503,23 +504,13 @@ def conversion_pair() -> tuple[Channel, Channel]:
     return psi, phi
 
 
-def alpha_necessity_pair() -> tuple[Channel, Channel]:
-    """Alias of conversion_pair: the pair witnessing that no finite conversion
-    factor exists when the reference outputs never separate."""
-    psi, phi = conversion_pair()
-    return (
-        Channel(psi.kraus, name="alpha_necessity_psi"),
-        Channel(phi.kraus, name="alpha_necessity_phi"),
-    )
-
-
 def teleportation(dim: int) -> Channel:
     """
     Post-selected teleportation without correction: the identity relabeling
     damped by 1/dim, so every input succeeds with probability dim**-2.
     """
     if not is_integer(dim) or dim < 2:
-        raise ParameterError(f"teleportation needs an integer dim >= 2, got {dim!r}")
+        raise InvalidInputError(f"teleportation needs an integer dim >= 2, got {dim!r}")
     if dim > DIM_CAP:
         raise CapacityError(f"teleportation dim {dim} exceeds dimension cap {DIM_CAP}")
     return Channel((np.eye(dim, dtype=complex) / dim,), name=f"teleportation(dim={dim})")
@@ -529,21 +520,20 @@ def isometry(u: np.ndarray, name: str = "") -> Channel:
     """Single-Kraus channel rho -> U rho U^H for an isometry U."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] < u.shape[1]:
-        raise ParameterError(f"isometry needs a tall or square matrix, got shape {u.shape}")
+        raise InvalidInputError(f"isometry needs a tall or square matrix, got shape {u.shape}")
     gram = u.conj().T @ u
     if operator_norm(gram - np.eye(u.shape[1])) > 1e-10:
-        raise ParameterError("matrix is not an isometry within 1e-10")
+        raise InvalidInputError("matrix is not an isometry within 1e-10")
     return Channel((u,), name=name or "isometry")
 
 
-# Gallery name -> (builder returning a tuple of channels, its required parameters).
+# Gallery name -> builder returning a tuple of channels; its signature names the parameters.
 _GALLERY = {
-    "nonconvexity_pair": (nonconvexity_pair, ("epsilon",)),
-    "contractivity_triple": (contractivity_triple, ("epsilon",)),
-    "conversion_pair": (conversion_pair, ()),
-    "alpha_necessity_pair": (alpha_necessity_pair, ()),
-    "teleportation": (lambda dim: (teleportation(dim),), ("dim",)),
-    "isometry": (lambda matrix: (isometry(matrix),), ("matrix",)),
+    "nonconvexity_pair": nonconvexity_pair,
+    "contractivity_triple": contractivity_triple,
+    "conversion_pair": conversion_pair,
+    "teleportation": lambda dim: (teleportation(dim),),
+    "isometry": lambda matrix: (isometry(matrix),),
 }
 GALLERY_NAMES = tuple(_GALLERY)
 
@@ -551,14 +541,12 @@ GALLERY_NAMES = tuple(_GALLERY)
 def gallery(name: str, **params) -> tuple[Channel, ...]:
     """Named example channels; returns a tuple even for single channels."""
     if name not in _GALLERY:
-        raise ParameterError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
-    build, required = _GALLERY[name]
-    for key in required:
-        if key not in params:
-            raise ParameterError(f"missing required parameter {key!r}")
-    extra = set(params) - set(required)
-    if extra:
-        raise ParameterError(f"unexpected parameters {sorted(extra)}")
+        raise InvalidInputError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
+    build = _GALLERY[name]
+    try:
+        inspect.signature(build).bind(**params)
+    except TypeError as exc:
+        raise InvalidInputError(f"gallery {name!r}: {exc}") from exc
     return build(**params)
 
 

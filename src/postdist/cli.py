@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .channels import (
     DensityMatrix,
-    ParameterError,
     PureState,
     ValidityError,
     gallery,
@@ -53,9 +52,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(token) for token in text.split(",") if token.strip())
     except ValueError as exc:
-        raise ParameterError(f"cannot parse dims {text!r}: comma-separated integers") from exc
+        raise InvalidInputError(f"cannot parse dims {text!r}: comma-separated integers") from exc
     if any(d < 2 for d in dims):
-        raise ParameterError(f"dims must all be >= 2, got {dims}")
+        raise InvalidInputError(f"dims must all be >= 2, got {dims}")
     return dims
 
 
@@ -152,13 +151,13 @@ def _format_csv(header: str, rows) -> str:
 def _cmd_curve(args) -> int:
     if args.figure == 1:
         if args.epsilon is None:
-            raise ParameterError("figure 1 needs --epsilon")
+            raise InvalidInputError("figure 1 needs --epsilon")
         text = _format_csv("p,f", nonconvexity_curve(args.epsilon, args.grid))
     else:
         if args.epsilon is not None:
             rows = [contractivity_curve(args.epsilon)]
         elif args.grid < 2:
-            raise ParameterError(f"grid must be >= 2, got {args.grid}")
+            raise InvalidInputError(f"grid must be >= 2, got {args.grid}")
         else:
             rows = [contractivity_curve(i / args.grid) for i in range(1, args.grid)]
         text = _format_csv("epsilon,before,after", rows)
@@ -246,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, ParameterError, OSError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidityError as exc:

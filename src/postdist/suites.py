@@ -21,7 +21,6 @@ import numpy as np
 
 from .channels import (
     Channel,
-    ParameterError,
     depolarizing_kraus,
     haar_isometry,
     isometry,
@@ -30,7 +29,7 @@ from .channels import (
     teleportation,
 )
 from .distances import SEED_MASK, OptimizerConfig
-from .linalg import is_integer
+from .linalg import InvalidInputError, is_integer
 from .theorems import (
     CheckSteps,
     TheoremReport,
@@ -68,12 +67,12 @@ class RunConfig:
 
     def __post_init__(self):
         if not (is_integer(self.seed) and is_integer(self.trials)) or self.trials < 1:
-            raise ParameterError(
+            raise InvalidInputError(
                 "seed must be an integer and trials an integer >= 1, "
                 f"got seed={self.seed!r}, trials={self.trials!r}"
             )
         if not self.dims or not all(map(is_integer, self.dims)) or min(self.dims) < 1:
-            raise ParameterError(f"dims must name one or more positive integers, got {self.dims}")
+            raise InvalidInputError(f"dims must name one or more positive integers, got {self.dims}")
         OptimizerConfig(self.restarts, self.max_iterations, value_tolerance=self.value_tolerance)
 
 
@@ -274,32 +273,27 @@ FIXED_SWEEP_IDS = tuple(sid for sid, entry in STATEMENTS.items() if entry.sweep 
 # ---------------------------------------------------------------------------
 
 
+def _statement(sid: str) -> Statement:
+    entry = STATEMENTS.get(sid)
+    if entry is None:
+        raise InvalidInputError(f"unknown statement id {sid!r}; known: {', '.join(STATEMENT_IDS)}")
+    return entry
+
+
 def normalize_suite_ids(spec: str) -> tuple[str, ...]:
     """'all' or a comma-separated subset of statement ids, order-preserving."""
     if spec.strip().lower() == "all":
         return STATEMENT_IDS
-    ids = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token not in STATEMENT_IDS:
-            raise ParameterError(
-                f"unknown statement id {token!r}; known: {', '.join(STATEMENT_IDS)}"
-            )
-        if token not in ids:
-            ids.append(token)
+    ids = tuple(dict.fromkeys(token.strip() for token in spec.split(",") if token.strip()))
     if not ids:
-        raise ParameterError("no statement ids given")
-    return tuple(ids)
+        raise InvalidInputError("no statement ids given")
+    for sid in ids:
+        _statement(sid)
+    return ids
 
 
 def run_statement(statement: str, cfg: RunConfig = RunConfig()) -> list[TheoremReport]:
-    entry = STATEMENTS.get(statement)
-    if entry is None:
-        raise ParameterError(
-            f"unknown statement id {statement!r}; known: {', '.join(STATEMENT_IDS)}"
-        )
+    entry = _statement(statement)
     count = cfg.trials if entry.sweep is None else entry.sweep
     return run_checks(
         [entry.build(cfg, _instance_rng(cfg, statement, idx), idx) for idx in range(count)]

@@ -14,7 +14,6 @@ import pytest
 
 from postdist.channels import (
     DensityMatrix,
-    alpha_necessity_pair,
     compose,
     contractivity_triple,
     conversion_pair,
@@ -134,7 +133,6 @@ def test_optimizer_matches_dense_oracle_on_gallery():
         (psi_c, phi_c),
         (compose(tau, psi_c), compose(tau, phi_c)),
         conversion_pair(),
-        alpha_necessity_pair(),
         (teleportation(2), isometry(np.eye(2), name="identity")),
         (teleportation(3), isometry(np.eye(3), name="identity")),
     ]

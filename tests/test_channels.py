@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import postdist
 from postdist.channels import (
     TRACE_ATOL,
     Channel,
@@ -41,6 +44,7 @@ from postdist.channels import (
     tensor_with_identity,
     write_channel,
 )
+from postdist.cli import build_parser
 from postdist.distances import MEASURE_SPECS, MEASURES
 from postdist.linalg import (
     CapacityError,
@@ -49,6 +53,7 @@ from postdist.linalg import (
     partial_trace,
     trace_norm,
 )
+from postdist.suites import RunConfig, normalize_suite_ids, run_statement
 from postdist.theorems import nonconvexity_curve
 
 
@@ -96,6 +101,10 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(InvalidInputError):
         DensityMatrix(np.eye(2))  # trace 2
+    with pytest.raises(InvalidInputError, match="must be square"):
+        DensityMatrix(np.full((2, 3), 0.5))
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        DensityMatrix(np.diag([np.nan, 1.0]))
     mixed = DensityMatrix.maximally_mixed(3)
     assert np.allclose(mixed.matrix, np.eye(3) / 3, atol=0)
 
@@ -123,6 +132,16 @@ def test_channel_rejects_bad_kraus():
         Channel((np.full((2, 2), np.inf),))
     with pytest.raises(ValidityError):
         Channel((1.1 * np.eye(2),))  # effect 1.21 I
+
+
+def test_channel_checks_the_cap_before_forming_the_effect(monkeypatch):
+    # The effect operator of a 1 x 4097 Kraus operator would be a 4097 x 4097 matrix.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the effect operator was formed past the dimension cap")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    with pytest.raises(CapacityError, match="exceeds dimension cap"):
+        Channel((np.zeros((1, 4097)),))
 
 
 def test_kraus_is_one_read_only_c_ordered_array():
@@ -252,6 +271,10 @@ def test_apply_renormalized_requires_postselection_validity():
     proj = Channel((np.diag([1.0, 0.0]).astype(complex),))
     with pytest.raises(ValidityError):
         apply_renormalized(proj, DensityMatrix.maximally_mixed(2))
+    # A valid channel on an input it maps to zero has nothing to renormalize.
+    psi, _ = nonconvexity_pair(0.25)
+    with pytest.raises(ValidityError, match="postselection probability 0.0"):
+        apply_renormalized(psi, np.zeros((2, 2)))
 
 
 def test_apply_dimension_mismatch():
@@ -492,6 +515,14 @@ def test_random_channel_kinds():
         random_channel(4, 1, rank=2, kind="cptp", seed=0)  # no isometry fits
 
 
+def test_random_channel_checks_the_cap_before_any_draw():
+    rng = np.random.default_rng(0)
+    fresh = rng.bit_generator.state
+    with pytest.raises(CapacityError, match="exceeds dimension cap"):
+        random_channel(2, 2049, rank=2, seed=rng)  # dilation 2049 * 2 > 4096
+    assert rng.bit_generator.state == fresh
+
+
 def test_random_channel_rejects_non_integer_sizes():
     for args, kwargs in (
         ((2.5, 2), {}),
@@ -557,6 +588,95 @@ def test_sizes_and_seeds_must_be_integers(make, args, error):
     assert all(a.bit_generator.state == fresh for a in args if isinstance(a, np.random.Generator))
 
 
+def _zero_draw_postselection_channel():
+    with mock.patch("postdist.channels._ginibre", lambda rng, rows, cols: np.zeros((rows, cols))):
+        return random_channel(2, 2, kind="postselection", seed=0)
+
+
+def _run_cli(*argv):
+    # The command itself, without main's mapping of errors to exit codes.
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: scale(teleportation(2), -1.0), "scale factor must be positive and finite"),
+        (lambda: random_density(2, seed=-3), "seed must be a non-negative integer"),
+        (lambda: random_density(0), "dimension must be an integer >= 1"),
+        (lambda: DensityMatrix.maximally_mixed(0), "dimension must be an integer >= 1"),
+        (lambda: random_pure(2.5), "dimension must be an integer >= 1"),
+        (lambda: haar_isometry(0, 2, 3), "need integers 1 <= dim_in <= dim_out"),
+        (lambda: random_channel(2.5, 2), "dimensions and rank must be positive integers"),
+        (lambda: random_channel(4, 1, kind="cptp"), "no isometry into 1*2 dimensions from 4"),
+        (_zero_draw_postselection_channel, "degenerate random draw"),
+        (lambda: random_channel(2, 2, kind="unital"), "unknown channel kind 'unital'"),
+        (lambda: nonconvexity_pair(0.5), "nonconvexity_pair needs 0 < epsilon < 1/2"),
+        (lambda: contractivity_triple(1.0), "contractivity_triple needs 0 < epsilon < 1"),
+        (lambda: teleportation(1), "teleportation needs an integer dim >= 2"),
+        (lambda: tensor_with_identity(teleportation(2), 1.5), "ancilla dimension must be"),
+        (lambda: isometry(np.zeros((2, 3))), "isometry needs a tall or square matrix"),
+        (lambda: isometry(np.full((2, 2), 0.5)), "matrix is not an isometry within 1e-10"),
+        (lambda: gallery("does_not_exist"), "unknown gallery name 'does_not_exist'"),
+        (lambda: gallery("teleportation", dim=1.5), "teleportation needs an integer dim >= 2"),
+        (lambda: gallery("nonconvexity_pair"), "gallery 'nonconvexity_pair': missing"),
+        (lambda: gallery("conversion_pair", epsilon=0.1), "gallery 'conversion_pair': got an"),
+        (lambda: RunConfig(trials=0), "trials an integer >= 1"),
+        (lambda: RunConfig(restarts=0), "optimizer needs integers restarts >= 1"),
+        (lambda: RunConfig(dims=()), "dims must name one or more positive integers"),
+        (lambda: normalize_suite_ids("L1,T9"), "unknown statement id 'T9'"),
+        (lambda: normalize_suite_ids(" , "), "no statement ids given"),
+        (lambda: run_statement("T9"), "unknown statement id 'T9'"),
+        (lambda: _run_cli("verify", "--dims", "2,x"), "cannot parse dims '2,x'"),
+        (lambda: _run_cli("verify", "--dims", "1"), "dims must all be >= 2"),
+        (lambda: _run_cli("curve", "--figure", "1"), "figure 1 needs --epsilon"),
+        (lambda: _run_cli("curve", "--figure", "2", "--grid", "1"), "grid must be >= 2"),
+    ],
+    ids=[
+        "scale-factor",
+        "seed",
+        "random_density-dim",
+        "maximally_mixed-dim",
+        "random_pure-dim",
+        "haar_isometry-dims",
+        "random_channel-sizes",
+        "random_channel-no-isometry",
+        "random_channel-zero-draw",
+        "random_channel-kind",
+        "nonconvexity_pair-epsilon",
+        "contractivity_triple-epsilon",
+        "teleportation-dim",
+        "tensor_with_identity-ancilla",
+        "isometry-wide",
+        "isometry-not-isometric",
+        "gallery-name",
+        "gallery-teleportation-dim",
+        "gallery-missing-parameter",
+        "gallery-unexpected-parameter",
+        "RunConfig-trials",
+        "RunConfig-restarts",
+        "RunConfig-dims",
+        "suite-id",
+        "suite-empty",
+        "run_statement-id",
+        "cli-dims-parse",
+        "cli-dims-range",
+        "cli-curve-epsilon",
+        "cli-curve-grid",
+    ],
+)
+def test_a_bad_argument_raises_invalid_input_error(call, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
+        call()
+    assert type(exc.value) is InvalidInputError
+
+
+def test_parameter_error_is_the_invalid_input_error():
+    assert postdist.ParameterError is postdist.InvalidInputError
+    assert ParameterError is InvalidInputError
+
+
 @pytest.mark.parametrize("dim_in, dim_out", [(3, 3), (2, 3), (3, 2)])
 def test_depolarizing_kraus_has_identity_effect_in_output_input_order(dim_in, dim_out):
     ops = depolarizing_kraus(dim_in, dim_out, 0.3)
@@ -589,14 +709,12 @@ def test_gallery_names_construct():
     assert gallery("nonconvexity_pair", epsilon=0.25)[0].dim_in == 2
     assert len(gallery("contractivity_triple", epsilon=0.5)) == 3
     assert len(gallery("conversion_pair")) == 2
-    assert len(gallery("alpha_necessity_pair")) == 2
     assert gallery("teleportation", dim=3)[0].dim_in == 3
     assert gallery("isometry", matrix=np.eye(2))[0].rank == 1
     assert set(GALLERY_NAMES) == {
         "nonconvexity_pair",
         "contractivity_triple",
         "conversion_pair",
-        "alpha_necessity_pair",
         "teleportation",
         "isometry",
     }
@@ -704,9 +822,19 @@ def test_channel_json_schema_errors(tmp_path):
     broken["kraus"] = [[[0.5, 0.0], [0.0, 0.5]]]  # entries are not [re, im] pairs
     with pytest.raises(InvalidInputError):
         channel_from_json(broken)
+    for key, value, message in (
+        ("name", 7, "channel name must be a string"),
+        ("kraus", [], "kraus must be a nonempty list of matrices"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            channel_from_json({**good, key: value})
     bad_file = tmp_path / "bad.json"
     bad_file.write_text("{not json")
     with pytest.raises(InvalidInputError):
+        read_channel(bad_file)
+    # Python's json reads the literal NaN, which is not JSON, as a float.
+    bad_file.write_text('{"name": "n", "dim_in": 1, "dim_out": 1, "kraus": [[[[NaN, 0.0]]]]}')
+    with pytest.raises(InvalidInputError, match=re.escape("kraus[0]: non-finite entries")):
         read_channel(bad_file)
     with pytest.raises(InvalidInputError):
         read_channel(tmp_path / "missing.json")

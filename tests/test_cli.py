@@ -156,6 +156,12 @@ def test_malformed_file_exits_two(tmp_path, capsys):
         bad.write_bytes(content)
         assert main(["dist", "dtrD", str(bad), good, *FAST]) == 2
         assert "error:" in capsys.readouterr().err
+        assert main(["example", "isometry", "--matrix", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert "error: cannot parse matrix file" in capsys.readouterr().err
+    # Python's json reads the literal NaN, which is not JSON, as a float.
+    bad.write_text('{"name": "n", "dim_in": 1, "dim_out": 1, "kraus": [[[[NaN, 0.0]]]]}')
+    assert main(["dist", "dtrD", str(bad), good, *FAST]) == 2
+    assert "kraus[0]: non-finite entries" in capsys.readouterr().err
     # JSON booleans are not dimensions, although isinstance(True, int) holds.
     bad.write_text('{"name": "b", "dim_in": true, "dim_out": true, "kraus": [[[[1.0, 0.0]]]]}')
     assert main(["dist", "dtrD", str(bad), str(bad), *FAST]) == 2

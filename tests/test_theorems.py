@@ -387,6 +387,14 @@ def test_conversion_factor_requires_trace_preserving():
         conversion_factor(psi)
 
 
+def test_conversion_requires_a_trace_preserving_reference(monkeypatch):
+    _forbid_optimizer(monkeypatch)
+    psi, _ = nonconvexity_pair(0.25)
+    ch = random_channel(2, 2, rank=2, kind="postselection", seed=3)
+    with pytest.raises(ValidityError, match="reference must be trace-preserving"):
+        check_conversion(ch, psi, FAST)
+
+
 def test_conversion_teleportation_vs_identity():
     rep = check_conversion(teleportation(2), isometry(np.eye(2), name="identity"), CFG)
     assert rep.statement == "L2"
