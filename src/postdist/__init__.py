@@ -24,7 +24,6 @@ from .linalg import (
 from .channels import (
     Channel,
     DensityMatrix,
-    ParameterError,
     PureState,
     ValidityError,
     apply,

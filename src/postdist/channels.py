@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,10 +26,11 @@ from .linalg import (
     DIM_CAP,
     CapacityError,
     InvalidInputError,
+    check_integer,
     hermitian_eig,
     hermitianize,
     is_hermitian,
-    is_integer,
+    is_real,
     operator_norm,
 )
 
@@ -46,10 +48,6 @@ KRAUS_TRUNCATION_ATOL = 1e-12
 
 class ValidityError(ValueError):
     """A channel fails a property required for the requested operation."""
-
-
-# The former name of InvalidInputError, kept for importers: a bad argument has one error class.
-ParameterError = InvalidInputError
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +117,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        if not is_integer(dim) or dim < 1:
-            raise InvalidInputError(f"dimension must be an integer >= 1, got {dim!r}")
+        check_integer("dimension", dim, 1)
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
@@ -224,10 +221,11 @@ def apply(ch: Channel, rho: DensityMatrix | np.ndarray, anc: int = 1) -> np.ndar
     sum_e (K_e (x) I_anc) rho (K_e (x) I_anc)^H (no renormalization).
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if not is_integer(anc) or anc < 1 or m.shape != (ch.dim_in * anc,) * 2:
+    check_integer("ancilla dimension", anc, 1)
+    if m.shape != (ch.dim_in * anc,) * 2:
         raise InvalidInputError(
             f"input shape {m.shape} does not match input dimension {ch.dim_in} "
-            f"with an ancilla of integer dimension {anc!r} >= 1"
+            f"with an ancilla of dimension {anc}"
         )
     kraus = np.kron(ch.kraus, np.eye(anc, dtype=complex)) if anc > 1 else ch.kraus
     return np.einsum("eij,ekj->ik", kraus @ m, kraus.conj())
@@ -260,8 +258,8 @@ def choi_to_kraus(choi: np.ndarray, dim_in: int, dim_out: int, name: str = "") -
     below the truncation threshold (1e-12) are dropped; an all-zero Choi
     matrix has no channel realization and raises.
     """
-    if not all(is_integer(n) and n >= 1 for n in (dim_in, dim_out)):
-        raise InvalidInputError(f"Choi dims must be integers >= 1, got {dim_in!r}, {dim_out!r}")
+    check_integer("dim_in", dim_in, 1)
+    check_integer("dim_out", dim_out, 1)
     m = np.asarray(choi, dtype=complex)
     n = dim_in * dim_out
     if m.shape != (n, n):
@@ -288,8 +286,7 @@ def stinespring(ch: Channel) -> np.ndarray:
 
 def tensor_with_identity(ch: Channel, anc_dim: int) -> Channel:
     """Extend by an untouched ancilla: Kraus operators K_e (x) I_anc."""
-    if not is_integer(anc_dim) or anc_dim < 1:
-        raise InvalidInputError(f"ancilla dimension must be an integer >= 1, got {anc_dim!r}")
+    check_integer("ancilla dimension", anc_dim, 1)
     if ch.dim_out * anc_dim > DIM_CAP or ch.dim_in * anc_dim > DIM_CAP:
         raise CapacityError(
             f"extension to {ch.dim_in * anc_dim} inputs exceeds dimension cap {DIM_CAP}"
@@ -325,7 +322,7 @@ def scale(ch: Channel, factor: float, name: str = "") -> Channel:
     Scale the map by `factor` (every Kraus operator by sqrt(factor)).  The
     result must still be trace-nonincreasing; construction raises otherwise.
     """
-    if not np.isfinite(factor) or factor <= 0:
+    if not (is_real(factor) and math.isfinite(factor) and factor > 0):
         raise InvalidInputError(f"scale factor must be positive and finite, got {factor!r}")
     root = np.sqrt(float(factor))
     return Channel(root * ch.kraus, name=name or ch.name)
@@ -339,8 +336,7 @@ def scale(ch: Channel, factor: float, name: str = "") -> Channel:
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if not is_integer(seed) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer or a numpy Generator, got {seed!r}")
+    check_integer("seed", seed, 0)
     return np.random.default_rng(seed)
 
 
@@ -350,8 +346,8 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def haar_isometry(seed: int | np.random.Generator, dim_out: int, dim_in: int) -> np.ndarray:
     """Haar random isometry C^dim_in -> C^dim_out: QR of a Ginibre matrix, phases fixed."""
-    if not (is_integer(dim_out) and is_integer(dim_in)) or not 1 <= dim_in <= dim_out:
-        raise InvalidInputError(f"need integers 1 <= dim_in <= dim_out, got {dim_in!r}, {dim_out!r}")
+    check_integer("dim_in", dim_in, 1)
+    check_integer("dim_out", dim_out, low=dim_in)
     q, r = npl.qr(_ginibre(_as_rng(seed), dim_out, dim_in))
     phases = np.diagonal(r).copy()
     phases = np.where(np.abs(phases) < 1e-12, 1.0, phases / np.abs(phases))
@@ -393,10 +389,9 @@ def random_channel(
     embedding Kraus operator when dim_out >= dim_in (keeping the rank low) and
     a depolarizing set otherwise.
     """
-    if not all(is_integer(n) and n >= 1 for n in (dim_in, dim_out, rank)):
-        raise InvalidInputError(
-            f"dimensions and rank must be positive integers, got {dim_in!r}, {dim_out!r}, {rank!r}"
-        )
+    check_integer("dim_in", dim_in, 1)
+    check_integer("dim_out", dim_out, 1)
+    check_integer("rank", rank, 1)
     if max(dim_in, dim_out * rank) > DIM_CAP:
         raise CapacityError(f"requested dilation exceeds dimension cap {DIM_CAP}")
     rng = _as_rng(seed)
@@ -426,8 +421,7 @@ def random_channel(
 
 def random_density(dim: int, seed: int | np.random.Generator = 0) -> DensityMatrix:
     """Ginibre-factor random density matrix rho = T T^H / tr."""
-    if not is_integer(dim) or dim < 1:
-        raise InvalidInputError(f"dimension must be an integer >= 1, got {dim!r}")
+    check_integer("dimension", dim, 1)
     rng = _as_rng(seed)
     t = _ginibre(rng, dim, dim)
     m = t @ t.conj().T
@@ -436,8 +430,7 @@ def random_density(dim: int, seed: int | np.random.Generator = 0) -> DensityMatr
 
 def random_pure(dim: int, seed: int | np.random.Generator = 0) -> PureState:
     """Haar random pure state."""
-    if not is_integer(dim) or dim < 1:
-        raise InvalidInputError(f"dimension must be an integer >= 1, got {dim!r}")
+    check_integer("dimension", dim, 1)
     rng = _as_rng(seed)
     return PureState.normalized(_ginibre(rng, dim, 1).reshape(-1))
 
@@ -453,7 +446,7 @@ def nonconvexity_pair(epsilon: float) -> tuple[Channel, Channel]:
     the first keeps |0> with weight 1-eps and |1> with weight eps, the second
     swaps the roles.  Defined for 0 < eps < 1/2.
     """
-    if not (0.0 < epsilon < 0.5):
+    if not (is_real(epsilon) and 0.0 < epsilon < 0.5):
         raise InvalidInputError(f"nonconvexity_pair needs 0 < epsilon < 1/2, got {epsilon!r}")
     psi = Channel(
         _matrix_units(np.diag([1.0 - epsilon, epsilon])),
@@ -473,7 +466,7 @@ def contractivity_triple(epsilon: float) -> tuple[Channel, Channel, Channel]:
     (|0><0| + |2><2|)/2, and the filter tau(rho) = (1-eps) P rho P + eps rho
     with P projecting onto span{|1>, |2>}.  Defined for 0 < eps < 1.
     """
-    if not (0.0 < epsilon < 1.0):
+    if not (is_real(epsilon) and 0.0 < epsilon < 1.0):
         raise InvalidInputError(f"contractivity_triple needs 0 < epsilon < 1, got {epsilon!r}")
     # Constant maps rho -> sigma tr(rho): weight sigma[m, m] on every |m><i|.
     psi = Channel(
@@ -509,8 +502,7 @@ def teleportation(dim: int) -> Channel:
     Post-selected teleportation without correction: the identity relabeling
     damped by 1/dim, so every input succeeds with probability dim**-2.
     """
-    if not is_integer(dim) or dim < 2:
-        raise InvalidInputError(f"teleportation needs an integer dim >= 2, got {dim!r}")
+    check_integer("teleportation dim", dim, 2)
     if dim > DIM_CAP:
         raise CapacityError(f"teleportation dim {dim} exceeds dimension cap {DIM_CAP}")
     return Channel((np.eye(dim, dtype=complex) / dim,), name=f"teleportation(dim={dim})")
@@ -570,7 +562,7 @@ def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InvalidInputError(f"{context}: expected rows of [re, im] pairs, got shape {arr.shape}")
     # The float conversion takes strings, booleans and None (as nan), even mixed with numbers.
-    if any(x is None or isinstance(x, (str, bool, np.bool_)) for r in rows for z in r for x in z):
+    if not all(is_real(x) for r in rows for z in r for x in z):
         raise not_pairs
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{context}: non-finite entries")
@@ -596,8 +588,8 @@ def channel_from_json(obj) -> Channel:
     if not isinstance(name, str):
         raise InvalidInputError("channel name must be a string")
     dim_in, dim_out = obj["dim_in"], obj["dim_out"]
-    if not (is_integer(dim_in) and is_integer(dim_out)):
-        raise InvalidInputError("dim_in and dim_out must be integers")
+    check_integer("dim_in", dim_in)
+    check_integer("dim_out", dim_out)
     kraus_rows = obj["kraus"]
     if not isinstance(kraus_rows, list) or not kraus_rows:
         raise InvalidInputError("kraus must be a nonempty list of matrices")

@@ -35,7 +35,7 @@ from .channels import (
     write_channel,
 )
 from .distances import MEASURES, OptimizerConfig, distance
-from .linalg import CapacityError, InvalidInputError
+from .linalg import CapacityError, InvalidInputError, check_integer
 from .suites import (
     RunConfig,
     format_suite_results,
@@ -53,8 +53,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(token) for token in text.split(",") if token.strip())
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse dims {text!r}: comma-separated integers") from exc
-    if any(d < 2 for d in dims):
-        raise InvalidInputError(f"dims must all be >= 2, got {dims}")
+    for dim in dims:
+        check_integer("--dims entry", dim, 2)
     return dims
 
 
@@ -71,11 +71,9 @@ def _witness_codec(witness) -> tuple[str, dict]:
         kind, dim, arrays = "pure", witness.dim, {"vector": witness.vector}
     elif isinstance(witness, DensityMatrix):
         kind, dim, arrays = "density", witness.dim, {"matrix": witness.matrix}
-    elif isinstance(witness, tuple) and len(witness) == 2:
+    else:
         left, right = witness
         kind, dim, arrays = "pure_pair", left.dim, {"left": left.vector, "right": right.vector}
-    else:
-        raise InvalidInputError(f"unserializable witness of type {type(witness).__name__}")
     payload = {"type": kind, **{key: matrix_to_pairs(a) for key, a in arrays.items()}}
     return f"{kind}(dim={dim})", payload
 
@@ -156,9 +154,8 @@ def _cmd_curve(args) -> int:
     else:
         if args.epsilon is not None:
             rows = [contractivity_curve(args.epsilon)]
-        elif args.grid < 2:
-            raise InvalidInputError(f"grid must be >= 2, got {args.grid}")
         else:
+            check_integer("grid", args.grid, 2)
             rows = [contractivity_curve(i / args.grid) for i in range(1, args.grid)]
         text = _format_csv("epsilon,before,after", rows)
     if args.out is not None:
@@ -245,15 +242,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, OSError) as exc:
+    except (InvalidInputError, OSError, ValidityError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, ValidityError) else 4 if isinstance(exc, CapacityError) else 2
 
 
 if __name__ == "__main__":

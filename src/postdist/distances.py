@@ -33,7 +33,8 @@ import numpy.linalg as npl
 
 from .channels import Channel, DensityMatrix, PureState, apply, compose, depolarizing_kraus
 from .channels import kraus_to_choi, require_postselection
-from .linalg import CapacityError, InvalidInputError, is_integer, partial_trace, trace_norm
+from .linalg import CapacityError, InvalidInputError, check_integer, is_real, partial_trace
+from .linalg import trace_norm
 
 # Input-dimension policy: unstabilized objectives stay cheap up to dim 8;
 # stabilized ones square the space, so they stop at dim-4 inputs.
@@ -57,16 +58,13 @@ class OptimizerConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        counts = (self.restarts, self.max_iterations, self.master_seed)
-        tolerances = (self.step_tolerance, self.value_tolerance)
-        integral = all(map(is_integer, counts))
-        if not integral or self.restarts < 1 or self.max_iterations < 0 or not all(
-            math.isfinite(t) and t >= 0.0 for t in tolerances
-        ):
-            raise InvalidInputError(
-                "optimizer needs integers restarts >= 1, max_iterations >= 0 and master_seed, "
-                f"and finite tolerances >= 0, got {self}"
-            )
+        check_integer("restarts", self.restarts, 1)
+        check_integer("max_iterations", self.max_iterations, 0)
+        check_integer("master_seed", self.master_seed)
+        for name in ("step_tolerance", "value_tolerance"):
+            tolerance = getattr(self, name)
+            if not (is_real(tolerance) and math.isfinite(tolerance) and tolerance >= 0.0):
+                raise InvalidInputError(f"optimizer needs a finite {name} >= 0, got {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -846,10 +844,8 @@ def dense_oracle(
     Skipped points cannot beat it, so the result is the same float as the
     maximum over every point.
     """
-    if not (is_integer(samples) and is_integer(seed)) or samples < 1:
-        raise InvalidInputError(
-            f"oracle needs an integer samples >= 1 and an integer seed, got {samples!r}, {seed!r}"
-        )
+    check_integer("samples", samples, 1)
+    check_integer("seed", seed)
     spec = _spec(measure)
     chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, ORACLE_DIM_CAP)
     fn, _ = spec.kernel([(chan_a, chan_b)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import numpy.linalg as npl
 
@@ -24,6 +26,18 @@ class CapacityError(ValueError):
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; bools are not sizes or counts."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, low: int | None = None) -> None:
+    """The one rule for a size, count or seed: an integer (not a bool), at least `low` if given."""
+    if not is_integer(value) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidInputError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """True for a real number (Python, numpy or `numbers.Real`); bools are not parameters."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _as_matrix(X: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -98,8 +112,8 @@ def partial_trace(X: np.ndarray, dims: tuple[int, int], keep: str = "first") -> 
         d1, d2 = dims
     except (TypeError, ValueError):
         raise InvalidInputError(f"partial_trace takes two dims (d1, d2), got {dims!r}") from None
-    if not (is_integer(d1) and is_integer(d2)) or d1 <= 0 or d2 <= 0:
-        raise InvalidInputError(f"factor dimensions must be positive integers, got {dims}")
+    check_integer("factor dimension d1", d1, 1)
+    check_integer("factor dimension d2", d2, 1)
     n = d1 * d2
     if X.shape != (n, n):
         raise InvalidInputError(

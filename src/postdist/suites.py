@@ -29,7 +29,7 @@ from .channels import (
     teleportation,
 )
 from .distances import SEED_MASK, OptimizerConfig
-from .linalg import InvalidInputError, is_integer
+from .linalg import InvalidInputError, check_integer
 from .theorems import (
     CheckSteps,
     TheoremReport,
@@ -66,13 +66,12 @@ class RunConfig:
     value_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (is_integer(self.seed) and is_integer(self.trials)) or self.trials < 1:
-            raise InvalidInputError(
-                "seed must be an integer and trials an integer >= 1, "
-                f"got seed={self.seed!r}, trials={self.trials!r}"
-            )
-        if not self.dims or not all(map(is_integer, self.dims)) or min(self.dims) < 1:
+        check_integer("seed", self.seed)
+        check_integer("trials", self.trials, 1)
+        if not self.dims:
             raise InvalidInputError(f"dims must name one or more positive integers, got {self.dims}")
+        for dim in self.dims:
+            check_integer("dims entry", dim, 1)
         OptimizerConfig(self.restarts, self.max_iterations, value_tolerance=self.value_tolerance)
 
 

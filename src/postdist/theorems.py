@@ -52,7 +52,7 @@ from .distances import (
     output_separation_bound,
     pointwise_distance,
 )
-from .linalg import InvalidInputError, is_integer, operator_norm
+from .linalg import InvalidInputError, check_integer, operator_norm
 
 # Comparisons between exactly evaluated quantities tolerate rounding only;
 # comparisons whose small side involves an optimizer estimate get more room.
@@ -569,8 +569,6 @@ def check_conversion(
     pass vacuously.
     """
     require_postselection(ch)
-    if not reference.is_trace_preserving():
-        raise ValidityError("precondition: reference must be trace-preserving")
     k = diamond_norm_channel(ch)
     alpha = conversion_factor(reference)
     unit = scale(ch, 1.0 / k, name="unit_scaled")
@@ -627,8 +625,7 @@ def nonconvexity_curve(epsilon: float, grid: int = 200) -> np.ndarray:
     Rows (p, f(rho_p)) for rho_p = diag(1-p, p) on a uniform grid of grid+1
     points, evaluated directly (no optimization, no closed form).
     """
-    if not is_integer(grid) or grid < 1:
-        raise InvalidInputError(f"grid must be an integer >= 1, got {grid!r}")
+    check_integer("grid", grid, 1)
     psi, phi = nonconvexity_pair(epsilon)
     rows = np.empty((grid + 1, 2))
     for i in range(grid + 1):

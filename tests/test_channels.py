@@ -15,7 +15,6 @@ from postdist.channels import (
     TRACE_ATOL,
     Channel,
     DensityMatrix,
-    ParameterError,
     PureState,
     ValidityError,
     apply,
@@ -45,7 +44,7 @@ from postdist.channels import (
     write_channel,
 )
 from postdist.cli import build_parser
-from postdist.distances import MEASURE_SPECS, MEASURES
+from postdist.distances import MEASURE_SPECS, MEASURES, OptimizerConfig
 from postdist.linalg import (
     CapacityError,
     InvalidInputError,
@@ -54,7 +53,7 @@ from postdist.linalg import (
     trace_norm,
 )
 from postdist.suites import RunConfig, normalize_suite_ids, run_statement
-from postdist.theorems import nonconvexity_curve
+from postdist.theorems import contractivity_curve, nonconvexity_curve
 
 
 def _rand_density(seed, dim):
@@ -284,7 +283,8 @@ def test_apply_dimension_mismatch():
     with pytest.raises(InvalidInputError, match="does not match input dimension"):
         apply(psi, DensityMatrix.maximally_mixed(2), 2)
     for anc in (0, 2.0, True):
-        with pytest.raises(InvalidInputError, match="ancilla of integer dimension"):
+        message = f"ancilla dimension must be an integer >= 1, got {anc!r}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
             apply(psi, DensityMatrix.maximally_mixed(2), anc)
 
 
@@ -345,9 +345,9 @@ def test_choi_trace_equals_effect_trace():
             ValidityError,
             "not completely positive",
         ),
-        (np.eye(4, dtype=complex), (2.0, 2), InvalidInputError, "integers >= 1"),
-        (np.eye(4, dtype=complex), (True, 4), InvalidInputError, "integers >= 1"),
-        (np.eye(4, dtype=complex), (-2, -2), InvalidInputError, "integers >= 1"),
+        (np.eye(4, dtype=complex), (2.0, 2), InvalidInputError, "dim_in must be an integer >= 1"),
+        (np.eye(4, dtype=complex), (True, 4), InvalidInputError, "dim_in must be an integer >= 1"),
+        (np.eye(4, dtype=complex), (-2, -2), InvalidInputError, "dim_in must be an integer >= 1"),
     ],
     ids=[
         "wrong-shape",
@@ -448,9 +448,9 @@ def test_scale():
     assert np.allclose(half.effect, 0.5 * ch.effect, atol=1e-12)
     with pytest.raises(ValidityError):
         scale(ch, 1.2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         scale(ch, 0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         scale(ch, -1.0)
 
 
@@ -507,11 +507,11 @@ def test_random_channel_kinds():
     assert post.effect_eigenvalues[0] >= 0.009
     assert post.effect_eigenvalues[-1] <= 1.0
     assert not post.is_trace_preserving()
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         random_channel(2, 2, rank=2, kind="unital", seed=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         random_channel(0, 2, rank=2, seed=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         random_channel(4, 1, rank=2, kind="cptp", seed=0)  # no isometry fits
 
 
@@ -532,7 +532,7 @@ def test_random_channel_rejects_non_integer_sizes():
         ((2, 2), {"seed": 1.5}),
     ):
         for kind in ("cptp", "postselection"):
-            with pytest.raises(ParameterError):
+            with pytest.raises(InvalidInputError):
                 random_channel(*args, **{"kind": kind, "seed": 0, **kwargs})
     assert random_channel(np.int64(2), 3, rank=np.int32(2), seed=0).kraus.shape == (2, 3, 2)
 
@@ -540,22 +540,22 @@ def test_random_channel_rejects_non_integer_sizes():
 @pytest.mark.parametrize(
     "make, args, error",
     [
-        (random_density, (2.5,), ParameterError),
-        (random_density, (2, 1.5), ParameterError),
-        (random_pure, (2.5,), ParameterError),
-        (random_pure, (True,), ParameterError),
-        (random_pure, (2, 1.5), ParameterError),
-        (random_channel, (2, 2, 2, "cptp", -1), ParameterError),
-        (random_channel, (2, 2, 2, "postselection", -1), ParameterError),
-        (random_density, (2, -3), ParameterError),
-        (random_pure, (2, -1), ParameterError),
-        (random_pure, (2, np.int64(-1)), ParameterError),
-        (haar_isometry, (np.random.default_rng(0), 2.5, 2), ParameterError),
-        (haar_isometry, (np.random.default_rng(0), 2, 3), ParameterError),
-        (haar_isometry, (-1, 2, 2), ParameterError),
-        (haar_isometry, (1.5, 2, 2), ParameterError),
-        (haar_isometry, (True, 2, 2), ParameterError),
-        (haar_isometry, ("0", 2, 2), ParameterError),
+        (random_density, (2.5,), InvalidInputError),
+        (random_density, (2, 1.5), InvalidInputError),
+        (random_pure, (2.5,), InvalidInputError),
+        (random_pure, (True,), InvalidInputError),
+        (random_pure, (2, 1.5), InvalidInputError),
+        (random_channel, (2, 2, 2, "cptp", -1), InvalidInputError),
+        (random_channel, (2, 2, 2, "postselection", -1), InvalidInputError),
+        (random_density, (2, -3), InvalidInputError),
+        (random_pure, (2, -1), InvalidInputError),
+        (random_pure, (2, np.int64(-1)), InvalidInputError),
+        (haar_isometry, (np.random.default_rng(0), 2.5, 2), InvalidInputError),
+        (haar_isometry, (np.random.default_rng(0), 2, 3), InvalidInputError),
+        (haar_isometry, (-1, 2, 2), InvalidInputError),
+        (haar_isometry, (1.5, 2, 2), InvalidInputError),
+        (haar_isometry, (True, 2, 2), InvalidInputError),
+        (haar_isometry, ("0", 2, 2), InvalidInputError),
         (DensityMatrix.maximally_mixed, (2.5,), InvalidInputError),
         (nonconvexity_curve, (0.1, 2.5), InvalidInputError),
     ],
@@ -603,35 +603,41 @@ def _run_cli(*argv):
     "call, message",
     [
         (lambda: scale(teleportation(2), -1.0), "scale factor must be positive and finite"),
-        (lambda: random_density(2, seed=-3), "seed must be a non-negative integer"),
+        (lambda: random_density(2, seed=-3), "seed must be an integer >= 0, got -3"),
         (lambda: random_density(0), "dimension must be an integer >= 1"),
         (lambda: DensityMatrix.maximally_mixed(0), "dimension must be an integer >= 1"),
         (lambda: random_pure(2.5), "dimension must be an integer >= 1"),
-        (lambda: haar_isometry(0, 2, 3), "need integers 1 <= dim_in <= dim_out"),
-        (lambda: random_channel(2.5, 2), "dimensions and rank must be positive integers"),
+        (lambda: haar_isometry(0, 2, 3), "dim_out must be an integer >= 3, got 2"),
+        (lambda: random_channel(2.5, 2), "dim_in must be an integer >= 1, got 2.5"),
         (lambda: random_channel(4, 1, kind="cptp"), "no isometry into 1*2 dimensions from 4"),
         (_zero_draw_postselection_channel, "degenerate random draw"),
         (lambda: random_channel(2, 2, kind="unital"), "unknown channel kind 'unital'"),
         (lambda: nonconvexity_pair(0.5), "nonconvexity_pair needs 0 < epsilon < 1/2"),
         (lambda: contractivity_triple(1.0), "contractivity_triple needs 0 < epsilon < 1"),
-        (lambda: teleportation(1), "teleportation needs an integer dim >= 2"),
+        (lambda: teleportation(1), "teleportation dim must be an integer >= 2, got 1"),
         (lambda: tensor_with_identity(teleportation(2), 1.5), "ancilla dimension must be"),
         (lambda: isometry(np.zeros((2, 3))), "isometry needs a tall or square matrix"),
         (lambda: isometry(np.full((2, 2), 0.5)), "matrix is not an isometry within 1e-10"),
         (lambda: gallery("does_not_exist"), "unknown gallery name 'does_not_exist'"),
-        (lambda: gallery("teleportation", dim=1.5), "teleportation needs an integer dim >= 2"),
+        (
+            lambda: gallery("teleportation", dim=1.5),
+            "teleportation dim must be an integer >= 2, got 1.5",
+        ),
         (lambda: gallery("nonconvexity_pair"), "gallery 'nonconvexity_pair': missing"),
         (lambda: gallery("conversion_pair", epsilon=0.1), "gallery 'conversion_pair': got an"),
-        (lambda: RunConfig(trials=0), "trials an integer >= 1"),
-        (lambda: RunConfig(restarts=0), "optimizer needs integers restarts >= 1"),
+        (lambda: RunConfig(trials=0), "trials must be an integer >= 1, got 0"),
+        (lambda: RunConfig(restarts=0), "restarts must be an integer >= 1, got 0"),
         (lambda: RunConfig(dims=()), "dims must name one or more positive integers"),
         (lambda: normalize_suite_ids("L1,T9"), "unknown statement id 'T9'"),
         (lambda: normalize_suite_ids(" , "), "no statement ids given"),
         (lambda: run_statement("T9"), "unknown statement id 'T9'"),
         (lambda: _run_cli("verify", "--dims", "2,x"), "cannot parse dims '2,x'"),
-        (lambda: _run_cli("verify", "--dims", "1"), "dims must all be >= 2"),
+        (lambda: _run_cli("verify", "--dims", "1"), "--dims entry must be an integer >= 2, got 1"),
         (lambda: _run_cli("curve", "--figure", "1"), "figure 1 needs --epsilon"),
-        (lambda: _run_cli("curve", "--figure", "2", "--grid", "1"), "grid must be >= 2"),
+        (
+            lambda: _run_cli("curve", "--figure", "2", "--grid", "1"),
+            "grid must be an integer >= 2, got 1",
+        ),
     ],
     ids=[
         "scale-factor",
@@ -672,9 +678,59 @@ def test_a_bad_argument_raises_invalid_input_error(call, message):
     assert type(exc.value) is InvalidInputError
 
 
-def test_parameter_error_is_the_invalid_input_error():
-    assert postdist.ParameterError is postdist.InvalidInputError
-    assert ParameterError is InvalidInputError
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: scale(teleportation(2), "0.5"),
+            "scale factor must be positive and finite, got '0.5'",
+        ),
+        (
+            lambda: scale(teleportation(2), None),
+            "scale factor must be positive and finite, got None",
+        ),
+        (
+            lambda: scale(teleportation(2), True),
+            "scale factor must be positive and finite, got True",
+        ),
+        (lambda: nonconvexity_pair("0.25"), "needs 0 < epsilon < 1/2, got '0.25'"),
+        (
+            lambda: gallery("contractivity_triple", epsilon=None),
+            "needs 0 < epsilon < 1, got None",
+        ),
+        (
+            lambda: OptimizerConfig(step_tolerance="x"),
+            "optimizer needs a finite step_tolerance >= 0, got 'x'",
+        ),
+        (
+            lambda: RunConfig(value_tolerance=None),
+            "optimizer needs a finite value_tolerance >= 0, got None",
+        ),
+        (lambda: nonconvexity_curve("x"), "needs 0 < epsilon < 1/2, got 'x'"),
+        (lambda: contractivity_curve("x"), "needs 0 < epsilon < 1, got 'x'"),
+    ],
+    ids=[
+        "scale-str",
+        "scale-none",
+        "scale-bool",
+        "nonconvexity_pair-str",
+        "gallery-contractivity_triple-none",
+        "OptimizerConfig-step_tolerance",
+        "RunConfig-value_tolerance",
+        "nonconvexity_curve-str",
+        "contractivity_curve-str",
+    ],
+)
+def test_a_non_numeric_real_raises_invalid_input_error(call, message):
+    # Real parameters take real numbers only: a string, None or a bool is a bad
+    # argument, not a float conversion's TypeError.
+    with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
+        call()
+    assert type(exc.value) is InvalidInputError
+
+
+def test_a_bad_argument_has_one_error_class():
+    assert not hasattr(postdist, "ParameterError")
 
 
 @pytest.mark.parametrize("dim_in, dim_out", [(3, 3), (2, 3), (3, 2)])
@@ -721,33 +777,33 @@ def test_gallery_names_construct():
 
 
 def test_gallery_parameter_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         gallery("nonconvexity_pair")
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         gallery("nonconvexity_pair", epsilon=0.25, dim=2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         gallery("conversion_pair", epsilon=0.1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         gallery("does_not_exist")
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         gallery("nonconvexity_pair", epsilon=0.5)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         gallery("contractivity_triple", epsilon=1.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         gallery("teleportation", dim=1)
 
 
 def test_gallery_teleportation_rejects_non_integer_dim():
     # Before, the gallery truncated dim=2.7 to the dim-2 channel.
     for bad in (2.7, 3.0, "3"):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             gallery("teleportation", dim=bad)
     assert gallery("teleportation", dim=np.int64(3))[0].name == "teleportation(dim=3)"
 
 
 def test_teleportation_rejects_non_integer_dim():
     for bad in (2.5, 2.0, True):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             teleportation(bad)
 
 
@@ -781,9 +837,9 @@ def test_isometry_validation():
     tall = np.zeros((3, 2))
     tall[0, 0] = tall[1, 1] = 1.0
     assert isometry(tall).dim_out == 3
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         isometry(np.full((2, 2), 0.5))
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         isometry(np.zeros((2, 3)))
 
 

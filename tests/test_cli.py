@@ -165,7 +165,7 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     # JSON booleans are not dimensions, although isinstance(True, int) holds.
     bad.write_text('{"name": "b", "dim_in": true, "dim_out": true, "kraus": [[[[1.0, 0.0]]]]}')
     assert main(["dist", "dtrD", str(bad), str(bad), *FAST]) == 2
-    assert "dim_in and dim_out must be integers" in capsys.readouterr().err
+    assert "dim_in must be an integer, got True" in capsys.readouterr().err
     assert main(["example", "isometry", "--matrix", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
     # np.asarray(..., dtype=float) converts strings and booleans, even mixed with
@@ -378,7 +378,7 @@ def test_curve_figure_two_sweep(capsys):
         assert main(["curve", "--figure", "2", "--grid", grid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "grid must be >= 2" in captured.err
+        assert "grid must be an integer >= 2" in captured.err
 
 
 def test_curve_out_file(tmp_path, capsys):

@@ -104,6 +104,25 @@ def _identifiers(module: str) -> set[str]:
     return names | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
 
 
+def test_one_rule_for_a_bad_argument():
+    # linalg states the integer rule once (`check_integer`, over `is_integer`);
+    # the other modules call it instead of restating it. A bad argument has one
+    # error class, InvalidInputError, and no module keeps a second name for it.
+    modules = sorted(p.name for p in PACKAGE.glob("*.py"))
+    restating = [m for m in modules if m != "linalg.py" and "is_integer" in _identifiers(m)]
+    assert not restating, f"modules that name is_integer: {restating}"
+    aliasing = [
+        m
+        for m in modules
+        if "ParameterError" in _identifiers(m)
+        or any(
+            getattr(node, "name", None) == "ParameterError"
+            for node in ast.walk(ast.parse((PACKAGE / m).read_text()))
+        )
+    ]
+    assert not aliasing, f"modules that define or import ParameterError: {aliasing}"
+
+
 def test_only_distances_runs_the_optimizer():
     # `maximize` runs one budget per call; the other modules reach it only
     # through distances' estimates, and theorems needs none of its kernel kit.

@@ -4,15 +4,19 @@ import numpy as np
 import numpy.linalg as npl
 import pytest
 from hypothesis import given, settings
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from postdist.linalg import (
     InvalidInputError,
+    check_integer,
     hermitian_eig,
     hermitianize,
     hermiticity_defect,
     is_hermitian,
     is_integer,
+    is_real,
     operator_norm,
     partial_trace,
     trace_norm,
@@ -76,6 +80,23 @@ def test_hermitian_eig_pauli_x():
 def test_is_integer_takes_python_and_numpy_integers_only():
     assert all(is_integer(n) for n in (0, -3, 2**70, np.int8(2), np.int64(5), np.uint32(7)))
     assert not any(is_integer(x) for x in (True, np.True_, 2.0, 2.5, np.float64(2), "2", None))
+
+
+def test_check_integer_names_the_argument_and_its_bound():
+    check_integer("count", np.int64(3), 3)
+    check_integer("seed", -5)
+    with pytest.raises(InvalidInputError, match=r"^count must be an integer >= 3, got 2$"):
+        check_integer("count", 2, 3)
+    with pytest.raises(InvalidInputError, match=r"^seed must be an integer, got True$"):
+        check_integer("seed", True)
+    with pytest.raises(InvalidInputError, match=r"^count must be an integer >= 0, got 1.0$"):
+        check_integer("count", 1.0, 0)
+
+
+def test_is_real_takes_real_numbers_but_not_bools():
+    assert all(is_real(x) for x in (0, -3, 2.5, np.float32(0.5), np.int8(2), Fraction(1, 3)))
+    assert all(is_real(x) for x in (float("nan"), float("inf")))  # ranges are each caller's
+    assert not any(is_real(x) for x in (True, np.True_, "0.5", None, 1j, np.complex128(1)))
 
 
 def test_partial_trace_entangled_state():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from postdist import theorems
-from postdist.channels import ParameterError
 from postdist.linalg import InvalidInputError
 from postdist.suites import (
     FIXED_SWEEP_IDS,
@@ -38,14 +37,14 @@ def test_normalize_suite_ids():
     assert normalize_suite_ids(" ALL ") == STATEMENT_IDS
     assert normalize_suite_ids("T1,CE2") == ("T1", "CE2")
     assert normalize_suite_ids("T1, T1 ,CE2") == ("T1", "CE2")
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         normalize_suite_ids("T9")
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         normalize_suite_ids(" , ")
 
 
 def test_run_statement_unknown_id():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         run_statement("nope", SMALL)
 
 
@@ -64,7 +63,7 @@ def test_run_config_rejects_empty_corpora():
         {"trials": True},
     )
     for bad in bad_values:
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             RunConfig(**bad)
     # Dimension 1 is a valid corpus; requiring d >= 2 is the CLI's policy.
     tiny = RunConfig(seed=3, trials=1, dims=(1,), restarts=3, max_iterations=60)

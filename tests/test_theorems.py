@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from postdist import theorems
 from postdist.channels import (
     Channel,
     PureState,
@@ -391,7 +392,7 @@ def test_conversion_requires_a_trace_preserving_reference(monkeypatch):
     _forbid_optimizer(monkeypatch)
     psi, _ = nonconvexity_pair(0.25)
     ch = random_channel(2, 2, rank=2, kind="postselection", seed=3)
-    with pytest.raises(ValidityError, match="reference must be trace-preserving"):
+    with pytest.raises(ValidityError, match="conversion factor is defined for trace-preserving maps"):
         check_conversion(ch, psi, FAST)
 
 
@@ -455,6 +456,42 @@ def test_conversion_failure_lines(monkeypatch):
         "alpha k D-hat = 6.655738645021573e-07",
     )
     assert rep.description == "mix vs random_cptp(d2->d2,r2) (dim 2, alpha=1e-06)"
+
+
+def test_conversion_left_bound_failure_line(monkeypatch):
+    # A renormalized value of 10 at the state witness breaks (b): D-hat / 2
+    # cannot exceed a trace distance.
+    evaluate = theorems.evaluate_witness
+    monkeypatch.setattr(
+        "postdist.theorems.evaluate_witness",
+        lambda measure, *args: 10.0 if measure == "hat-tr" else evaluate(measure, *args),
+    )
+    rep = check_conversion(teleportation(2), isometry(np.eye(2), name="identity"), FAST)
+    assert not rep.passed
+    assert rep.aux_violations == ("left bound failed: D-hat / 2 exceeds the state distance",)
+
+
+@pytest.mark.parametrize("fill", [0.0, 10.0], ids=["low", "high"])
+def test_isometry_norm_window_failure_lines(monkeypatch, fill):
+    # A zero or an oversized environment vector leaves the ||g||^2 window of T3 and T6.
+    monkeypatch.setattr(
+        "postdist.theorems.environment_vector",
+        lambda ch, iso, witness: np.full(ch.rank, fill, dtype=complex),
+    )
+    ch = scale(noisy_unitary(np.eye(2), 0.01), 0.8, name="sub")
+    t3 = check_isometry_approximation(ch, np.eye(2), FAST)
+    t6 = check_postselected_dilation_bound(ch, np.eye(2), FAST)
+    assert not t3.passed and not t6.passed
+    g3, a3, eps3 = (t3.witnesses[k] for k in ("g_norm_sq", "dilation_norm_sq", "epsilon"))
+    g6, k6, eps6 = (t6.witnesses[k] for k in ("g_norm_sq", "dilation_norm_sq", "epsilon_hat"))
+    if fill == 0.0:
+        assert t3.aux_violations == (f"norm window low: ||g||^2 = 0.0 < 1 - eps = {1.0 - eps3!r}",)
+        assert t6.aux_violations == (
+            f"norm window low: ||g||^2 = 0.0 < (1 - 9 eps) k = {(1.0 - 9.0 * eps6) * k6!r}",
+        )
+    else:
+        assert t3.aux_violations == (f"norm window high: ||g||^2 = {g3!r} > ||A||_op^2 = {a3!r}",)
+        assert t6.aux_violations == (f"norm window high: ||g||^2 = {g6!r} > ||A||_op^2 = {k6!r}",)
 
 
 # ---------------------------------------------------------------------------
