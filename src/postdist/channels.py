@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .linalg import (
     DIM_CAP,
     CapacityError,
     InvalidInputError,
+    as_array,
     check_integer,
     hermitian_eig,
     hermitianize,
@@ -62,9 +62,7 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vector, dtype=complex).reshape(-1)
-        if v.size == 0 or not np.all(np.isfinite(v)):
-            raise InvalidInputError("pure state vector must be nonempty and finite")
+        v = as_array(self.vector, "pure state vector", ndim=1).copy()
         norm = float(npl.norm(v))
         if abs(norm - 1.0) > 1e-12:
             raise InvalidInputError(f"pure state norm {norm!r} deviates from 1 beyond 1e-12")
@@ -77,7 +75,7 @@ class PureState:
 
     @classmethod
     def normalized(cls, vector: np.ndarray) -> "PureState":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = as_array(vector, "pure state vector", ndim=1)
         norm = float(npl.norm(v))
         if not np.isfinite(norm) or norm < 1e-12:
             raise InvalidInputError("cannot normalize a (near-)zero vector")
@@ -94,11 +92,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        m = as_array(self.matrix, "density matrix")
+        if m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("density matrix has non-finite entries")
         if not is_hermitian(m):
             raise InvalidInputError("density matrix is not Hermitian within 1e-10")
         m = hermitianize(m)
@@ -139,17 +135,12 @@ class Channel:
     def __post_init__(self):
         if len(self.kraus) == 0:
             raise ValidityError("empty channel: at least one Kraus operator is required")
-        shapes = sorted({np.shape(op) for op in self.kraus})
-        if len(shapes) != 1 or len(shapes[0]) != 2 or 0 in shapes[0]:
-            raise InvalidInputError(
-                f"Kraus operators must be nonempty matrices of one shape, got shapes {shapes}"
-            )
-        # A C-ordered copy whatever the inputs' strides: einsum's summation order follows them.
-        kraus = np.array(self.kraus, dtype=complex, order="C")
-        if not np.all(np.isfinite(kraus)):
-            raise InvalidInputError("Kraus operators have non-finite entries")
-        if max(shapes[0]) > DIM_CAP:
-            raise CapacityError(f"Kraus shape {shapes[0]} exceeds dimension cap {DIM_CAP}")
+        kraus = as_array(self.kraus, "Kraus operators", ndim=3)
+        # A C-ordered copy, never the caller's array: einsum's summation order follows the strides.
+        if kraus is self.kraus or kraus.base is not None or not kraus.flags.c_contiguous:
+            kraus = np.array(kraus, order="C")
+        if max(kraus.shape[1:]) > DIM_CAP:
+            raise CapacityError(f"Kraus shape {kraus.shape[1:]} exceeds dimension cap {DIM_CAP}")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
         effect = np.einsum("emi,emj->ij", kraus.conj(), kraus)
@@ -220,7 +211,7 @@ def apply(ch: Channel, rho: DensityMatrix | np.ndarray, anc: int = 1) -> np.ndar
     Apply the channel extended by an untouched ancilla of dimension `anc`:
     sum_e (K_e (x) I_anc) rho (K_e (x) I_anc)^H (no renormalization).
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else as_array(rho, "rho")
     check_integer("ancilla dimension", anc, 1)
     if m.shape != (ch.dim_in * anc,) * 2:
         raise InvalidInputError(
@@ -260,7 +251,7 @@ def choi_to_kraus(choi: np.ndarray, dim_in: int, dim_out: int, name: str = "") -
     """
     check_integer("dim_in", dim_in, 1)
     check_integer("dim_out", dim_out, 1)
-    m = np.asarray(choi, dtype=complex)
+    m = as_array(choi, "Choi matrix")
     n = dim_in * dim_out
     if m.shape != (n, n):
         raise InvalidInputError(f"Choi matrix must have shape {(n, n)}, got {m.shape}")
@@ -322,7 +313,7 @@ def scale(ch: Channel, factor: float, name: str = "") -> Channel:
     Scale the map by `factor` (every Kraus operator by sqrt(factor)).  The
     result must still be trace-nonincreasing; construction raises otherwise.
     """
-    if not (is_real(factor) and math.isfinite(factor) and factor > 0):
+    if not (is_real(factor) and factor > 0):
         raise InvalidInputError(f"scale factor must be positive and finite, got {factor!r}")
     root = np.sqrt(float(factor))
     return Channel(root * ch.kraus, name=name or ch.name)
@@ -510,8 +501,8 @@ def teleportation(dim: int) -> Channel:
 
 def isometry(u: np.ndarray, name: str = "") -> Channel:
     """Single-Kraus channel rho -> U rho U^H for an isometry U."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] < u.shape[1]:
+    u = as_array(u, "isometry matrix")
+    if u.shape[0] < u.shape[1]:
         raise InvalidInputError(f"isometry needs a tall or square matrix, got shape {u.shape}")
     gram = u.conj().T @ u
     if operator_norm(gram - np.eye(u.shape[1])) > 1e-10:
@@ -554,18 +545,16 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
-    not_pairs = InvalidInputError(f"{context}: entries must be [re, im] number pairs")
+    not_pairs = InvalidInputError(f"{context}: entries must be finite [re, im] number pairs")
     try:
         arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise not_pairs from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise InvalidInputError(f"{context}: expected rows of [re, im] pairs, got shape {arr.shape}")
-    # The float conversion takes strings, booleans and None (as nan), even mixed with numbers.
+    # The float conversion takes strings, booleans, None (as nan), nan and inf; is_real does not.
     if not all(is_real(x) for r in rows for z in r for x in z):
         raise not_pairs
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{context}: non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

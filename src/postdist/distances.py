@@ -44,8 +44,6 @@ STABILIZED_DIM_CAP = 4
 # The sampling oracle is only trusted as a cross-check at tiny dimensions.
 ORACLE_DIM_CAP = 3
 
-SEED_MASK = (1 << 63) - 1
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -60,10 +58,10 @@ class OptimizerConfig:
     def __post_init__(self):
         check_integer("restarts", self.restarts, 1)
         check_integer("max_iterations", self.max_iterations, 0)
-        check_integer("master_seed", self.master_seed)
+        check_integer("master_seed", self.master_seed, 0)
         for name in ("step_tolerance", "value_tolerance"):
             tolerance = getattr(self, name)
-            if not (is_real(tolerance) and math.isfinite(tolerance) and tolerance >= 0.0):
+            if not (is_real(tolerance) and tolerance >= 0.0):
                 raise InvalidInputError(f"optimizer needs a finite {name} >= 0, got {tolerance!r}")
 
 
@@ -742,7 +740,7 @@ def distance_batch(requests: list[tuple]) -> list[DistanceEstimate]:
         spec = MEASURE_SPECS[measure]
         kernel = spec.kernel([pair for _, pair, _ in members])
         n = spec.n_params(d)
-        starts = [_starts(cfg.master_seed & SEED_MASK, budget.restarts, n) for _, _, cfg in members]
+        starts = [_starts(cfg.master_seed, budget.restarts, n) for _, _, cfg in members]
         results = maximize(*kernel, np.stack(starts), budget)
         for (i, (chan_a, chan_b), cfg), res in zip(members, results):
             winner = int(np.argmax(res.values))  # the first of equal maxima
@@ -845,12 +843,12 @@ def dense_oracle(
     maximum over every point.
     """
     check_integer("samples", samples, 1)
-    check_integer("seed", seed)
+    check_integer("seed", seed, 0)
     spec = _spec(measure)
     chan_a, chan_b = _checked_pair(spec, chan_a, chan_b, ORACLE_DIM_CAP)
     fn, _ = spec.kernel([(chan_a, chan_b)])
     n_params = spec.n_params(chan_a.dim_in)
-    rng = np.random.default_rng([seed & SEED_MASK, 1])
+    rng = np.random.default_rng([seed, 1])
     head = min(samples, _ORACLE_HEAD)
     best = float(np.max(fn(rng.standard_normal((head, n_params)), np.zeros(head, dtype=int))))
     for start in range(head, samples, _ORACLE_CHUNK):

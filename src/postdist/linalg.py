@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -36,19 +37,28 @@ def check_integer(name: str, value, low: int | None = None) -> None:
 
 
 def is_real(value) -> bool:
-    """True for a real number (Python, numpy or `numbers.Real`); bools are not parameters."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """The one rule for a real parameter: a finite real number (not a bool) that fits in a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def _as_matrix(X: np.ndarray, name: str = "matrix") -> np.ndarray:
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise InvalidInputError(f"{name} must be a nonempty 2-d array, got shape {X.shape}")
-    if not np.issubdtype(X.dtype, np.number):
-        raise InvalidInputError(f"{name} must be numeric, got dtype {X.dtype}")
+def as_array(X, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """The one rule for an array argument: nonempty, ndim-d, numeric (not bool), finite; as complex."""
+    try:
+        X = np.asarray(X)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name}: expected a nonempty {ndim}-d array, got a ragged one") from None
+    if X.ndim != ndim or 0 in X.shape:
+        raise InvalidInputError(f"{name}: expected a nonempty {ndim}-d array, got shape {X.shape}")
+    if X.dtype.kind not in "iufc":
+        raise InvalidInputError(f"{name}: expected numeric entries, got dtype {X.dtype}")
     X = X.astype(complex, copy=False)
-    if not np.all(np.isfinite(X.real)) or not np.all(np.isfinite(X.imag)):
-        raise InvalidInputError(f"{name} has non-finite entries")
+    if not np.isfinite(X).all():
+        raise InvalidInputError(f"{name}: non-finite entries")
     return X
 
 
@@ -75,7 +85,7 @@ def hermitian_eig(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (X + X^H)/2 before the decomposition so roundoff asymmetry cannot leak into
     the spectrum.  Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    X = _as_matrix(X)
+    X = as_array(X)
     if X.shape[0] != X.shape[1]:
         raise InvalidInputError(f"hermitian_eig needs a square matrix, got {X.shape}")
     if not is_hermitian(X):
@@ -92,12 +102,12 @@ def trace_norm(X: np.ndarray) -> float:
     Trace norm ||X||_1 (sum of singular values), by SVD: the Gram route would
     lift each zero singular value to about sqrt(eps) * sigma_max.
     """
-    return float(npl.svd(_as_matrix(X), compute_uv=False).sum())
+    return float(npl.svd(as_array(X), compute_uv=False).sum())
 
 
 def operator_norm(X: np.ndarray) -> float:
     """Operator norm ||X||_op (largest singular value)."""
-    return float(npl.svd(_as_matrix(X), compute_uv=False)[0])
+    return float(npl.svd(as_array(X), compute_uv=False)[0])
 
 
 def partial_trace(X: np.ndarray, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
@@ -107,7 +117,7 @@ def partial_trace(X: np.ndarray, dims: tuple[int, int], keep: str = "first") -> 
     `keep` selects the surviving factor ("first" or "second"); indices follow
     the same row-major convention as `np.kron`.
     """
-    X = _as_matrix(X)
+    X = as_array(X)
     try:
         d1, d2 = dims
     except (TypeError, ValueError):

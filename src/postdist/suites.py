@@ -28,7 +28,7 @@ from .channels import (
     scale,
     teleportation,
 )
-from .distances import SEED_MASK, OptimizerConfig
+from .distances import OptimizerConfig
 from .linalg import InvalidInputError, check_integer
 from .theorems import (
     CheckSteps,
@@ -66,10 +66,10 @@ class RunConfig:
     value_tolerance: float = 1e-8
 
     def __post_init__(self):
-        check_integer("seed", self.seed)
+        check_integer("seed", self.seed, 0)
         check_integer("trials", self.trials, 1)
-        if not self.dims:
-            raise InvalidInputError(f"dims must name one or more positive integers, got {self.dims}")
+        if not isinstance(self.dims, tuple) or not self.dims:
+            raise InvalidInputError(f"dims must be a nonempty tuple of integers, got {self.dims!r}")
         for dim in self.dims:
             check_integer("dims entry", dim, 1)
         OptimizerConfig(self.restarts, self.max_iterations, value_tolerance=self.value_tolerance)
@@ -77,7 +77,7 @@ class RunConfig:
 
 def _instance_rng(cfg: RunConfig, statement: str, index: int) -> np.random.Generator:
     code = STATEMENT_IDS.index(statement)
-    return np.random.default_rng([cfg.seed & SEED_MASK, code, index])
+    return np.random.default_rng([cfg.seed, code, index])
 
 
 def _opt(cfg: RunConfig, rng: np.random.Generator, boost: bool = False) -> OptimizerConfig:
@@ -281,6 +281,8 @@ def _statement(sid: str) -> Statement:
 
 def normalize_suite_ids(spec: str) -> tuple[str, ...]:
     """'all' or a comma-separated subset of statement ids, order-preserving."""
+    if not isinstance(spec, str):
+        raise InvalidInputError(f"suite ids must be a string such as 'all' or 'T1,CE2', got {spec!r}")
     if spec.strip().lower() == "all":
         return STATEMENT_IDS
     ids = tuple(dict.fromkeys(token.strip() for token in spec.split(",") if token.strip()))

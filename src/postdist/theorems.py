@@ -52,7 +52,7 @@ from .distances import (
     output_separation_bound,
     pointwise_distance,
 )
-from .linalg import InvalidInputError, check_integer, operator_norm
+from .linalg import InvalidInputError, as_array, check_integer, operator_norm
 
 # Comparisons between exactly evaluated quantities tolerate rounding only;
 # comparisons whose small side involves an optimizer estimate get more room.
@@ -284,7 +284,7 @@ def environment_vector(ch: Channel, iso: np.ndarray, state: PureState) -> np.nda
     close the channel's Stinespring dilation A is to isometry-times-fixed-vector
     form; component e equals <u| U^H K_e |u>.
     """
-    iso = np.asarray(iso, dtype=complex)
+    iso = as_array(iso, "iso")
     if iso.shape != (ch.dim_out, ch.dim_in):
         raise InvalidInputError(
             f"isometry shape {iso.shape} does not match dilation ({ch.dim_out}, {ch.dim_in})"

@@ -44,7 +44,7 @@ from postdist.channels import (
     write_channel,
 )
 from postdist.cli import build_parser
-from postdist.distances import MEASURE_SPECS, MEASURES, OptimizerConfig
+from postdist.distances import MEASURE_SPECS, MEASURES, OptimizerConfig, dense_oracle
 from postdist.linalg import (
     CapacityError,
     InvalidInputError,
@@ -53,7 +53,7 @@ from postdist.linalg import (
     trace_norm,
 )
 from postdist.suites import RunConfig, normalize_suite_ids, run_statement
-from postdist.theorems import contractivity_curve, nonconvexity_curve
+from postdist.theorems import contractivity_curve, environment_vector, nonconvexity_curve
 
 
 def _rand_density(seed, dim):
@@ -627,7 +627,7 @@ def _run_cli(*argv):
         (lambda: gallery("conversion_pair", epsilon=0.1), "gallery 'conversion_pair': got an"),
         (lambda: RunConfig(trials=0), "trials must be an integer >= 1, got 0"),
         (lambda: RunConfig(restarts=0), "restarts must be an integer >= 1, got 0"),
-        (lambda: RunConfig(dims=()), "dims must name one or more positive integers"),
+        (lambda: RunConfig(dims=()), "dims must be a nonempty tuple of integers, got ()"),
         (lambda: normalize_suite_ids("L1,T9"), "unknown statement id 'T9'"),
         (lambda: normalize_suite_ids(" , "), "no statement ids given"),
         (lambda: run_statement("T9"), "unknown statement id 'T9'"),
@@ -637,6 +637,25 @@ def _run_cli(*argv):
         (
             lambda: _run_cli("curve", "--figure", "2", "--grid", "1"),
             "grid must be an integer >= 2, got 1",
+        ),
+        (lambda: RunConfig(dims=5), "dims must be a nonempty tuple of integers, got 5"),
+        (lambda: RunConfig(dims=[2]), "dims must be a nonempty tuple of integers, got [2]"),
+        (lambda: normalize_suite_ids(["T1"]), "suite ids must be a string"),
+        (lambda: PureState(["1", "0"]), "pure state vector: expected numeric entries"),
+        (lambda: DensityMatrix([["1", 0], [0, 0]]), "density matrix: expected numeric entries"),
+        (lambda: Channel([[["1", 0], [0, 0]]]), "Kraus operators: expected numeric entries"),
+        (lambda: isometry([["1", 0], [0, 1]]), "isometry matrix: expected numeric entries"),
+        (lambda: apply(teleportation(2), [["1", 0], [0, 0]]), "rho: expected numeric entries"),
+        (lambda: choi_to_kraus([["1"] * 4] * 4, 2, 2), "Choi matrix: expected numeric entries"),
+        (
+            lambda: environment_vector(teleportation(2), [["1", 0], [0, 1]], PureState([1, 0])),
+            "iso: expected numeric entries",
+        ),
+        (lambda: OptimizerConfig(master_seed=-1), "master_seed must be an integer >= 0, got -1"),
+        (lambda: RunConfig(seed=-1), "seed must be an integer >= 0, got -1"),
+        (
+            lambda: dense_oracle("dtr", teleportation(2), teleportation(2), seed=-1),
+            "seed must be an integer >= 0, got -1",
         ),
     ],
     ids=[
@@ -670,6 +689,19 @@ def _run_cli(*argv):
         "cli-dims-range",
         "cli-curve-epsilon",
         "cli-curve-grid",
+        "RunConfig-dims-int",
+        "RunConfig-dims-list",
+        "suite-list",
+        "PureState-str",
+        "DensityMatrix-str",
+        "Channel-str",
+        "isometry-str",
+        "apply-str",
+        "choi_to_kraus-str",
+        "environment_vector-str",
+        "OptimizerConfig-seed",
+        "RunConfig-seed",
+        "dense_oracle-seed",
     ],
 )
 def test_a_bad_argument_raises_invalid_input_error(call, message):
@@ -708,6 +740,14 @@ def test_a_bad_argument_raises_invalid_input_error(call, message):
         ),
         (lambda: nonconvexity_curve("x"), "needs 0 < epsilon < 1/2, got 'x'"),
         (lambda: contractivity_curve("x"), "needs 0 < epsilon < 1, got 'x'"),
+        (
+            lambda: scale(teleportation(2), 10**400),
+            f"scale factor must be positive and finite, got {10**400}",
+        ),
+        (
+            lambda: OptimizerConfig(step_tolerance=10**400),
+            f"optimizer needs a finite step_tolerance >= 0, got {10**400}",
+        ),
     ],
     ids=[
         "scale-str",
@@ -719,11 +759,14 @@ def test_a_bad_argument_raises_invalid_input_error(call, message):
         "RunConfig-value_tolerance",
         "nonconvexity_curve-str",
         "contractivity_curve-str",
+        "scale-overflow",
+        "OptimizerConfig-step_tolerance-overflow",
     ],
 )
 def test_a_non_numeric_real_raises_invalid_input_error(call, message):
-    # Real parameters take real numbers only: a string, None or a bool is a bad
-    # argument, not a float conversion's TypeError.
+    # Real parameters take finite real numbers only: a string, None, a bool or an
+    # integer too large for a float is a bad argument, not a float conversion's
+    # TypeError or OverflowError.
     with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
         call()
     assert type(exc.value) is InvalidInputError
@@ -888,10 +931,14 @@ def test_channel_json_schema_errors(tmp_path):
     bad_file.write_text("{not json")
     with pytest.raises(InvalidInputError):
         read_channel(bad_file)
-    # Python's json reads the literal NaN, which is not JSON, as a float.
-    bad_file.write_text('{"name": "n", "dim_in": 1, "dim_out": 1, "kraus": [[[[NaN, 0.0]]]]}')
-    with pytest.raises(InvalidInputError, match=re.escape("kraus[0]: non-finite entries")):
-        read_channel(bad_file)
+    # Python's json reads the literals NaN and Infinity, which are not JSON, as floats.
+    for entry in ("NaN", "Infinity", "-Infinity"):
+        bad_file.write_text(
+            f'{{"name": "n", "dim_in": 1, "dim_out": 1, "kraus": [[[[{entry}, 0.0]]]]}}'
+        )
+        message = "kraus[0]: entries must be finite [re, im] number pairs"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            read_channel(bad_file)
     with pytest.raises(InvalidInputError):
         read_channel(tmp_path / "missing.json")
 

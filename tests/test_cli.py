@@ -158,10 +158,11 @@ def test_malformed_file_exits_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
         assert main(["example", "isometry", "--matrix", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert "error: cannot parse matrix file" in capsys.readouterr().err
-    # Python's json reads the literal NaN, which is not JSON, as a float.
-    bad.write_text('{"name": "n", "dim_in": 1, "dim_out": 1, "kraus": [[[[NaN, 0.0]]]]}')
-    assert main(["dist", "dtrD", str(bad), good, *FAST]) == 2
-    assert "kraus[0]: non-finite entries" in capsys.readouterr().err
+    # Python's json reads the literals NaN and Infinity, which are not JSON, as floats.
+    for entry in ("NaN", "Infinity"):
+        bad.write_text(f'{{"name": "n", "dim_in": 1, "dim_out": 1, "kraus": [[[[{entry}, 0.0]]]]}}')
+        assert main(["dist", "dtrD", str(bad), good, *FAST]) == 2
+        assert "kraus[0]: entries must be finite [re, im] number pairs" in capsys.readouterr().err
     # JSON booleans are not dimensions, although isinstance(True, int) holds.
     bad.write_text('{"name": "b", "dim_in": true, "dim_out": true, "kraus": [[[[1.0, 0.0]]]]}')
     assert main(["dist", "dtrD", str(bad), str(bad), *FAST]) == 2
@@ -173,10 +174,34 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     for entries in ('["1", "0"]', "[true, false]", "[true, 0.5]", "[null, 0.0]"):
         bad.write_text(f'{{"name": "b", "dim_in": 1, "dim_out": 1, "kraus": [[[{entries}]]]}}')
         assert main(["dist", "dtrD", str(bad), str(bad), *FAST]) == 2
-        assert "entries must be [re, im] number pairs" in capsys.readouterr().err
+        assert "entries must be finite [re, im] number pairs" in capsys.readouterr().err
         bad.write_text(f"[[{entries}]]")
         assert main(["example", "isometry", "--matrix", str(bad), "--out-dir", str(tmp_path)]) == 2
-        assert "entries must be [re, im] number pairs" in capsys.readouterr().err
+        assert "entries must be finite [re, im] number pairs" in capsys.readouterr().err
+
+
+def test_overflowing_entries_and_negative_seeds_exit_two(tmp_path):
+    # An integer entry too large for a float and a negative seed are bad input:
+    # the process exits 2 with one error line, not 1 with a traceback.
+    src = str(Path(postdist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    huge = tmp_path / "huge.json"
+    huge.write_text(f'{{"name": "h", "dim_in": 1, "dim_out": 1, "kraus": [[[[{10**400}, 0]]]]}}')
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(f"[[[{10**400}, 0]]]")
+    example = ["example", "isometry", "--matrix", str(matrix), "--out-dir", str(tmp_path)]
+    for argv, message in (
+        (["dist", "dtrD", str(huge), str(huge)], "kraus[0]: entries must be finite [re, im]"),
+        (example, "matrix file: entries must be finite [re, im]"),
+        (["verify", "--suite", "CE3", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "postdist", *argv], env=env, capture_output=True, timeout=300
+        )
+        err = run.stderr.decode()
+        assert run.returncode == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
 def test_example_parameter_errors_exit_two(tmp_path, capsys):

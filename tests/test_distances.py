@@ -32,7 +32,6 @@ from postdist import distances
 from postdist.distances import (
     MEASURE_SPECS,
     MEASURES,
-    SEED_MASK,
     DistanceEstimate,
     STABILIZED_DIM_CAP,
     UNSTABILIZED_DIM_CAP,
@@ -365,7 +364,7 @@ def test_dense_oracle_deterministic():
         for measure, spec in MEASURE_SPECS.items():
             pair = _canonical_pair(a, b) if spec.postselected else (a, b)
             fn, _ = spec.kernel([pair])
-            rng = np.random.default_rng([seed & SEED_MASK, 1])
+            rng = np.random.default_rng([seed, 1])
             x = rng.standard_normal((max(counts), spec.n_params(a.dim_in)))
             prefix_max = np.maximum.accumulate(fn(x, np.zeros(len(x), dtype=int)))
             for n in counts:
@@ -552,7 +551,7 @@ RAYLEIGH_CFG = OptimizerConfig(
 
 def _one_problem(cfg, n_params):
     # The start rows distance_batch gives one request of this config.
-    return _starts(cfg.master_seed & SEED_MASK, cfg.restarts, n_params)[None]
+    return _starts(cfg.master_seed, cfg.restarts, n_params)[None]
 
 
 @pytest.mark.parametrize("dim, seed", [(3, 0), (3, 1), (5, 0), (5, 1)])
@@ -562,15 +561,32 @@ def test_maximize_finds_the_largest_eigenvalue(dim, seed):
     assert res.values.max() == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
 
 
+def test_a_seed_past_two_to_the_63_draws_its_own_starts():
+    # A seed is any integer >= 0 and keys its restart streams as it is, so
+    # 2**64 + 7 no longer aliases 7.
+    a, b = nonconvexity_pair(0.25)
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return _starts(*key)
+
+    with mock.patch.object(distances, "_starts", recording):
+        for seed in (7, 2**64 + 7):
+            distance("dtr", a, b, dataclasses.replace(RAYLEIGH_CFG, master_seed=seed))
+    small, large = (_starts(*key) for key in keys)
+    assert not np.array_equal(small, large)
+
+
 def test_maximize_starts_are_drawn_once_and_never_shared():
     # Restart r starts from the normalized first draw of its own stream
-    # (master_seed & SEED_MASK, r), drawn once per process as read-only rows.
+    # (master_seed, r), drawn once per process as read-only rows.
     # Two runs from the same rows start from them, give equal results and
     # leave them unchanged, even after the first run's points were written over.
     dim, seed = 3, 7
-    cfg = dataclasses.replace(RAYLEIGH_CFG, master_seed=(1 << 63) + seed)
+    cfg = dataclasses.replace(RAYLEIGH_CFG, master_seed=seed)
     _, value_fn, grad_fn, _ = _rayleigh(dim, 0)
-    starts = _starts(cfg.master_seed & SEED_MASK, cfg.restarts, 2 * dim)
+    starts = _starts(cfg.master_seed, cfg.restarts, 2 * dim)
     assert starts is _starts(seed, cfg.restarts, 2 * dim) and not starts.flags.writeable
     expected = np.array(
         [np.random.default_rng([seed, r]).standard_normal(2 * dim) for r in range(cfg.restarts)]

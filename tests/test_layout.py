@@ -105,12 +105,31 @@ def _identifiers(module: str) -> set[str]:
 
 
 def test_one_rule_for_a_bad_argument():
-    # linalg states the integer rule once (`check_integer`, over `is_integer`);
-    # the other modules call it instead of restating it. A bad argument has one
-    # error class, InvalidInputError, and no module keeps a second name for it.
+    # linalg states the integer rule once (`check_integer`, over `is_integer`)
+    # and the real-number rule once (`is_real`, the only `math.isfinite`); the
+    # other modules call them instead of restating them. A seed is keyed as it
+    # is, with no mask. A bad argument has one error class, InvalidInputError,
+    # and no module keeps a second name for it.
     modules = sorted(p.name for p in PACKAGE.glob("*.py"))
     restating = [m for m in modules if m != "linalg.py" and "is_integer" in _identifiers(m)]
     assert not restating, f"modules that name is_integer: {restating}"
+    masking = [m for m in modules if "SEED_MASK" in _identifiers(m)]
+    assert not masking, f"modules that name SEED_MASK: {masking}"
+    finite_tests = [
+        m
+        for m in modules
+        if m != "linalg.py"
+        and any(
+            isinstance(node, ast.Attribute)
+            and node.attr == "isfinite"
+            and getattr(node.value, "id", None) == "math"
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "math"
+            and any(alias.name == "isfinite" for alias in node.names)
+            for node in ast.walk(ast.parse((PACKAGE / m).read_text()))
+        )
+    ]
+    assert not finite_tests, f"modules that call math.isfinite: {finite_tests}"
     aliasing = [
         m
         for m in modules

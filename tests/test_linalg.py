@@ -1,5 +1,8 @@
 # tests/test_linalg.py
 
+import re
+import warnings
+
 import numpy as np
 import numpy.linalg as npl
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from postdist.linalg import (
     InvalidInputError,
+    as_array,
     check_integer,
     hermitian_eig,
     hermitianize,
@@ -95,8 +99,34 @@ def test_check_integer_names_the_argument_and_its_bound():
 
 def test_is_real_takes_real_numbers_but_not_bools():
     assert all(is_real(x) for x in (0, -3, 2.5, np.float32(0.5), np.int8(2), Fraction(1, 3)))
-    assert all(is_real(x) for x in (float("nan"), float("inf")))  # ranges are each caller's
     assert not any(is_real(x) for x in (True, np.True_, "0.5", None, 1j, np.complex128(1)))
+    # A real parameter is finite and fits in a float; numpy scalars are tested without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(is_real(x) for x in (np.float32(3e38), np.finfo(float).max, 10**308))
+        non_finite = (float("nan"), -float("inf"), np.float32("inf"), np.float64("nan"))
+        assert not any(is_real(x) for x in (*non_finite, 10**400, Fraction(10**400)))
+
+
+def test_as_array_takes_finite_numeric_arrays_as_complex():
+    for given in ([[1, 2]], np.eye(2, dtype=np.int8), np.eye(2, dtype=np.float32), 1j * np.eye(2)):
+        out = as_array(given, "m")
+        assert out.dtype == complex and np.array_equal(out, np.asarray(given))
+    x = np.eye(2, dtype=complex)
+    assert as_array(x) is x  # no copy: callers that keep the array copy it
+    assert as_array([1.0, 2.0], "v", ndim=1).shape == (2,)
+    for bad, message in (
+        ([1.0, 2.0], "m: expected a nonempty 2-d array, got shape (2,)"),
+        (np.zeros((0, 2)), "m: expected a nonempty 2-d array, got shape (0, 2)"),
+        ([[1.0], [1.0, 2.0]], "m: expected a nonempty 2-d array, got a ragged one"),
+        ([["1", "0"]], "m: expected numeric entries, got dtype <U1"),
+        (np.eye(2, dtype=bool), "m: expected numeric entries, got dtype bool"),
+        (np.eye(2).astype(object), "m: expected numeric entries, got dtype object"),
+        ([[np.nan, 0.0]], "m: non-finite entries"),
+        ([[0.0, 1j * np.inf]], "m: non-finite entries"),
+    ):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            as_array(bad, "m")
 
 
 def test_partial_trace_entangled_state():
