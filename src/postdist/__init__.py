@@ -10,6 +10,8 @@ estimation with reproducible witnesses, and numerical verification suites for
 the inequalities and counterexamples relating the measures.
 """
 
+import importlib as _importlib
+
 from .linalg import (
     DIM_CAP,
     CapacityError,
@@ -63,38 +65,39 @@ from .distances import (
     maximize,
     output_separation_bound,
 )
-from .theorems import (
-    TheoremReport,
-    alpha_necessity_report,
-    check_conversion,
-    check_diamond_from_state_distance,
-    check_dilation_norm_identity,
-    check_isometry_approximation,
-    check_postselected_contractivity,
-    check_postselected_diamond_bound,
-    check_postselected_dilation_bound,
-    check_postselected_subadditivity,
-    check_state_distance_doubling,
-    check_subadditivity,
-    check_trace_preserving_diamond_bound,
-    contractivity_curve,
-    contractivity_report,
-    conversion_factor,
-    environment_vector,
-    nonconvexity_curve,
-    nonconvexity_report,
-    phase_mixture_states,
-)
-from .suites import (
-    RunConfig,
-    STATEMENT_IDS,
-    format_suite_results,
-    normalize_suite_ids,
-    run_statement,
-    run_suite,
-    suite_passed,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The verification layer loads on first use (PEP 562), so `import postdist`
+# compiles only linalg, channels and distances. The core stays eager: a lazy
+# core would move its import into the caller's first call.
+_LAZY = {
+    "theorems": (
+        "TheoremReport", "alpha_necessity_report", "check_conversion",
+        "check_diamond_from_state_distance", "check_dilation_norm_identity",
+        "check_isometry_approximation", "check_postselected_contractivity",
+        "check_postselected_diamond_bound", "check_postselected_dilation_bound",
+        "check_postselected_subadditivity", "check_state_distance_doubling",
+        "check_subadditivity", "check_trace_preserving_diamond_bound", "contractivity_curve",
+        "contractivity_report", "conversion_factor", "environment_vector", "nonconvexity_curve",
+        "nonconvexity_report", "phase_mixture_states",
+    ),
+    "suites": (
+        "RunConfig", "STATEMENT_IDS", "format_suite_results", "normalize_suite_ids",
+        "run_statement", "run_suite", "suite_passed",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _HOME.keys())
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _importlib.import_module(f"{__name__}.{_HOME[name]}")
+    return module if name == _HOME[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -604,6 +604,6 @@ def read_channel(path: str | Path) -> Channel:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InvalidInputError(f"cannot read channel file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"cannot parse channel file {path}: {exc}") from exc
     return channel_from_json(obj)

@@ -126,7 +126,7 @@ def _cmd_example(args) -> int:
     if args.matrix is not None:
         try:
             rows = json.loads(Path(args.matrix).read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidInputError(f"cannot parse matrix file {args.matrix}: {exc}") from exc
         params["matrix"] = pairs_to_matrix(rows, context="matrix file")
     channels = gallery(args.name, **params)

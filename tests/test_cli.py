@@ -204,6 +204,30 @@ def test_overflowing_entries_and_negative_seeds_exit_two(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
+@pytest.mark.parametrize("command", ["dist", "example"])
+def test_deeply_nested_files_exit_two(tmp_path, command):
+    # json.loads raises RecursionError on deep nesting; that is a file it
+    # cannot parse, not a verification failure (exit 1) with a traceback.
+    src = str(Path(postdist.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv, message = {
+        "dist": (["dist", "dtrD", str(deep), str(deep)], "error: cannot parse channel file"),
+        "example": (
+            ["example", "isometry", "--matrix", str(deep), "--out-dir", str(tmp_path)],
+            "error: cannot parse matrix file",
+        ),
+    }[command]
+    run = subprocess.run(
+        [sys.executable, "-m", "postdist", *argv], env=env, capture_output=True, timeout=300
+    )
+    err = run.stderr.decode()
+    assert run.returncode == 2, err
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
 def test_example_parameter_errors_exit_two(tmp_path, capsys):
     assert main(["example", "nonconvexity_pair", "--out-dir", str(tmp_path)]) == 2
     assert main(["example", "isometry", "--out-dir", str(tmp_path)]) == 2

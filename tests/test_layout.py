@@ -5,7 +5,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,3 +181,79 @@ def test_only_channels_extends_kraus_operators_by_an_ancilla():
     # channels.apply is the one place that applies K_e (x) I_anc to a matrix;
     # distances reaches the extended action only through it.
     assert "kron" not in _identifiers("distances.py")
+
+
+# `import postdist` loads the core eagerly and the verification layer on first use.
+CORE = ("linalg", "channels", "distances")
+PUBLIC_NAMES = [
+    "AscentResult", "CapacityError", "Channel", "DIM_CAP", "DensityMatrix", "DistanceEstimate",
+    "GALLERY_NAMES", "InvalidInputError", "MEASURES", "OptimizerConfig", "PureState", "RunConfig",
+    "STATEMENT_IDS", "TheoremReport", "ValidityError", "alpha_necessity_report", "apply",
+    "apply_renormalized", "channel_from_json", "channel_to_json", "channels", "check_conversion",
+    "check_diamond_from_state_distance", "check_dilation_norm_identity",
+    "check_isometry_approximation", "check_postselected_contractivity",
+    "check_postselected_diamond_bound", "check_postselected_dilation_bound",
+    "check_postselected_subadditivity", "check_state_distance_doubling", "check_subadditivity",
+    "check_trace_preserving_diamond_bound", "choi_to_kraus", "compose", "contractivity_curve",
+    "contractivity_report", "contractivity_triple", "conversion_factor", "conversion_pair",
+    "dense_oracle", "diamond_norm_channel", "distance", "distance_batch", "distances",
+    "environment_vector", "evaluate_witness", "format_suite_results", "gallery", "hermitian_eig",
+    "hermitianize", "is_hermitian", "isometry", "kraus_to_choi", "linalg", "maximize",
+    "nonconvexity_curve", "nonconvexity_pair", "nonconvexity_report", "normalize_suite_ids",
+    "operator_norm", "output_separation_bound", "partial_trace", "phase_mixture_states",
+    "random_channel", "random_density", "random_pure", "read_channel", "require_postselection",
+    "run_statement", "run_suite", "scale", "stinespring", "suite_passed", "suites", "teleportation",
+    "tensor_with_identity", "theorems", "trace_norm", "write_channel",
+]
+
+
+def test_import_postdist_loads_only_the_core():
+    script = (
+        "import sys, postdist\n"
+        "print(sorted(m for m in sys.modules if m.startswith('postdist')))\n"
+        "postdist.run_suite\n"
+        "print(sorted(m for m in sys.modules if m.startswith('postdist')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    eager, used = (ast.literal_eval(line) for line in run.stdout.splitlines())
+    assert eager == sorted(["postdist", *(f"postdist.{m}" for m in CORE)])
+    assert used == sorted([*eager, "postdist.suites", "postdist.theorems"])
+
+
+def test_public_names_resolve_eagerly_or_on_first_use():
+    import postdist
+
+    assert postdist.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(postdist))
+    for name in PUBLIC_NAMES:
+        namespace = {}
+        exec(f"from postdist import {name}", namespace)
+        assert namespace[name] is getattr(postdist, name), name
+    assert postdist.run_suite is postdist.suites.run_suite
+    assert postdist.TheoremReport is postdist.theorems.TheoremReport
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(postdist, "no_such_name")
+    assert not hasattr(postdist, "no_such_name")
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_the_core_imports_only_the_core(module):
+    # One import of theorems, suites or cli here would load the verification
+    # layer on every `import postdist` again.
+    imported = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("postdist" if node.level else "", node.module)))
+            paths = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imported += [(node.lineno, p.split(".")[1]) for p in paths if p.startswith("postdist.")]
+    outside = [f"line {line}: {name}" for line, name in imported if name not in CORE]
+    assert not outside, f"{module}.py imports from outside the core: {outside}"
