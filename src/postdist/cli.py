@@ -36,16 +36,9 @@ from .channels import (
 )
 from .distances import MEASURES, OptimizerConfig, distance
 from .linalg import CapacityError, InvalidInputError, check_integer
-from .suites import (
-    RunConfig,
-    format_suite_results,
-    normalize_suite_ids,
-    run_suite,
-    suite_passed,
-)
-from .theorems import contractivity_curve, nonconvexity_curve
 
-_SUITE_DEFAULTS = RunConfig()
+# `verify` and `curve` import the verification layer (suites, theorems) when they run,
+# so `dist` and `example` never load it.
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -58,11 +51,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _optimizer_flags(args) -> dict:
-    # The optimizer flags given on the command line; the rest keep the
-    # command's defaults (OptimizerConfig for dist, RunConfig for verify).
+def _given_flags(args, **extra) -> dict:
+    # The optimizer flags given on the command line, and any `extra` ones; the rest
+    # keep the command's defaults (OptimizerConfig for dist, RunConfig for verify).
     given = dict(restarts=args.restarts, max_iterations=args.max_iter, value_tolerance=args.tol)
-    return {name: value for name, value in given.items() if value is not None}
+    return {name: value for name, value in {**given, **extra}.items() if value is not None}
 
 
 def _witness_codec(witness) -> tuple[str, dict]:
@@ -81,7 +74,7 @@ def _witness_codec(witness) -> tuple[str, dict]:
 def _cmd_dist(args) -> int:
     chan_a = read_channel(args.channel_a)
     chan_b = read_channel(args.channel_b)
-    cfg = OptimizerConfig(master_seed=args.seed, **_optimizer_flags(args))
+    cfg = OptimizerConfig(master_seed=args.seed, **_given_flags(args))
     est = distance(args.measure, chan_a, chan_b, cfg)
     summary, witness_json = _witness_codec(est.witness)
     print(
@@ -105,10 +98,11 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import RunConfig, format_suite_results, normalize_suite_ids, run_suite, suite_passed
+
     ids = normalize_suite_ids(args.suite)
-    cfg = RunConfig(
-        seed=args.seed, trials=args.trials, dims=_parse_dims(args.dims), **_optimizer_flags(args)
-    )
+    dims = None if args.dims is None else _parse_dims(args.dims)
+    cfg = RunConfig(seed=args.seed, **_given_flags(args, trials=args.trials, dims=dims))
     results = run_suite(ids, cfg)
     text = format_suite_results(results)
     sys.stdout.write(text)
@@ -147,6 +141,8 @@ def _format_csv(header: str, rows) -> str:
 
 
 def _cmd_curve(args) -> int:
+    from .theorems import contractivity_curve, nonconvexity_curve
+
     if args.figure == 1:
         if args.epsilon is None:
             raise InvalidInputError("figure 1 needs --epsilon")
@@ -178,18 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter", type=int, default=None, help="optimizer iteration cap (per-command default)"
     )
     corpus = argparse.ArgumentParser(add_help=False)
-    default_dims = ",".join(map(str, _SUITE_DEFAULTS.dims))
     corpus.add_argument(
-        "--dims",
-        type=str,
-        default=default_dims,
-        help=f"suite dimensions, comma-separated (default {default_dims})",
+        "--dims", default=None, help="suite dimensions, comma-separated (default RunConfig.dims)"
     )
     corpus.add_argument(
         "--trials",
         type=int,
-        default=_SUITE_DEFAULTS.trials,
-        help=f"instances per randomized statement (default {_SUITE_DEFAULTS.trials})",
+        default=None,
+        help="instances per randomized statement (default RunConfig.trials)",
     )
 
     parser = argparse.ArgumentParser(

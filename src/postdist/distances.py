@@ -239,20 +239,35 @@ def pullback(stack: np.ndarray, images: np.ndarray, sign: np.ndarray, joint: boo
 # factor (dtr).
 
 
-def _above_floor(norms: Callable, diff: np.ndarray, floor: float, scale: float, margin=0.0):
-    # norms(diff) on the rows whose bound scale * ||D||_F + margin is above floor,
-    # -inf on the rest; each row's norm is its own, so a kept row gets the value
-    # of the unpruned call.  ||D||_F comes from reductions over diff.real and
-    # diff.imag, which read any layout.
+def _above_floor(norms: Callable, diff: np.ndarray, floor: float, scale=None, margin=0.0):
+    # norms(diff) on the rows whose bound on ||D||_1 is above floor, -inf on the rest;
+    # each row's norm is its own, so a kept row gets the value of the unpruned call.
+    # sqrt(p) ||D||_F bounds the p x p matrix as computed, whatever its rank, and the
+    # decompositions err relative to ||D||: a relative margin, so a floor at rounding
+    # level prunes.  A rank bound scale * ||D||_F + margin may be tighter.  ||D||_F
+    # comes from reductions over diff.real and diff.imag, which read any layout.
     if floor == -np.inf:
         return norms(diff)
     re, im = diff.real, diff.imag
-    squares = np.einsum("mij,mij->m", re, re) + np.einsum("mij,mij->m", im, im)
-    keep = scale * np.sqrt(squares) + margin > floor
+    frob = np.sqrt(np.einsum("mij,mij->m", re, re) + np.einsum("mij,mij->m", im, im))
+    bound = math.sqrt(diff.shape[-1]) * (1.0 + 1e-6) * frob
+    keep = (bound if scale is None else np.minimum(bound, scale * frob + margin)) > floor
     if keep.all():
         return norms(diff)
     vals = np.full(diff.shape[0], -np.inf)
     vals[keep] = norms(diff[keep])
+    return vals
+
+
+def _under_ceiling(values: Callable, ceiling, margin, rows, problem, bad, floor) -> np.ndarray:
+    # values(rows, problem, bad, floor) on the rows whose ceiling is above floor, -inf on
+    # the rest, before any image is formed; a NaN ceiling keeps its row.  Every ceiling
+    # exceeds margin / 2, so below that (no floor, or values all rounding) it is skipped.
+    live = None if ceiling is None or floor < margin / 2 else ~(ceiling(rows) <= floor)
+    if live is None or live.all():
+        return values(rows, problem, bad, floor)
+    vals = np.full(len(rows), -np.inf)
+    vals[live] = values(rows[live], problem[live], bad[live], floor)
     return vals
 
 
@@ -268,25 +283,31 @@ def _per_row(arrays: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     return lambda problem: stack[problem]
 
 
-def _dual_forms(chan_a: Channel, chan_b: Channel, cs) -> list[np.ndarray]:
+def _dual_forms(chan_a: Channel, chan_b: Channel, cs, split=False) -> list[np.ndarray]:
     # M_c = (Tr_out |J_a - c J_b|)^T for each c, J the Choi matrices (input factor first).
     # Split J_a - c J_b = J+ - J- into CP parts: ||((Psi - c Phi) (x) 1)(rho)||_1 <=
     # tr(M_c rho_in) at every input, the dual point Y0 = Y1 = |J| of Watrous's SDP
-    # (arXiv:0901.4709).
+    # (arXiv:0901.4709).  With `split`, E+ = (Tr_out J+)^T for every c, then E-.
     ja, jb = kraus_to_choi(chan_a), kraus_to_choi(chan_b)
     w, v = npl.eigh(ja - np.asarray(cs)[:, None, None] * jb)
     dims = (chan_a.dim_in, chan_a.dim_out)
-    return [partial_trace((vc * np.abs(wc)) @ vc.conj().T, dims).T for wc, vc in zip(w, v)]
+    weights = [np.maximum(w, 0.0), np.maximum(-w, 0.0)] if split else [np.abs(w)]
+    return [partial_trace((vc * wc) @ vc.conj().T, dims).T for ws in weights for wc, vc in zip(ws, v)]
 
 
 _DUAL_GRID = np.exp(np.linspace(-1.0, 1.0, 7))  # the hat bound's c / (tr E_a / tr E_b)
 
 
-def _dual_bound(chan_a: Channel, chan_b: Channel, renormalize: bool, margin: float) -> Callable:
-    # ceiling(u3): per row, a sound upper bound on the pure-input kernel's ||D||_1 for
-    # this one pair plus a rounding margin, from rho_in = U U^H alone, through Hermitian
-    # forms built on the first call.  Unrenormalized: tr(M_1 rho_in).
-    # Renormalized, with p = tr(E_a rho_in) and q = tr(E_b rho_in), P/p - Q/q =
+def _dual_bound(chan_a: Channel, chan_b: Channel, form: str, margin: float) -> Callable:
+    # ceiling(u3): per row, a sound upper bound on a kernel's ||D||_1 for this one pair
+    # plus a rounding margin, from rho_in = U U^H alone, through Hermitian forms built on
+    # the first call.  "trace": tr(M_1 rho_in).
+    # "split", for dtr's rows (u, v) as (m, 2, d): each CP part's Kraus operators K_k give
+    # ||sum_k K_k u v^H K_k^H||_1 <= sum_k |K_k u| |K_k v| <= sqrt(u^H E u v^H E v), so
+    # ||Delta(u v^H)||_1 is at most that sum over E+ and E-.  Each form is raised by the
+    # margin, a bound on its own rounding, before the root, which would amplify that to
+    # ~sqrt(eps); the Gram route's values take a relative 1e-6 on top.
+    # "hat", renormalized, with p = tr(E_a rho_in) and q = tr(E_b rho_in), P/p - Q/q =
     # (P - cQ)/p + (c/p - 1/q)Q gives (tr(M_c rho_in) + |tr(L_c rho_in)|) / p with
     # L_c = c E_b - E_a, and the other order at 1/c the same numerator over cq: the
     # least over a grid of c is taken, in units of tr E_a / tr E_b (scaled into q).
@@ -294,20 +315,25 @@ def _dual_bound(chan_a: Channel, chan_b: Channel, renormalize: bool, margin: flo
     @cache
     def forms():
         cs, tail = [1.0], []
-        if renormalize:
+        if form == "hat":
             tb = chan_b.effect_eigenvalues.sum()
             s = chan_a.effect_eigenvalues.sum() / tb if tb > 0 else 1.0
             cs, tail = s * _DUAL_GRID, [chan_a.effect, s * chan_b.effect]
-        stack = np.array(_dual_forms(chan_a, chan_b, cs) + tail)
+        stack = np.array(_dual_forms(chan_a, chan_b, cs, form == "split") + tail)
         return np.concatenate([stack.real, stack.imag], axis=1).reshape(len(stack), -1)
 
     def ceiling(u3: np.ndarray) -> np.ndarray:
         # rho_in with the batch innermost, so einsum's inner loop runs over it; tr(F rho_in)
         # is Re F . Re rho_in + Im F . Im rho_in for Hermitian F and rho_in.
+        if form == "split":
+            u3 = u3.reshape(-1, u3.shape[-1], 1)  # u0, v0, u1, v1, ... as rows of their own
         ut = u3.transpose(1, 2, 0).copy()
         rho = np.einsum("iam,jam->ijm", ut, ut.conj())
         t = forms() @ np.concatenate([rho.real, rho.imag]).reshape(2 * rho.shape[0] ** 2, -1)
-        if not renormalize:
+        if form == "split":
+            q = t.reshape(2, -1, 2) + margin  # [E+ or E-, row, u or v]
+            return (1.0 + 1e-6) * np.sqrt(q[..., 0] * q[..., 1]).sum(axis=0) + margin
+        if form == "trace":
             return t[0] + margin
         c, m, p, q = _DUAL_GRID[:, None], t[:-2], t[-2], t[-1]
         low = np.minimum(p, q)
@@ -336,7 +362,7 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
     # hat-diamond); with the ancilla traced out (hat-tr), ||D||_F is the tighter bound.
     # Its forms bound their own pair's rows only: a kernel of several pairs takes none.
     dual = len(pairs) == 1 and (joint or anc == 1)
-    ceiling = _dual_bound(*pairs[0], renormalize, margin) if dual else None
+    ceiling = _dual_bound(*pairs[0], "hat" if renormalize else "trace", margin) if dual else None
 
     def output(images: np.ndarray, bad: np.ndarray):
         # (output / trace, trace as (m, 1, 1), bad): a trace below 1e-30 marks its row bad.
@@ -357,16 +383,7 @@ def _pure_kernel(pairs: list, ancilla: bool, joint: bool, renormalize: bool):
 
     def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
         u, _, bad = unit_rows(x, d * anc)
-        u3 = u.reshape(-1, d, anc)
-        # A row whose dual ceiling is at most the floor gets -inf before any image is
-        # formed; a NaN ceiling keeps its row.  Every ceiling exceeds margin / 2, so a
-        # lower floor (no floor, or values that are all rounding) prunes nothing.
-        live = ~(ceiling(u3) <= floor) if ceiling and floor >= margin / 2 else None
-        if live is None or live.all():
-            return values(u3, problem, bad, floor)
-        vals = np.full(len(u3), -np.inf)
-        vals[live] = values(u3[live], problem[live], bad[live], floor)
-        return vals
+        return _under_ceiling(values, ceiling, margin, u.reshape(-1, d, anc), problem, bad, floor)
 
     def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
         u, norms, bad = unit_rows(x, d * anc)
@@ -396,37 +413,44 @@ def _dtr_kernel(pairs: list):
     ka, kb = _per_row([a.kraus for a, _ in pairs]), _per_row([b.kraus for _, b in pairs])
     d = pairs[0][0].dim_in
     root_p = math.sqrt(pairs[0][0].dim_out)
+    # Rounding in the Choi split and in Delta scales with tr J_a + tr J_b = tr E_a + tr E_b.
+    margin = 1e-12 * (1.0 + root_p) * (sum(ch.effect_eigenvalues.sum() for ch in pairs[0]) + 1.0)
+    ceiling = _dual_bound(*pairs[0], "split", margin) if len(pairs) == 1 else None
 
-    def difference(x: np.ndarray, problem: np.ndarray):
-        w, norms, bad = unit_pairs(x, d)
+    def difference(w: np.ndarray, problem: np.ndarray):
         twice = np.repeat(problem, 2)  # u and v of row i are rows 2i and 2i + 1 of w
         ya, yb = kraus_images(ka(twice), w[:, :, None]), kraus_images(kb(twice), w[:, :, None])
         diff = np.einsum("meik,melk->mil", ya[0::2], ya[1::2].conj()) - np.einsum(
             "meik,melk->mil", yb[0::2], yb[1::2].conj()
         )
-        return diff, (w, norms, bad), ya, yb
+        return diff, ya, yb
 
     def gram_trace_norms(diff: np.ndarray) -> np.ndarray:
         # singular values of Delta as the square roots of its Gram eigenvalues
         w = npl.eigvalsh(np.einsum("mji,mjk->mik", diff.conj(), diff))
         return np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
 
-    def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
-        diff, (_, _, bad), _, _ = difference(x, problem)
-        # The Gram route lifts zero singular values to ~sqrt(eps) sigma_max: use sqrt(p), not rank.
-        vals = _above_floor(gram_trace_norms, diff, floor, root_p * (1.0 + 1e-6))
+    def values(uv: np.ndarray, problem: np.ndarray, bad: np.ndarray, floor: float) -> np.ndarray:
+        # The Gram route lifts zero singular values to ~sqrt(eps) sigma_max, so only the
+        # sqrt(p) bound of _above_floor holds, not a rank bound.
+        vals = _above_floor(gram_trace_norms, difference(uv.reshape(-1, d), problem)[0], floor)
         vals[bad] = -np.inf
         return vals
 
+    def fn(x: np.ndarray, problem: np.ndarray, floor: float = -np.inf) -> np.ndarray:
+        w, _, bad = unit_pairs(x, d)
+        return _under_ceiling(values, ceiling, margin, w.reshape(-1, 2, d), problem, bad, floor)
+
     def grad(x: np.ndarray, problem: np.ndarray) -> np.ndarray:
-        diff, rows, ya, yb = difference(x, problem)
+        w, norms, bad = unit_pairs(x, d)
+        diff, ya, yb = difference(w, problem)
         left, _, right = npl.svd(diff)
         polar = left @ right
         polar_h = polar.conj().transpose(0, 2, 1)
         stack_a, stack_b = ka(problem), kb(problem)
         gu = pullback(stack_a, ya[1::2], polar) - pullback(stack_b, yb[1::2], polar)
         gv = pullback(stack_a, ya[0::2], polar_h) - pullback(stack_b, yb[0::2], polar_h)
-        return unit_pairs_gradient(gu, gv, *rows)
+        return unit_pairs_gradient(gu, gv, w, norms, bad)
 
     return fn, grad
 
@@ -612,11 +636,12 @@ class MeasureSpec(NamedTuple):
     real parameters, each row on its problem's pair (see `maximize`).
     `fn(x, problem, floor)` takes an optional floor: a row whose sound upper
     bound is at most `floor` gets -inf, and every other row gets exactly the
-    value of `fn(x, problem)`.  In a kernel of one pair, dtrD, diamond and
-    hat-diamond rows are first bounded from their input alone, before any
-    output is formed (the dual point |J| of the diamond SDP); then every
-    measure's rows by the Frobenius norm of their output difference, before
-    it is decomposed.
+    value of `fn(x, problem)`.  In a kernel of one pair, rows of every measure
+    but hat-tr are first bounded from their input alone, before any output is
+    formed (dtrD, diamond and hat-diamond by the dual point |J| of the diamond
+    SDP, dtr by the split of J into CP parts); then every measure's rows by the
+    Frobenius norm of their output difference, before it is decomposed, with
+    a relative margin only, so that a floor of rounding level prunes too.
     `decode(x, dim)` turns the winning row into a witness, and
     `witness_input(witness, dim, measure)` a witness into the input operator,
     where dim is that of the input space: dim_in, squared when `stabilized`.
@@ -836,11 +861,14 @@ def dense_oracle(
     The points come from one seeded stream in blocks: the first 64 seed the
     best value, and each later block of 1,024 is evaluated with the best value
     so far as the kernel's `floor`, and then raises it.  A point whose bound
-    does not exceed it is skipped: for dtrD, diamond and hat-diamond first by
-    the dual bound of its input, before any output is formed, and then by
-    the Frobenius norm of its output difference, before the decomposition.
-    Skipped points cannot beat it, so the result is the same float as the
-    maximum over every point.
+    does not exceed it is skipped: for every measure but hat-tr first by a
+    bound read off its input, before any output is formed (the dual point |J|
+    of the diamond SDP, or for dtr the split of J into CP parts), and then by
+    the Frobenius norm of its output difference, before the decomposition;
+    that bound needs no absolute margin, so it also prunes cells whose values
+    are 0 up to rounding.  Skipped points cannot beat the floor, so the result
+    is the same float as the maximum over every point.  Only cells whose every
+    point sits at the maximum to a few ulps keep every point.
     """
     check_integer("samples", samples, 1)
     check_integer("seed", seed, 0)

@@ -320,7 +320,8 @@ def test_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
         slack_tolerance=0.0,
         aux_violations=("norm window low",),
     )
-    monkeypatch.setattr("postdist.cli.run_suite", lambda ids, cfg: {"CE1": [failing, aux_only]})
+    # cli imports run_suite from suites when verify runs.
+    monkeypatch.setattr("postdist.suites.run_suite", lambda ids, cfg: {"CE1": [failing, aux_only]})
     assert main(["verify", "--suite", "CE1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [

@@ -778,7 +778,12 @@ def test_kernel_floor_skips_only_rows_that_cannot_exceed_it(seed, dim):
             x = _structured_rows(spec.n_params(dim), rng)
             problem = np.arange(len(x)) % len(group)
             full = fn(x, problem)
-            for floor in (np.median(full[np.isfinite(full)]), full.max() - 1e-15):
+            # 0.0 and the maximum itself, at rounding level on the pairs whose D is 0 up to
+            # rounding, and the float just below the maximum, which a bound tight at the
+            # maximum's row must keep.
+            top = full.max()
+            floors = (0.0, np.median(full[np.isfinite(full)]), top - 1e-15, np.nextafter(top, 0), top)
+            for floor in floors:
                 pruned = fn(x, problem, floor)
                 kept = np.isfinite(pruned)
                 assert pruned[kept].tobytes() == full[kept].tobytes()
@@ -861,11 +866,71 @@ def test_dual_ceiling_bounds_every_row(seed, dim, rank_a, rank_b):
             assert not low.any(), (tag, a.name, b.name, (full - cap)[low].max())
 
 
+def _tight_split_pair(dim, small, rng):
+    # Single Kraus operators [A; 0] and [0; B] into orthogonal halves of C^(2 dim): J_a and
+    # J_b are orthogonal, so J+ = J_a and J- = J_b, and ||Delta(u v^H)||_1 = |A u| |A v| +
+    # |B u| |B v| meets the dtr ceiling at every row.  A and B share their input singular
+    # vectors, all but one with singular value sqrt(small): along those, both forms are
+    # of rounding size, and so is the value.
+    s, v = np.sqrt(np.r_[0.9, np.full(dim - 1, small)]), haar_isometry(rng, dim, dim)
+    chans = []
+    for half, name in ((slice(0, dim), "tight_a"), (slice(dim, 2 * dim), "tight_b")):
+        op = np.zeros((2 * dim, dim), dtype=complex)
+        op[half] = haar_isometry(rng, dim, dim) @ np.diag(s) @ v.conj().T
+        chans.append(Channel(op[None], name=name))
+    return tuple(chans)
+
+
+def _split_rows(pair, rng):
+    # dtr rows (u, v) from the eigenvectors of the pair's E+ and E-: every ordered pair of
+    # them, and each again with u nudged by ~1e-9, into its form's near kernel.
+    forms = distances._dual_forms(*pair, [1.0], split=True)
+    vecs = np.concatenate([np.linalg.eigh(form)[1].T for form in forms])
+    u, v = np.repeat(vecs, len(vecs), axis=0), np.tile(vecs, (len(vecs), 1))
+    nudge = 1e-9 * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+    u, v = np.concatenate([u, u + nudge]), np.concatenate([v, v])
+    return np.concatenate([u.real, u.imag, v.real, v.imag], axis=1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(PROPERTY_SEEDS, st.sampled_from([2, 3]), st.integers(1, 6), st.integers(1, 6))
+@example(seed=1, dim=3, rank_a=1, rank_b=3)  # a tight row that the additive margin alone misses
+def test_dtr_ceiling_bounds_every_row(seed, dim, rank_a, rank_b):
+    # Split J_a - J_b = J+ - J- into CP parts: by the triangle inequality over each part's
+    # Kraus operators and then Cauchy-Schwarz, ||Delta(u v^H)||_1 <= sqrt(u^H E+ u v^H E+ v)
+    # + sqrt(u^H E- u v^H E- v), E+- = (Tr_out J+-)^T.  Each row's ceiling is at least the
+    # kernel's unpruned value: on random, gallery and near-floor pairs, on pairs whose
+    # Delta is 0 up to rounding, and on pairs where the bound is tight while a form is of
+    # rounding size, with rows in each form's near kernel.
+    rng = np.random.default_rng(seed)
+    pairs = [
+        tuple(random_channel(dim, dim, rank=r, kind=kind, seed=rng) for r in (rank_a, rank_b))
+        for kind in ("cptp", "postselection")
+    ]
+    u = haar_isometry(rng, dim, dim)
+    pairs += _oracle_pairs() + [
+        (isometry(u), isometry(u)),
+        (isometry(u), Channel(np.stack([u, u]) / np.sqrt(2.0))),
+        (_near_floor_channel(41, 2e-10), random_channel(2, 2, kind="postselection", seed=42)),
+        *(_tight_split_pair(dim, small, rng) for small in (1e-12, 1e-14, 1e-15, 1e-16)),
+    ]
+    spec = MEASURE_SPECS["dtr"]
+    for a, b in pairs:
+        fn, ceiling = _kernel_and_ceiling(spec, [(a, b)])
+        x = np.concatenate([_structured_rows(spec.n_params(a.dim_in), rng), _split_rows((a, b), rng)])
+        w = distances.unit_pairs(x, a.dim_in)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full, cap = fn(x, np.zeros(len(x), dtype=int)), ceiling(w.reshape(len(x), 2, -1))
+        low = cap < full
+        assert not low.any(), (a.name, b.name, (full - cap)[low].max())
+
+
 def test_only_a_one_pair_kernel_takes_the_dual_bound():
     # One pair's forms bound its own rows only: a kernel of several pairs prunes by the
     # Frobenius bound alone.
     pairs = [_canonical_pair(*pair) for pair in _oracle_pairs()[:2]]
-    for tag in ("dtrD", "diamond", "hat-diamond"):
+    for tag in ("dtrD", "dtr", "diamond", "hat-diamond"):
         spec = MEASURE_SPECS[tag]
         assert _kernel_and_ceiling(spec, pairs[:1])[1] is not None
         assert _kernel_and_ceiling(spec, pairs)[1] is None
@@ -896,29 +961,49 @@ def _diamond_cell():
     return tuple(random_channel(3, 3, rank=2, kind="postselection", seed=s) for s in (811, 812))
 
 
-@pytest.mark.parametrize("cell", ["diamond", "contractivity", "teleportation"])
+def _dtr_cell():
+    # A random d = 3 CPTP pair, pinned: the Choi-split ceiling keeps few of its samples.
+    return tuple(random_channel(3, 3, rank=2, kind="cptp", seed=s) for s in (811, 812))
+
+
+@pytest.mark.parametrize("cell", ["diamond", "dtr", "contractivity", "teleportation"])
 def test_dual_bound_prunes_before_any_image(cell, monkeypatch):
     # Rows the dual bound drops never reach kraus_images, and the oracle's float is the
-    # one it returns with the bound at +inf.  The flat gallery cells keep every row.
+    # one it returns with the bound at +inf.  The flat contractivity cell keeps and
+    # decomposes every row.  Teleportation's values are 0 up to rounding: the dual bound
+    # keeps every row, and the margin-free sqrt(p) ||D||_F bound decomposes few of them.
     psi, phi, tau = contractivity_triple(1.0 / 3.0)
     measure, a, b = {
         "diamond": ("diamond", *_diamond_cell()),
+        "dtr": ("dtr", *_dtr_cell()),
         "contractivity": ("hat-diamond", compose(tau, psi), compose(tau, phi)),
         "teleportation": ("hat-diamond", teleportation(3), isometry(np.eye(3), name="identity")),
     }[cell]
-    samples, rows = 16_384, []
+    samples, rows, decomposed, eigvalsh = 16_384, [], [], np.linalg.eigvalsh
 
     def counted(stack, inputs):
         rows.append(len(inputs))
         return kraus_images(stack, inputs)
 
+    def counted_eigvalsh(x):
+        decomposed.append(len(x))
+        return eigvalsh(x)
+
     monkeypatch.setattr("postdist.distances.kraus_images", counted)
+    monkeypatch.setattr(distances.npl, "eigvalsh", counted_eigvalsh)
     value = dense_oracle(measure, a, b, samples=samples, seed=5)
-    reached = sum(rows) // 2  # both channels' images of every row that reaches them
+    # both channels' images of every row that reaches them; of u and of v for dtr
+    reached = sum(rows) // (4 if measure == "dtr" else 2)
     if cell == "diamond":
         assert reached < samples // 8, reached
+    elif cell == "dtr":
+        assert reached < samples // 4, reached
     else:
         assert reached == samples
+    if cell == "contractivity":
+        assert sum(decomposed) == samples
+    elif cell == "teleportation":
+        assert sum(decomposed) < samples // 4, sum(decomposed)
     monkeypatch.setattr(
         "postdist.distances._dual_bound", lambda *args: lambda u: np.full(len(u), np.inf)
     )
@@ -926,13 +1011,23 @@ def test_dual_bound_prunes_before_any_image(cell, monkeypatch):
 
 
 def test_estimates_build_no_dual_forms(monkeypatch):
-    # The forms are built on a kernel's first floored call, and maximize passes no floor.
+    # The forms are built on a kernel's first floored call, and maximize passes no floor:
+    # an estimate's one-pair kernel takes a ceiling (all but hat-tr's; dtr's from the Choi
+    # split) and never evaluates it.
     def refuse(*args):
         raise AssertionError("dual forms built")
 
+    forms, dual_bound = [], distances._dual_bound
+
+    def record(chan_a, chan_b, form, margin):
+        forms.append(form)
+        return dual_bound(chan_a, chan_b, form, margin)
+
     monkeypatch.setattr("postdist.distances._dual_forms", refuse)
+    monkeypatch.setattr("postdist.distances._dual_bound", record)
     a, b = _pair(58)
     assert all(np.isfinite(distance(m, a, b, FAST).value) for m in MEASURES)
+    assert forms == ["trace", "split", "trace", "hat"]
 
 
 # ---------------------------------------------------------------------------

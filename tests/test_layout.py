@@ -241,12 +241,10 @@ def test_public_names_resolve_eagerly_or_on_first_use():
     assert not hasattr(postdist, "no_such_name")
 
 
-@pytest.mark.parametrize("module", CORE)
-def test_the_core_imports_only_the_core(module):
-    # One import of theorems, suites or cli here would load the verification
-    # layer on every `import postdist` again.
+def _postdist_imports(nodes) -> list[tuple[int, str]]:
+    # (line, submodule) for each import of a postdist module among the nodes.
     imported = []
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in nodes:
         if isinstance(node, ast.Import):
             paths = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -255,5 +253,56 @@ def test_the_core_imports_only_the_core(module):
         else:
             continue
         imported += [(node.lineno, p.split(".")[1]) for p in paths if p.startswith("postdist.")]
+    return imported
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_the_core_imports_only_the_core(module):
+    # One import of theorems, suites or cli here would load the verification
+    # layer on every `import postdist` again.
+    imported = _postdist_imports(ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())))
     outside = [f"line {line}: {name}" for line, name in imported if name not in CORE]
     assert not outside, f"{module}.py imports from outside the core: {outside}"
+
+
+def _module_level(tree: ast.Module):
+    # The nodes that run on import: everything outside function and class bodies.
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_imports_the_verification_layer_only_where_it_runs():
+    # `verify` and `curve` import suites and theorems inside their commands, so
+    # `postdist dist` and `postdist example` never compile them.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    eager = [f"line {line}: {name}" for line, name in _postdist_imports(_module_level(tree))]
+    eager = [entry for entry in eager if entry.endswith((": suites", ": theorems"))]
+    assert not eager, f"cli.py imports the verification layer on import: {eager}"
+
+
+def test_dist_and_example_commands_load_only_the_core(tmp_path):
+    script = (
+        "import sys\n"
+        "from postdist import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['example', 'conversion_pair', '--out-dir', out]) == 0\n"
+        "files = [f'{out}/conversion_pair_{i}.json' for i in (0, 1)]\n"
+        "assert cli.main(['dist', 'dtrD', *files, '--restarts', '2', '--max-iter', '3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('postdist')))\n"
+        "assert cli.main(['curve', '--figure', '1', '--epsilon', '0.25', '--grid', '3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('postdist')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    listed = [line for line in run.stdout.splitlines() if line.startswith("[")]
+    core, curve = (ast.literal_eval(line) for line in listed)
+    assert core == sorted(["postdist", "postdist.cli", *(f"postdist.{m}" for m in CORE)])
+    assert curve == sorted([*core, "postdist.theorems"])
